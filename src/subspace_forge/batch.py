@@ -61,12 +61,10 @@ class BatchCode:
         # pivot columns; enumerating the free coordinates in lexicographic
         # order ranks the reps lexicographically.
         self._free_cols = []
-        self._rep_rank: list[dict[tuple[int, ...], int]] = []
         for S in family.members:
             pivots = set(S.pivots)
             free = [c for c in range(self.n) if c not in pivots]
             self._free_cols.append(free)
-            self._rep_rank.append({})
 
     def point_index(self, v) -> int:
         idx = 0

@@ -22,7 +22,7 @@ import sys
 import time
 
 from . import __version__
-from .gf import DEFAULT_SIZE_GUARD, SizeGuardError, field_from_order
+from .gf import DEFAULT_SIZE_GUARD, SizeGuardError, check_order_guard, field_from_order
 from .matgf import MatrixGF
 from .family import DEFAULT_AS_ENUM_GUARD, Family, build_report
 from .constructions import (
@@ -69,7 +69,7 @@ def _load_json_file(path: str) -> dict:
         raise InputParseError(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def _load_family(path: str) -> Family:
+def _load_family(path: str, field_guard: int) -> Family:
     obj = _load_json_file(path)
     # accept a bare family, a construct envelope, or a {"family": ...} result
     if isinstance(obj, dict) and "result" in obj:
@@ -79,6 +79,8 @@ def _load_family(path: str) -> Family:
     if not isinstance(obj, dict) or "members" not in obj:
         raise InputParseError(f"{path} does not contain a family object")
     try:
+        # before Field.from_json, whose set-up work grows with q
+        check_order_guard(int(obj["field"]["p"]), int(obj["field"]["m"]), field_guard)
         return Family.from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputParseError(f"malformed family in {path}: {exc}") from exc
@@ -111,8 +113,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument(
         "--threads",
         type=int,
-        default=os.cpu_count() or 1,
-        help="worker threads (results are identical for any value)",
+        help="ignored; accepted so that older command lines still run",
     )
 
 
@@ -216,8 +217,8 @@ def _cmd_construct(args, field_guard: int, as_guard: int) -> dict:
     return {"family": fam.to_json(), "diagnostics": {"members": len(fam)}}
 
 
-def _cmd_verify(args, as_guard: int) -> dict:
-    fam = _load_family(args.family)
+def _cmd_verify(args, field_guard: int, as_guard: int) -> dict:
+    fam = _load_family(args.family, field_guard)
     props = [p.strip() for p in args.properties.split(",") if p.strip()]
     report = build_report(fam, props, as_enum_guard=as_guard)
     return {
@@ -245,8 +246,8 @@ def _cmd_search(args) -> dict:
     return exhaustive_max_family(cfg).to_json()
 
 
-def _cmd_batch(args) -> dict:
-    fam = _load_family(args.family)
+def _cmd_batch(args, field_guard: int) -> dict:
+    fam = _load_family(args.family, field_guard)
     code = BatchCode(fam)
     s = args.s if args.s is not None else batch_s(len(fam), code.L_aad)
     ok, counterexample = verify_batch(code, s, mode=args.mode, trials=args.trials, seed=args.seed)
@@ -275,7 +276,7 @@ def main(argv=None) -> int:
             seed = args.seed if args.kind == "random" else None
             command = f"construct {args.kind}"
         elif args.command == "verify":
-            result = _cmd_verify(args, as_guard)
+            result = _cmd_verify(args, field_guard, as_guard)
             seed = None
             command = "verify"
         elif args.command == "bounds":
@@ -287,7 +288,7 @@ def main(argv=None) -> int:
             seed = args.seed
             command = "search"
         else:
-            result = _cmd_batch(args)
+            result = _cmd_batch(args, field_guard)
             seed = args.seed
             command = "batch"
     except InputParseError as exc:
@@ -303,7 +304,7 @@ def main(argv=None) -> int:
     params = {
         k: v
         for k, v in vars(args).items()
-        if k not in {"command", "out", "pretty", "func"} and v is not None
+        if k not in {"command", "out", "pretty", "threads"} and v is not None
     }
     _emit(result, command, params, seed, args.out, args.pretty, t0)
     return EXIT_OK

@@ -12,20 +12,24 @@ Terminology (matching the standard definitions):
 * Its exact AS parameter L is the largest number of family members that
   any (k+1)-dimensional subspace meets non-trivially.
 
-The AAD verifier inverts the natural loop: instead of scanning cosets
-and testing members, it walks ordered member pairs (i, j) and bumps a
-counter for every coset of S_i contained in S_i + S_j, using the fact
-that (u + S_i) meets S_j exactly when u lies in S_i + S_j.  Cosets are
-keyed by their canonical representative, which for an RREF basis is the
-coset member with zeros in all pivot coordinates.
+Both verifiers count projective points, the 1-dimensional subspaces of
+GF(q)^n.  Two subspaces meet non-trivially exactly when they share a
+point, which gives the AS count of a (k+1)-subspace.  A coset u + S_i
+meets S_j exactly when the point of u in the quotient by S_i lies in
+(S_i + S_j)/S_i, which gives the AAD count.  A point is enumerated once,
+as the combination of a basis whose first nonzero coefficient is 1, and
+keyed by its normalized form, the vector scaled to a leading 1.
+
+The partial-spread check is the precondition of both verifiers.  It runs
+once per Family object (Family.spread_check) and both verifiers reuse it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .gf import Field, SizeGuardError
-from .matgf import rank_of_stack
 from .subspace import Subspace, all_vectors, enumerate_subspaces, gaussian_binomial
 
 # compute_L_as enumerates every (k+1)-subspace; refuse above this count
@@ -57,6 +61,11 @@ class Family:
 
     def __len__(self):
         return len(self.members)
+
+    @cached_property
+    def spread_check(self) -> tuple[bool, tuple[int, int] | None]:
+        """check_partial_spread of this family, computed on first use."""
+        return check_partial_spread(self)
 
     def to_json(self) -> dict:
         return {
@@ -166,29 +175,52 @@ def _lex_smallest_outside(S: Subspace) -> tuple[int, ...]:
     raise AssertionError("subspace covers the whole space")
 
 
+def _leading_one_combinations(rows, add, mul):
+    """Yield sum(c_t * rows[t]) over the coefficient vectors c whose first
+    nonzero entry is 1, in itertools.product order of c.  `add` and `mul`
+    are the field's operation tables.
+
+    For independent rows this is one vector per projective point of their
+    span.  For RREF rows each vector is that point's normalized form.
+    """
+    for p in range(len(rows) - 1, -1, -1):
+        layer = [rows[p]]
+        for r in rows[p + 1 :]:
+            # e + c*r for c = 0, 1, ..., q-1, one coordinate column at a time
+            layer = [
+                v
+                for e in layer
+                for v in zip(*[map(add[a].__getitem__, mul[b]) for a, b in zip(e, r)])
+            ]
+        yield from layer
+
+
+def _require_spread(fam: Family) -> None:
+    ok, witness = fam.spread_check
+    if not ok:
+        raise ValueError(f"family is not a partial spread (members {witness})")
+
+
 def compute_L_aad(
     fam: Family, upper_limit: int | None = None
 ) -> tuple[int, tuple[int, tuple[int, ...]]]:
     """Exact AAD parameter with an attaining witness (member index, u).
 
-    Walks ordered member pairs: for fixed i, the cosets of S_i meeting
-    S_j are exactly the q^k - 1 nonzero canonical representatives inside
-    S_i + S_j, which are spanned by the residues of S_j's basis rows
-    modulo S_i.  Counting those representatives over all j and taking
-    the max recovers sup_u coset_hits without any per-(u, j) rank work.
+    For each member S_i, the coset u + S_i meets S_j exactly when the
+    point of u in the quotient by S_i lies in (S_i + S_j)/S_i, the span
+    of the residues of S_j's basis modulo S_i.  Counting, over all j, the
+    points of those spans finds the quotient point that the most members
+    reach.  Each point is reached through its leading-1 combination of
+    the residues and keyed by its normalized form; the witness u is the
+    raw combination that first reached the attaining point.
 
     With upper_limit set, returns as soon as some count exceeds it; the
     result is then only a lower bound (enough to decide "L <= limit?").
     """
-    ok, witness = check_partial_spread(fam)
-    if not ok:
-        raise ValueError(f"family is not a partial spread (members {witness})")
+    _require_spread(fam)
     f = fam.field
     members = fam.members
-    m = len(members)
-    k = fam.k
-    q = f.q
-    if m <= 1:
+    if len(members) <= 1:
         u = _lex_smallest_outside(members[0])
         return 0, (0, u)
 
@@ -198,8 +230,7 @@ def compute_L_aad(
             u[c] = val
         return i, tuple(u)
 
-    mul = f.mul_table
-    add = f.add_table
+    add, mul = f.add_table, f.mul_table
     best = 0
     best_witness = None
     for i, S in enumerate(members):
@@ -208,6 +239,7 @@ def compute_L_aad(
         # coordinates only
         free_cols = [c for c in range(fam.n) if c not in pivot_set]
         counts: dict[tuple[int, ...], int] = {}
+        first: dict[tuple[int, ...], tuple[int, ...]] = {}  # point -> first combination
         for j, T in enumerate(members):
             if j == i:
                 continue
@@ -215,101 +247,58 @@ def compute_L_aad(
                 tuple(w[c] for c in free_cols)
                 for w in (S.reduce(row) for row in T.basis.row_list())
             ]
-            if k == 1:
-                w = proj[0]
-                for c in range(1, q):
-                    mc = mul[c]
-                    key = tuple(mc[x] for x in w)
-                    cnt = counts.get(key, 0) + 1
-                    counts[key] = cnt
-                    if upper_limit is not None and cnt > upper_limit:
-                        return cnt, unproject(i, free_cols, key)
-            else:
-                # span of the k independent residues, built layer by layer
-                elems = [(0,) * len(free_cols)]
-                for r in proj:
-                    scaled = [tuple(mul[c][x] for x in r) for c in range(q)]
-                    elems = [
-                        tuple(add[a][b] for a, b in zip(e, s)) for e in elems for s in scaled
-                    ]
-                for e in elems:
-                    if any(e):
-                        cnt = counts.get(e, 0) + 1
-                        counts[e] = cnt
-                        if upper_limit is not None and cnt > upper_limit:
-                            return cnt, unproject(i, free_cols, e)
+            for v in _leading_one_combinations(proj, add, mul):
+                # key the point by its normalized form, scaled to a leading 1
+                for lead in v:
+                    if lead:
+                        break
+                key = v if lead == 1 else tuple(mul[f.inv(lead)][x] for x in v)
+                cnt = counts.get(key, 0) + 1
+                counts[key] = cnt
+                if cnt == 1:
+                    first[key] = v
+                if upper_limit is not None and cnt > upper_limit:
+                    return cnt, unproject(i, free_cols, v)
         for key, cnt in counts.items():
             if cnt > best:
                 best = cnt
-                best_witness = (i, free_cols, key)
+                best_witness = (i, free_cols, first[key])
 
     assert best_witness is not None
     return best, unproject(*best_witness)
 
 
-def _as_hits_generic(V: Subspace, fam: Family) -> int:
-    """Members meeting V non-trivially, by rank of the stacked bases."""
-    hits = 0
-    dimsum = V.k + fam.k
-    for S in fam.members:
-        if rank_of_stack(V.basis, S.basis) < dimsum:
-            hits += 1
-    return hits
-
-
-def _as_hits_lines(V: Subspace, member_keys: set, f: Field) -> int:
-    """k=1 kernel: count member lines contained in the plane V.
-
-    The q+1 lines of a 2-dimensional V have canonical bases r2 and
-    r1 + c*r2 (c in GF(q)), all already leading-coefficient-1.
-    """
-    r1, r2 = V.basis.row_list()
-    hits = 1 if r2 in member_keys else 0
-    if r1 in member_keys:
-        hits += 1
-    mul = f.mul_table
-    for c in range(1, f.q):
-        mc = mul[c]
-        key = tuple(f.add(x, mc[y]) for x, y in zip(r1, r2))
-        if key in member_keys:
-            hits += 1
-    return hits
-
-
 def compute_L_as(fam: Family, enum_guard: int | None = DEFAULT_AS_ENUM_GUARD) -> tuple[int, Subspace]:
     """Exact AS parameter with an attaining (k+1)-subspace witness.
 
-    Full enumeration of all (k+1)-subspaces is the reference algorithm;
-    for k=1 the per-subspace count uses the lines-in-a-plane kernel,
-    which is property-tested against the generic rank-based count.
+    Enumerates every (k+1)-subspace V.  V meets a member non-trivially
+    exactly when it holds one of the member's projective points, so the
+    count for V is the number of distinct owners among V's points, read
+    from a map of every member point to its member.  In a partial spread
+    each point has at most one owner.
     """
-    ok, witness = check_partial_spread(fam)
-    if not ok:
-        raise ValueError(f"family is not a partial spread (members {witness})")
+    _require_spread(fam)
     f = fam.field
     total = gaussian_binomial(fam.n, fam.k + 1, f.q)
     if enum_guard is not None and total > enum_guard:
         raise SizeGuardError(
             f"AS verification needs {total} (k+1)-subspaces, over the guard {enum_guard}"
         )
+    add, mul = f.add_table, f.mul_table
+    owner = {}
+    for idx, S in enumerate(fam.members):
+        for pt in _leading_one_combinations(S.basis.row_list(), add, mul):
+            owner[pt] = idx
     m = len(fam.members)
     best = -1
     best_V = None
-    if fam.k == 1:
-        member_keys = {S.basis.row(0) for S in fam.members}
-        for V in enumerate_subspaces(f, fam.n, 2):
-            hits = _as_hits_lines(V, member_keys, f)
-            if hits > best:
-                best, best_V = hits, V
-                if best == m:
-                    break
-    else:
-        for V in enumerate_subspaces(f, fam.n, fam.k + 1):
-            hits = _as_hits_generic(V, fam)
-            if hits > best:
-                best, best_V = hits, V
-                if best == m:
-                    break
+    for V in enumerate_subspaces(f, fam.n, fam.k + 1):
+        met = {owner.get(pt) for pt in _leading_one_combinations(V.basis.row_list(), add, mul)}
+        hits = len(met) - (None in met)
+        if hits > best:
+            best, best_V = hits, V
+            if best == m:
+                break
     assert best_V is not None
     return best, best_V
 
@@ -355,7 +344,7 @@ def build_report(
     report = VerificationReport()
     need_spread = properties & {"aad", "as", "bound", "relations"}
     if "spread" in properties or need_spread:
-        ok, witness = check_partial_spread(fam)
+        ok, witness = fam.spread_check
         report.is_partial_spread = ok
         report.spread_witness = witness
         if not ok and need_spread:

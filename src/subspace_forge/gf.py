@@ -149,7 +149,7 @@ class Field:
             gamma = self._find_primitive()
         else:
             gamma = int(gamma)
-            if self.element_order(gamma) != self.q - 1:
+            if not self._is_primitive(gamma):
                 raise ValueError(f"gamma={gamma} does not have order q-1")
         self.gamma = gamma
 
@@ -258,22 +258,16 @@ class Field:
         """All q element codes in increasing order."""
         return range(self.q)
 
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("0 has no multiplicative order")
-        order = 1
-        x = a
-        while x != 1:
-            x = self.mul(x, a)
-            order += 1
-        return order
+    def _is_primitive(self, a: int) -> bool:
+        """True iff a has multiplicative order q-1: a^((q-1)/f) != 1 for
+        every prime f dividing q-1."""
+        if not 0 < a < self.q:
+            return False
+        return all(self.pow(a, (self.q - 1) // f) != 1 for f in _prime_factors(self.q - 1))
 
     def _find_primitive(self) -> int:
-        if self.q == 2:
-            return 1
-        factors = _prime_factors(self.q - 1)
-        for cand in range(2, self.q):
-            if all(self.pow(cand, (self.q - 1) // f) != 1 for f in factors):
+        for cand in range(1, self.q):
+            if self._is_primitive(cand):
                 return cand
         raise AssertionError("no primitive element found")
 
@@ -292,11 +286,6 @@ class Field:
         if self._add is None:
             self._add = [[self._add_raw(a, b) for b in range(self.q)] for a in range(self.q)]
         return self._add
-
-    @property
-    def sub_table(self):
-        """q x q subtraction table, built on demand."""
-        return [[self.sub(a, b) for b in range(self.q)] for a in range(self.q)]
 
     # -- identity / serialization ----------------------------------------
 
@@ -336,9 +325,21 @@ def make_field(p: int, m: int = 1, size_guard: int | None = DEFAULT_SIZE_GUARD) 
         raise ValueError(f"p must be prime, got {p}")
     if m < 1:
         raise ValueError(f"extension degree must be >= 1, got {m}")
-    if size_guard is not None and p**m > size_guard:
-        raise SizeGuardError(f"q = {p}^{m} exceeds the size guard {size_guard}")
+    check_order_guard(p, m, size_guard)
     return Field(p, m, _smallest_irreducible(p, m))
+
+
+def check_order_guard(p: int, m: int, size_guard: int | None = DEFAULT_SIZE_GUARD) -> None:
+    """Raise SizeGuardError when q = p^m exceeds `size_guard` (None disables).
+
+    The exponent is capped at the guard's bit length, so a huge m costs
+    nothing.
+    """
+    if size_guard is None or p < 2 or m < 1:
+        return
+    # 2^b > size_guard for b = its bit length, so p^m > size_guard once m >= b
+    if p ** min(m, max(size_guard, 1).bit_length()) > size_guard:
+        raise SizeGuardError(f"q = {p}^{m} exceeds the size guard {size_guard}")
 
 
 def field_from_order(q: int, size_guard: int | None = DEFAULT_SIZE_GUARD) -> Field:

@@ -1,6 +1,9 @@
 import json
 import subprocess
 import sys
+import time
+
+import pytest
 
 from subspace_forge.cli import main
 from subspace_forge.family import Family
@@ -190,6 +193,33 @@ def test_guard_env_limits_as_enumeration(capsys, monkeypatch, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv", [["verify", "--properties", "spread"], ["batch"]])
+def test_family_field_over_guard_exits_4_promptly(capsys, tmp_path, argv):
+    # GF(2^31) would take minutes to set up; the guard must stop it first
+    fam = {
+        "field": {"p": 2, "m": 31, "modulus": [1, 0, 0, 1] + [0] * 27 + [1], "gamma": 2},
+        "n": 3,
+        "k": 1,
+        "members": [{"n": 3, "k": 1, "basis": [[1, 0, 0]]}],
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(fam))
+    t0 = time.perf_counter()
+    code, _, err = run_cli(capsys, *argv, "--family", str(path))
+    assert time.perf_counter() - t0 < 2
+    assert code == 4
+    assert "q = 2^31" in err and str(1 << 20) in err
+
+
+def test_guard_env_limits_family_field(capsys, monkeypatch, tmp_path, four_line_family):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(four_line_family.to_json()))
+    monkeypatch.setenv("SUBSPACE_FORGE_GUARD", "1")
+    code, _, err = run_cli(capsys, "verify", "--family", str(path), "--properties", "spread")
+    assert code == 4
+    assert "q = 2^1" in err
+
+
 # ---------------------------------------------------------------------------
 # bounds / search / batch
 # ---------------------------------------------------------------------------
@@ -272,6 +302,8 @@ def test_threads_flag_accepted(capsys):
         capsys, "bounds", "--n", "3", "--k", "1", "--L", "1", "--q", "2", "--threads", "4"
     )
     assert code == 0
+    # the flag is ignored, so it must not make manifests differ across machines
+    assert "threads" not in json.loads(out)["manifest"]["parameters"]
 
 
 def test_round_trip_all_builders(capsys, tmp_path):

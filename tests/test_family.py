@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import Phase, assume, given, settings, strategies as st
 
-from subspace_forge.gf import SizeGuardError, make_field
+from subspace_forge.gf import SizeGuardError, field_from_order, make_field
 from subspace_forge.matgf import rank_of_stack
 from subspace_forge.subspace import Subspace, all_vectors, enumerate_subspaces
 from subspace_forge.family import (
@@ -56,6 +57,45 @@ def exhaustive_L_as_oracle(fam):
         )
         best = max(best, hits)
     return best
+
+
+FIELDS = {q: field_from_order(q) for q in (2, 3, 4, 5, 9)}
+
+# Families come from a drawn seed, which has no simpler neighbour, and each
+# shrink step reruns an exhaustive oracle: report the first failure as found.
+DIFFERENTIAL = settings(
+    max_examples=40, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate)
+)
+
+# (k, n, q) points small enough for the exhaustive oracles
+AAD_GRID = [
+    (1, 3, 2), (1, 3, 3), (1, 3, 4), (1, 3, 5), (1, 3, 9), (1, 4, 3),
+    (2, 5, 2), (2, 5, 3), (3, 7, 2),
+]
+AS_GRID = [(k, n, q) for k, n, q in AAD_GRID if k <= 2]
+
+
+@st.composite
+def families(draw, grid, spread=True):
+    """Distinct k-subspaces kept from up to six uniform random draws.
+    With spread=True, a draw is kept only if it meets every kept one
+    trivially."""
+    k, n, q = draw(st.sampled_from(grid))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    field = FIELDS[q]
+    members = []
+    for _ in range(draw(st.integers(1, 6))):
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+        if not any(any(r) for r in rows):
+            continue
+        S = Subspace.from_generators(field, n, rows)
+        if S.k != k or any(S.key() == T.key() for T in members):
+            continue
+        if spread and not all(S.trivially_intersects(T) for T in members):
+            continue
+        members.append(S)
+    assume(members)
+    return Family(field, n, k, tuple(members))
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +249,40 @@ def test_L_aad_k2_matches_exhaustive_oracle(f2):
     L, (i, u) = compute_L_aad(fam)
     assert L == exhaustive_L_aad_oracle(fam)
     assert coset_hits(fam, i, u) == L
+
+
+@DIFFERENTIAL
+@given(families(AAD_GRID))
+def test_L_aad_differential(fam):
+    L, (i, u) = compute_L_aad(fam)
+    assert L == exhaustive_L_aad_oracle(fam)
+    assert coset_hits(fam, i, u) == L
+    # an early stop reports a count above the limit exactly when L is
+    for limit in range(L + 2):
+        cnt, (i, u) = compute_L_aad(fam, upper_limit=limit)
+        assert (cnt > limit) == (L > limit)
+        assert coset_hits(fam, i, u) >= cnt
+
+
+@DIFFERENTIAL
+@given(families(AS_GRID))
+def test_L_as_differential(fam):
+    L, V = compute_L_as(fam)
+    assert L == exhaustive_L_as_oracle(fam)
+    assert L == sum(1 for S in fam.members if rank_of_stack(V.basis, S.basis) < V.k + S.k)
+
+
+@DIFFERENTIAL
+@given(families(AAD_GRID, spread=False))
+def test_spread_check_unchanged_by_cache(fam):
+    before = check_partial_spread(fam)
+    if before[0]:
+        compute_L_aad(fam)
+    else:
+        with pytest.raises(ValueError):
+            compute_L_aad(fam)
+    assert fam.spread_check == before
+    assert check_partial_spread(fam) == before
 
 
 def test_L_as_four_line_family(four_line_family):

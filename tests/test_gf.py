@@ -219,6 +219,15 @@ def test_from_json_rejects_bad_gamma():
         Field.from_json(obj)
 
 
+def test_from_json_gamma_by_prime_factor_test():
+    # 3 is the other primitive element of GF(5); 0 and q are not elements of GF(5)*
+    obj = make_field(5).to_json()
+    assert Field.from_json({**obj, "gamma": 3}).gamma == 3
+    for gamma in (0, 5):
+        with pytest.raises(ValueError):
+            Field.from_json({**obj, "gamma": gamma})
+
+
 def test_from_json_rejects_reducible_modulus():
     obj = {"p": 2, "m": 2, "modulus": [0, 0, 1], "gamma": 2}  # x^2 factors
     with pytest.raises(ValueError):

@@ -1,0 +1,124 @@
+"""Golden digests: the sha256 of the `result` JSON of fixed CLI runs.
+
+Every verifier, builder and JSON layout that feeds a `result` is pinned
+here, so a refactor that changes one result byte fails.  A change that
+alters a result on purpose updates the digest and says why in
+CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from subspace_forge.cli import main
+
+# The four lines e1, e2, e3, (1,1,1) of GF(2)^3.
+FOUR_LINES = {
+    "field": {"p": 2, "m": 1, "modulus": [0, 1], "gamma": 1},
+    "n": 3,
+    "k": 1,
+    "members": [
+        {"n": 3, "k": 1, "basis": [v]} for v in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1])
+    ],
+}
+
+# Planes <e1, e2>, <e2, e3> and <e4, e5> of GF(2)^5: the first two share e2.
+NON_SPREAD = {
+    "field": {"p": 2, "m": 1, "modulus": [0, 1], "gamma": 1},
+    "n": 5,
+    "k": 2,
+    "members": [
+        {"n": 5, "k": 2, "basis": [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]},
+        {"n": 5, "k": 2, "basis": [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0]]},
+        {"n": 5, "k": 2, "basis": [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]},
+    ],
+}
+
+# (name, argv, pinned digest), run in order.  "@name" stands for the
+# output file of an earlier run, or of one of the inline families above.
+RUNS = [
+    (
+        "construct-rs-k1",
+        ["construct", "rs", "--n", "4", "--k", "1", "--q", "4"],
+        "805a4da44758835686c1dee1d64eeb5269e1edc13a7e8ba8f79d6f4dda1db67f",
+    ),
+    (
+        "construct-rs-k2",
+        ["construct", "rs", "--n", "5", "--k", "2", "--q", "11"],
+        "53243ef97c574a4785b7bace029a4e3fd4603874fa44794dfe170bf32533f062",
+    ),
+    (
+        "construct-code-based",
+        ["construct", "code-based", "--n", "3", "--k", "1", "--q", "5", "--vandermonde-rows", "3"],
+        "28737a9ac3b8dfbefea17dd360f061a722ac5af8314843a9c07baf807ee18f4a",
+    ),
+    (
+        "construct-random",
+        ["construct", "random", "--n", "5", "--k", "1", "--L", "7", "--q", "5", "--seed", "1"],
+        "ccc70c53d61979aef35f26ef7086fe645bbc435b81fe144fb48c28c72cc093b5",
+    ),
+    (
+        "search-greedy-k2",
+        ["search", "--mode", "greedy", "--n", "5", "--k", "2", "--L", "2", "--q", "3", "--seed", "1"],
+        "b2b7d8b97d0d479f395c07a608cba2a9d9f779c598d13e36b276a21de4c6f069",
+    ),
+    (
+        "search-exhaustive",
+        ["search", "--n", "3", "--k", "1", "--L", "1", "--q", "2"],
+        "239dd99436019bb4cc6ad43f353e0357541cbe7c11b124fc9cc8d9c63a2b923a",
+    ),
+    (
+        "verify-k1",
+        ["verify", "--family", "@construct-rs-k1"],
+        "5d247b49a063362c45616157bed2f7e4d7895ddfb2787de51994ff0e29d0e7eb",
+    ),
+    (
+        "verify-k2",
+        ["verify", "--family", "@search-greedy-k2"],
+        "cb21198df0dcc96fcac75bfe3815c80739003e2fc74cfaffad3add949084d27b",
+    ),
+    (
+        "verify-rs-k2-aad",
+        ["verify", "--family", "@construct-rs-k2", "--properties", "spread,aad,bound"],
+        "3ede7f89641a824afb71078514c53758b8c01e2e059ef6cbbd4b762b5f885fc4",
+    ),
+    (
+        "verify-non-spread",
+        ["verify", "--family", "@non-spread"],
+        "57a65a233d694c58cf67a5c72d79bdf9be0a0adb75ead172947f0d5e562d9acf",
+    ),
+    (
+        "bounds",
+        ["bounds", "--n", "5", "--k", "2", "--L", "1", "--q", "3"],
+        "a412e31c95290aecc8894170ff0b96420e2fd02d00e8f91b7f035cac7256ddce",
+    ),
+    (
+        "batch-layout",
+        ["batch", "--family", "@four-lines", "--layout"],
+        "268dc1a1c827fbb5e65c3690fbaa79e8bd6fbd8e0d7e369ead5febff934b3b76",
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("golden")
+    (tmp / "four-lines.json").write_text(json.dumps(FOUR_LINES))
+    (tmp / "non-spread.json").write_text(json.dumps(NON_SPREAD))
+    out = {}
+    for name, argv, _ in RUNS:
+        path = tmp / f"{name}.json"
+        argv = [str(tmp / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]
+        assert main(argv + ["--out", str(path)]) == 0, name
+        envelope = json.loads(path.read_text())
+        canonical = json.dumps(envelope["result"], sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(canonical.encode()).hexdigest()
+        assert envelope["manifest"]["digest"] == f"sha256:{digest}", name
+        out[name] = digest
+    return out
+
+
+@pytest.mark.parametrize("name, digest", [(name, digest) for name, _, digest in RUNS])
+def test_golden_digest(digests, name, digest):
+    assert digests[name] == digest
