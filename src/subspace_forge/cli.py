@@ -228,8 +228,8 @@ def _cmd_verify(args, field_guard: int, as_guard: int) -> dict:
     }
 
 
-def _cmd_search(args) -> dict:
-    field = field_from_order(args.q)
+def _cmd_search(args, field_guard: int) -> dict:
+    field = field_from_order(args.q, field_guard)
     cfg = SearchConfig(
         field,
         args.n,
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
             seed = None
             command = "bounds"
         elif args.command == "search":
-            result = _cmd_search(args)
+            result = _cmd_search(args, field_guard)
             seed = args.seed
             command = "search"
         else:

@@ -11,14 +11,22 @@ Field construction is deterministic: the modulus is the
 lexicographically smallest monic irreducible polynomial of degree m
 (coefficients compared low-degree-first) and gamma is the smallest code
 of multiplicative order q-1.
+
+The operation tables come from the powers of gamma (Lidl & Niederreiter,
+*Finite Fields*, ch. 10).  Raw polynomial arithmetic computes only the
+O(q) seeds: the antilog list exp[i] = gamma^i, its inverse log, and the
+Zech logarithms z[i] = log(1 + gamma^i).  Then
+gamma^a * gamma^b = gamma^(a+b) and
+gamma^a + gamma^b = gamma^(a + z[b-a]), so every table entry is a lookup.
 """
 
 from __future__ import annotations
 
 DEFAULT_SIZE_GUARD = 1 << 20
 
-# Full q x q add/mul tables are built below this order; above it,
-# operations fall back to on-the-fly polynomial arithmetic.
+# Fields up to this order build their q x q add/mul tables (from the exp,
+# log and Zech seeds) at construction; above it, operations use raw
+# polynomial arithmetic and add_table/mul_table build the tables on demand.
 _TABLE_MAX_Q = 512
 
 
@@ -143,8 +151,7 @@ class Field:
         self.q = p**m
         self.modulus = modulus
         self._add = self._mul = self._neg = self._inv = None
-        if self.q <= _TABLE_MAX_Q:
-            self._build_tables()
+        # gamma comes first, on the raw routines: the tables are built from it
         if gamma is None:
             gamma = self._find_primitive()
         else:
@@ -152,6 +159,8 @@ class Field:
             if not self._is_primitive(gamma):
                 raise ValueError(f"gamma={gamma} does not have order q-1")
         self.gamma = gamma
+        if self.q <= _TABLE_MAX_Q:
+            self._build_tables()
 
     # -- encoding ------------------------------------------------------
 
@@ -169,7 +178,7 @@ class Field:
             code = code * self.p + d % self.p
         return code
 
-    # -- raw polynomial arithmetic (used to seed tables / large q) -----
+    # -- raw polynomial arithmetic (exp/log/Zech seeds, large q, oracle) -
 
     def _add_raw(self, a: int, b: int) -> int:
         if self.m == 1:
@@ -201,17 +210,31 @@ class Field:
         return self.encode(prod[: self.m])
 
     def _build_tables(self):
-        q = self.q
-        self._add = [[self._add_raw(a, b) for b in range(q)] for a in range(q)]
-        self._mul = [[self._mul_raw(a, b) for b in range(q)] for a in range(q)]
+        """Build the add/mul tables and the neg/inv rows from gamma.
+
+        Raw arithmetic is used O(q) times: q-2 products for the powers of
+        gamma, q-1 sums for the Zech logarithms and q negations.  Every
+        other entry is a lookup in those seeds.
+        """
+        q, n, gamma = self.q, self.q - 1, self.gamma
+        exp = [1] * n
+        for i in range(1, n):
+            exp[i] = self._mul_raw(exp[i - 1], gamma)
+        log = [0] * q
+        for i, a in enumerate(exp):
+            log[a] = i
+        # zech[i] = log(1 + gamma^i); the marker 2n, where 1 + gamma^i = 0,
+        # lands in the zero block of exp below for every log a < n
+        zech = [log[c] if c else 2 * n for c in (self._add_raw(1, a) for a in exp)]
+        zech += zech  # zech[lb - la + n] needs no reduction mod n
+        exp += exp + [0] * n  # exp[i] = gamma^i for i < 2n, 0 from the marker on
+        logs = log[1:]  # log b for b = 1, ..., q-1
+        self._mul = [[0] * q] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
+        self._add = [list(range(q))] + [
+            [a] + [exp[la + zech[lb - la + n]] for lb in logs] for a, la in enumerate(logs, 1)
+        ]
         self._neg = [self._neg_raw(a) for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    inv[a] = b
-                    break
-        self._inv = inv
+        self._inv = [0] + [exp[n - la] for la in logs]
 
     # -- public operations ---------------------------------------------
 
@@ -277,14 +300,14 @@ class Field:
     def mul_table(self):
         """q x q multiplication table (list of row lists), built on demand."""
         if self._mul is None:
-            self._mul = [[self._mul_raw(a, b) for b in range(self.q)] for a in range(self.q)]
+            self._build_tables()
         return self._mul
 
     @property
     def add_table(self):
         """q x q addition table (list of row lists), built on demand."""
         if self._add is None:
-            self._add = [[self._add_raw(a, b) for b in range(self.q)] for a in range(self.q)]
+            self._build_tables()
         return self._add
 
     # -- identity / serialization ----------------------------------------

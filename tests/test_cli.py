@@ -220,6 +220,13 @@ def test_guard_env_limits_family_field(capsys, monkeypatch, tmp_path, four_line_
     assert "q = 2^1" in err
 
 
+def test_guard_env_limits_search_field(capsys, monkeypatch):
+    monkeypatch.setenv("SUBSPACE_FORGE_GUARD", "1")
+    code, _, err = run_cli(capsys, "search", "--n", "3", "--k", "1", "--L", "1", "--q", "2")
+    assert code == 4
+    assert "q = 2^1" in err and "size guard 1" in err
+
+
 # ---------------------------------------------------------------------------
 # bounds / search / batch
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import functools
+import hashlib
 import json
+import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from subspace_forge.gf import (
     Field,
@@ -238,3 +241,111 @@ def test_encode_decode_roundtrip():
     f = make_field(3, 2)
     for a in f.elements():
         assert f.encode(f.decode(a)) == a
+
+
+# ---------------------------------------------------------------------------
+# tables built from exp/log/Zech seeds, against the raw polynomial routines
+# ---------------------------------------------------------------------------
+
+PRIME_POWERS_TO_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
+TABLE_ORDERS = [49, 64, 81, 121, 125, 243, 256, 343, 512]
+
+
+@functools.lru_cache(maxsize=None)
+def _field(q):
+    return field_from_order(q)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_32)
+def test_tables_match_raw_all_pairs(q):
+    f = _field(q)
+    for a in range(q):
+        assert f.neg(a) == f._neg_raw(a)
+        if a:
+            assert f._mul_raw(a, f.inv(a)) == 1
+        for b in range(q):
+            assert f.add(a, b) == f._add_raw(a, b)
+            assert f.mul(a, b) == f._mul_raw(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(TABLE_ORDERS), st.data())
+def test_tables_match_raw_sampled_pairs(q, data):
+    f = _field(q)
+    a = data.draw(st.integers(0, q - 1))
+    b = data.draw(st.integers(0, q - 1))
+    assert f.add(a, b) == f._add_raw(a, b)
+    assert f.mul(a, b) == f._mul_raw(a, b)
+
+
+@pytest.mark.parametrize("q", TABLE_ORDERS)
+def test_neg_inv_rows_match_raw(q):
+    f = _field(q)
+    assert [f.neg(a) for a in range(q)] == [f._neg_raw(a) for a in range(q)]
+    assert all(f._mul_raw(a, f.inv(a)) == 1 for a in range(1, q))
+
+
+def test_lazy_tables_above_table_max_q_match_raw():
+    f = field_from_order(729)
+    assert f._mul is None and f._add is None
+    rows = [0, 1, f.gamma, 364, 728]
+    add, mul = f.add_table, f.mul_table
+    for a in rows:
+        assert add[a] == [f._add_raw(a, b) for b in range(729)]
+        assert mul[a] == [f._mul_raw(a, b) for b in range(729)]
+    assert all(f._mul_raw(a, f.inv(a)) == 1 for a in range(1, 729))
+
+
+@pytest.mark.parametrize("q", [2, 3, 243, 256, 343])
+def test_build_tables_linear_raw_calls(q, monkeypatch):
+    f = _field(q)
+    calls = []
+
+    def counted(raw):
+        def wrapper(self, *args):
+            calls.append(raw.__name__)
+            return raw(self, *args)
+
+        return wrapper
+
+    for name in ("_add_raw", "_mul_raw", "_neg_raw"):
+        monkeypatch.setattr(Field, name, counted(getattr(Field, name)))
+    f._build_tables()
+    # q-2 powers of gamma, q-1 Zech logarithms, q negations
+    assert len(calls) == 3 * q - 3
+
+
+# sha256 of every table of field_from_order(q), pinned when the tables were
+# still filled by q^2 raw polynomial products
+FIELD_DIGESTS = {
+    243: (3, "8d09dedf9e1acbcadf96486ff788098902eb7df64a9028aa51268506f250395b"),
+    256: (6, "b17753666e02d0cc419be2b5b91ba07b5c6f907a228e987880f18fc0e8339d9e"),
+    343: (9, "65b654faee96e06b9a8ce8bff6b6d8ca8da568254fd3f3df6e7d11cf7a07889f"),
+    512: (7, "36315edb6375470c650c078c74bfabd56414e5cc37f998c9ea326296a5d89b5a"),
+}
+
+
+@pytest.mark.parametrize("q", sorted(FIELD_DIGESTS))
+def test_field_tables_golden_digest(q):
+    f = _field(q)
+    blob = json.dumps(
+        {
+            "modulus": list(f.modulus),
+            "gamma": f.gamma,
+            "add": f.add_table,
+            "mul": f.mul_table,
+            "neg": [f.neg(a) for a in range(q)],
+            "inv": [f.inv(a) for a in range(1, q)],
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    assert (f.gamma, hashlib.sha256(blob.encode()).hexdigest()) == FIELD_DIGESTS[q]
+
+
+def test_field_512_build_budget():
+    t0 = time.perf_counter()
+    f = field_from_order(512)
+    dt = time.perf_counter() - t0
+    assert f.q == 512 and f._mul is not None
+    assert dt < 1.0, f"field_from_order(512) took {dt:.2f}s"
