@@ -132,7 +132,6 @@ class BatchCode:
         if any(b not in (0, 1) for b in x):
             raise ValueError("information symbols must be bits")
         y = x + [0] * (self.N - self.K)
-        f = self.family.field
         for idx in range(self.K):
             if not x[idx]:
                 continue

@@ -9,7 +9,9 @@ byte-identical result (only the manifest wall time varies).
 Exit codes: 0 report produced, 2 parameter violation, 3 malformed
 input, 4 computation aborted by a size guard.  The environment variable
 SUBSPACE_FORGE_GUARD (an integer) overrides both the field-order guard
-and the AS-enumeration guard.
+and the enumeration guard, which bounds the (k+1)-subspaces of AS
+verification, the request multisets of exhaustive batch and the
+k-subspace candidates of greedy search.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -25,6 +28,7 @@ from . import __version__
 from .gf import DEFAULT_SIZE_GUARD, SizeGuardError, check_order_guard, field_from_order
 from .matgf import MatrixGF
 from .family import DEFAULT_AS_ENUM_GUARD, Family, build_report
+from .subspace import gaussian_binomial
 from .constructions import (
     bounds_table,
     build_code_based_family,
@@ -228,7 +232,7 @@ def _cmd_verify(args, field_guard: int, as_guard: int) -> dict:
     }
 
 
-def _cmd_search(args, field_guard: int) -> dict:
+def _cmd_search(args, field_guard: int, enum_guard: int) -> dict:
     field = field_from_order(args.q, field_guard)
     cfg = SearchConfig(
         field,
@@ -241,15 +245,27 @@ def _cmd_search(args, field_guard: int) -> dict:
     if args.node_budget is not None:
         cfg.node_budget = args.node_budget
     if args.mode == "greedy":
+        # greedy search holds every k-subspace in memory
+        total = gaussian_binomial(args.n, args.k, field.q)
+        if total > enum_guard:
+            raise SizeGuardError(
+                f"greedy search needs {total} k-subspaces, over the guard {enum_guard}"
+            )
         fam = greedy_max_family(cfg, args.seed)
         return {"mode": "greedy", "size": len(fam), "family": fam.to_json()}
     return exhaustive_max_family(cfg).to_json()
 
 
-def _cmd_batch(args, field_guard: int) -> dict:
+def _cmd_batch(args, field_guard: int, enum_guard: int) -> dict:
     fam = _load_family(args.family, field_guard)
     code = BatchCode(fam)
     s = args.s if args.s is not None else batch_s(len(fam), code.L_aad)
+    if args.mode == "exhaustive" and s >= 1:
+        total = math.comb(code.K + s - 1, s)
+        if total > enum_guard:
+            raise SizeGuardError(
+                f"exhaustive batch needs {total} request multisets, over the guard {enum_guard}"
+            )
     ok, counterexample = verify_batch(code, s, mode=args.mode, trials=args.trials, seed=args.seed)
     result = {
         "N": code.N,
@@ -284,11 +300,11 @@ def main(argv=None) -> int:
             seed = None
             command = "bounds"
         elif args.command == "search":
-            result = _cmd_search(args, field_guard)
+            result = _cmd_search(args, field_guard, as_guard)
             seed = args.seed
             command = "search"
         else:
-            result = _cmd_batch(args, field_guard)
+            result = _cmd_batch(args, field_guard, as_guard)
             seed = args.seed
             command = "batch"
     except InputParseError as exc:

@@ -367,7 +367,7 @@ def build_random_family(
 
     kept: list[Subspace] = []
     for S in sampled:
-        if all(S.key() != T.key() and S.trivially_intersects(T) for T in kept):
+        if all(S.trivially_intersects(T) for T in kept):
             kept.append(S)
     spread_deletions = M - len(kept)
 

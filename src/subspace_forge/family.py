@@ -20,14 +20,14 @@ meets S_j exactly when the point of u in the quotient by S_i lies in
 as the combination of a basis whose first nonzero coefficient is 1, and
 keyed by its normalized form, the vector scaled to a leading 1.
 
-The partial-spread check is the precondition of both verifiers.  It runs
-once per Family object (Family.spread_check) and both verifiers reuse it.
+The partial-spread check is the precondition of both verifiers.  Each
+finds its failure in its own loop and only then runs check_partial_spread
+to name the first violating pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 
 from .gf import Field, SizeGuardError
 from .subspace import Subspace, all_vectors, enumerate_subspaces, gaussian_binomial
@@ -61,11 +61,6 @@ class Family:
 
     def __len__(self):
         return len(self.members)
-
-    @cached_property
-    def spread_check(self) -> tuple[bool, tuple[int, int] | None]:
-        """check_partial_spread of this family, computed on first use."""
-        return check_partial_spread(self)
 
     def to_json(self) -> dict:
         return {
@@ -195,10 +190,9 @@ def _leading_one_combinations(rows, add, mul):
         yield from layer
 
 
-def _require_spread(fam: Family) -> None:
-    ok, witness = fam.spread_check
-    if not ok:
-        raise ValueError(f"family is not a partial spread (members {witness})")
+def _not_a_spread(fam: Family) -> ValueError:
+    witness = check_partial_spread(fam)[1]
+    return ValueError(f"family is not a partial spread (members {witness})")
 
 
 def compute_L_aad(
@@ -214,10 +208,11 @@ def compute_L_aad(
     the residues and keyed by its normalized form; the witness u is the
     raw combination that first reached the attaining point.
 
+    A zero combination of residues means S_i meets S_j: raises ValueError.
     With upper_limit set, returns as soon as some count exceeds it; the
-    result is then only a lower bound (enough to decide "L <= limit?").
+    result is then only a lower bound (enough to decide "L <= limit?"),
+    which a family that is not a partial spread may return before raising.
     """
-    _require_spread(fam)
     f = fam.field
     members = fam.members
     if len(members) <= 1:
@@ -252,6 +247,8 @@ def compute_L_aad(
                 for lead in v:
                     if lead:
                         break
+                else:
+                    raise _not_a_spread(fam)
                 key = v if lead == 1 else tuple(mul[f.inv(lead)][x] for x in v)
                 cnt = counts.get(key, 0) + 1
                 counts[key] = cnt
@@ -275,9 +272,9 @@ def compute_L_as(fam: Family, enum_guard: int | None = DEFAULT_AS_ENUM_GUARD) ->
     exactly when it holds one of the member's projective points, so the
     count for V is the number of distinct owners among V's points, read
     from a map of every member point to its member.  In a partial spread
-    each point has at most one owner.
+    each point has at most one owner; after the enumeration guard, a
+    second owner met while the map is built raises ValueError.
     """
-    _require_spread(fam)
     f = fam.field
     total = gaussian_binomial(fam.n, fam.k + 1, f.q)
     if enum_guard is not None and total > enum_guard:
@@ -288,7 +285,8 @@ def compute_L_as(fam: Family, enum_guard: int | None = DEFAULT_AS_ENUM_GUARD) ->
     owner = {}
     for idx, S in enumerate(fam.members):
         for pt in _leading_one_combinations(S.basis.row_list(), add, mul):
-            owner[pt] = idx
+            if owner.setdefault(pt, idx) != idx:
+                raise _not_a_spread(fam)
     m = len(fam.members)
     best = -1
     best_V = None
@@ -344,7 +342,7 @@ def build_report(
     report = VerificationReport()
     need_spread = properties & {"aad", "as", "bound", "relations"}
     if "spread" in properties or need_spread:
-        ok, witness = fam.spread_check
+        ok, witness = check_partial_spread(fam)
         report.is_partial_spread = ok
         report.spread_witness = witness
         if not ok and need_spread:

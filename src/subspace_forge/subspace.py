@@ -117,9 +117,6 @@ class Subspace:
                     v = [f.add(x, f.mul(c, b)) for x, b in zip(v, row)]
             yield tuple(v)
 
-    def basis_rows(self) -> list[tuple[int, ...]]:
-        return self.basis.row_list()
-
     def key(self) -> tuple[int, ...]:
         """Hashable identity of the subspace (its RREF basis entries)."""
         return self.basis.entries

@@ -7,6 +7,7 @@ import pytest
 
 from subspace_forge.cli import main
 from subspace_forge.family import Family
+from test_golden import NON_SPREAD
 
 
 def run_cli(capsys, *argv):
@@ -225,6 +226,48 @@ def test_guard_env_limits_search_field(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "search", "--n", "3", "--k", "1", "--L", "1", "--q", "2")
     assert code == 4
     assert "q = 2^1" in err and "size guard 1" in err
+
+
+def test_exhaustive_batch_over_guard_exits_4_promptly(capsys, tmp_path):
+    path = tmp_path / "rs.json"
+    code, _, _ = run_cli(capsys, "construct", "rs", "--n", "3", "--k", "1", "--q", "7", "--out", str(path))
+    assert code == 0
+    t0 = time.perf_counter()
+    code, _, err = run_cli(capsys, "batch", "--family", str(path))
+    assert time.perf_counter() - t0 < 2
+    assert code == 4
+    # C(349, 7) multisets of s = 7 requests over K = 343 information bits
+    assert "117774526188844" in err and "guard 200000" in err
+
+
+def test_guard_env_limits_batch_multisets(capsys, monkeypatch, tmp_path, four_line_family):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(four_line_family.to_json()))
+    monkeypatch.setenv("SUBSPACE_FORGE_GUARD", "100")
+    # C(11, 4) = 330 multisets of s = 4 requests over K = 8 bits
+    code, _, err = run_cli(capsys, "batch", "--family", str(path))
+    assert code == 4
+    assert "330" in err and "guard 100" in err
+    code, _, _ = run_cli(capsys, "batch", "--family", str(path), "--mode", "sampled")
+    assert code == 0
+
+
+def test_guard_env_limits_greedy_search(capsys, monkeypatch):
+    monkeypatch.setenv("SUBSPACE_FORGE_GUARD", "100")
+    # GF(3)^5 has 121 lines
+    code, _, err = run_cli(
+        capsys, "search", "--mode", "greedy", "--n", "5", "--k", "1", "--L", "2", "--q", "3"
+    )
+    assert code == 4
+    assert "121" in err and "guard 100" in err
+
+
+def test_batch_non_spread_exits_2(capsys, tmp_path):
+    path = tmp_path / "non-spread.json"
+    path.write_text(json.dumps(NON_SPREAD))
+    code, _, err = run_cli(capsys, "batch", "--family", str(path))
+    assert code == 2
+    assert "not a partial spread (members (0, 1))" in err
 
 
 # ---------------------------------------------------------------------------

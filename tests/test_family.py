@@ -274,15 +274,26 @@ def test_L_as_differential(fam):
 
 @DIFFERENTIAL
 @given(families(AAD_GRID, spread=False))
-def test_spread_check_unchanged_by_cache(fam):
-    before = check_partial_spread(fam)
-    if before[0]:
-        compute_L_aad(fam)
-    else:
-        with pytest.raises(ValueError):
-            compute_L_aad(fam)
-    assert fam.spread_check == before
-    assert check_partial_spread(fam) == before
+def test_verifiers_detect_non_spread(fam):
+    ok, witness = check_partial_spread(fam)
+    message = f"family is not a partial spread (members {witness})"
+    verifiers = [compute_L_aad] + ([compute_L_as] if fam.k <= 2 else [])
+    for verify in verifiers:
+        if ok:
+            verify(fam)
+        else:
+            with pytest.raises(ValueError) as exc:
+                verify(fam)
+            assert str(exc.value) == message
+    # an early stop may return before the loop meets the fault, but only
+    # with a count above the limit
+    for limit in range(4):
+        try:
+            cnt, _ = compute_L_aad(fam, upper_limit=limit)
+        except ValueError as exc:
+            assert not ok and str(exc) == message
+        else:
+            assert ok or cnt > limit
 
 
 def test_L_as_four_line_family(four_line_family):

@@ -1,5 +1,6 @@
 import pytest
 
+from subspace_forge import family
 from subspace_forge.gf import make_field
 from subspace_forge.family import check_partial_spread, compute_L_aad
 from subspace_forge.constructions import max_family_size_bound
@@ -103,3 +104,20 @@ def test_certificate_json(f2):
     assert cert["q"] == 2
     assert "family" in cert and len(cert["family"]["members"]) == 4
     assert "provenance" in cert
+
+
+def test_search_needs_no_spread_scan(f2, monkeypatch):
+    # _feasible keeps every family a partial spread, so the verifier's own
+    # loop never meets a fault and the pairwise scan is never needed
+    def run():
+        exhaustive = exhaustive_max_family(SearchConfig(f2, 4, 1, 1)).to_json()
+        greedy = greedy_max_family(SearchConfig(f2, 4, 1, 1, mode="greedy"), seed=3)
+        return exhaustive, greedy.to_json()
+
+    expected = run()
+
+    def scan(fam):
+        raise AssertionError("search ran the pairwise spread scan")
+
+    monkeypatch.setattr(family, "check_partial_spread", scan)
+    assert run() == expected
