@@ -7,6 +7,11 @@ meet trivially, the cosets through a fixed point share only that point,
 which yields 1 + |F| pairwise disjoint recovery candidates per
 information bit and supports any multiset of s = floor(|F| / L)
 simultaneous requests.
+
+A BatchCode builds two coset tables per member once, from the field's
+addition table: the coset rank of every point, and the points of every
+coset.  Encoding and the recovery candidates read these tables, so no
+request reduces a vector or enumerates a subspace.
 """
 
 from __future__ import annotations
@@ -42,6 +47,11 @@ class BatchCode:
     """Positions [0, K) are information bits indexed by the lexicographic
     order of the points of GF(q)^n; parities follow, ordered by (member
     index, coset canonical representative lexicographic).
+
+    Two tables per member a, 2·K·|F| ints in all, hold the coset
+    structure: _coset_of[a][idx] is the coset rank of information point
+    idx, and _coset_points[a] lists the points coset by coset, q^k each,
+    in rank order.
     """
 
     def __init__(self, family: Family, L_aad: int | None = None):
@@ -54,6 +64,7 @@ class BatchCode:
             L_aad, _ = compute_L_aad(family)
         self.L_aad = L_aad
         self.K = self.q**self.n
+        self.coset_size = self.q**self.k
         self.cosets_per_member = self.q ** (self.n - self.k)
         self.N = self.K + len(family) * self.cosets_per_member
 
@@ -65,6 +76,32 @@ class BatchCode:
             pivots = set(S.pivots)
             free = [c for c in range(self.n) if c not in pivots]
             self._free_cols.append(free)
+
+        add = f.add_table
+        place = [self.q ** (self.n - 1 - c) for c in range(self.n)]
+        point = list(range(self.K))  # one int object per point, shared by the tables
+        self._coset_of: list[list[int]] = []
+        self._coset_points: list[list[int]] = []
+        for S in family.members:
+            # translates[j][r] is the point index of rep_r + w_j, for the
+            # reps in rank order and the member's vectors w_j; a rep is
+            # zero on the pivot columns and runs over GF(q) on the others
+            translates = []
+            for w in S.vectors():
+                col = [0]
+                for c, (y, pc) in enumerate(zip(w, place)):
+                    digits = (0,) if c in S.pivots else range(self.q)
+                    steps = [add[d][y] * pc for d in digits]
+                    col = [i + step for i in col for step in steps]
+                translates.append(col)
+            coset_of = [0] * self.K
+            points = []
+            for r, coset in enumerate(zip(*translates)):
+                for idx in coset:
+                    coset_of[idx] = r
+                points.extend(point[idx] for idx in coset)
+            self._coset_of.append(coset_of)
+            self._coset_points.append(points)
 
     def point_index(self, v) -> int:
         idx = 0
@@ -78,9 +115,6 @@ class BatchCode:
             digits.append(idx % self.q)
             idx //= self.q
         return tuple(reversed(digits))
-
-    def _rep_of(self, member: int, v) -> tuple[int, ...]:
-        return self.family.members[member].reduce(v)
 
     def parity_position(self, member: int, rep) -> int:
         rep = tuple(rep)
@@ -132,12 +166,12 @@ class BatchCode:
         if any(b not in (0, 1) for b in x):
             raise ValueError("information symbols must be bits")
         y = x + [0] * (self.N - self.K)
-        for idx in range(self.K):
-            if not x[idx]:
-                continue
-            v = self.index_point(idx)
-            for a in range(len(self.family)):
-                y[self.parity_position(a, self._rep_of(a, v))] ^= 1
+        ones = [idx for idx, b in enumerate(x) if b]
+        base = self.K
+        for coset_of in self._coset_of:
+            for idx in ones:
+                y[base + coset_of[idx]] ^= 1
+            base += self.cosets_per_member
         return y
 
     # -- recovery ------------------------------------------------------------
@@ -148,17 +182,15 @@ class BatchCode:
         coset points.  Candidates are pairwise disjoint."""
         if not 0 <= idx < self.K:
             raise ValueError(f"information index out of range: {idx}")
-        f = self.family.field
-        v = self.index_point(idx)
+        size = self.coset_size
         out = [frozenset({idx})]
-        for a, S in enumerate(self.family.members):
-            positions = {self.parity_position(a, self._rep_of(a, v))}
-            for w in S.vectors():
-                if not any(w):
-                    continue
-                pt = tuple(f.add(x, y) for x, y in zip(v, w))
-                positions.add(self.point_index(pt))
+        base = self.K
+        for coset_of, points in zip(self._coset_of, self._coset_points):
+            r = coset_of[idx]
+            positions = points[r * size : (r + 1) * size]
+            positions[positions.index(idx)] = base + r
             out.append(frozenset(positions))
+            base += self.cosets_per_member
         return out
 
     def recover(self, y, positions) -> int:
@@ -170,32 +202,35 @@ class BatchCode:
     def plan_recovery(self, requests) -> RecoveryPlan | None:
         """Pairwise disjoint recovery sets for a multiset of information
         indices, one per request, or None if no assignment exists.
-        Backtracking over each request's candidate list."""
+        Depth-first backtracking over each request's candidate list, in
+        sorted request order and candidate order."""
         requests = sorted(requests)
         candidates = {idx: self.recovery_sets_for(idx) for idx in set(requests)}
+        lists = [candidates[idx] for idx in requests]
 
-        chosen: list[RecoveryEntry] = []
+        picks: list[int] = []  # the candidate chosen for each served request
         used: set[int] = set()
-
-        def backtrack(t: int) -> bool:
-            if t == len(requests):
-                return True
-            idx = requests[t]
-            for cand in candidates[idx]:
-                if used & cand:
-                    continue
-                rule = "direct" if cand == frozenset({idx}) else "parity_xor"
-                chosen.append(RecoveryEntry(idx, cand, rule))
-                used.update(cand)
-                if backtrack(t + 1):
-                    return True
-                used.difference_update(cand)
-                chosen.pop()
-            return False
-
-        if backtrack(0):
-            return RecoveryPlan(tuple(chosen))
-        return None
+        j = 0  # next candidate to try for request len(picks)
+        while len(picks) < len(requests):
+            cands = lists[len(picks)]
+            while j < len(cands) and not used.isdisjoint(cands[j]):
+                j += 1
+            if j < len(cands):
+                used.update(cands[j])
+                picks.append(j)
+                j = 0
+            elif picks:
+                j = picks.pop()
+                used.difference_update(lists[len(picks)][j])
+                j += 1
+            else:
+                return None
+        return RecoveryPlan(
+            tuple(
+                RecoveryEntry(idx, cands[j], "direct" if j == 0 else "parity_xor")
+                for idx, cands, j in zip(requests, lists, picks)
+            )
+        )
 
 
 def batch_s(family_size: int, L: int) -> int:

@@ -10,8 +10,9 @@ Exit codes: 0 report produced, 2 parameter violation, 3 malformed
 input, 4 computation aborted by a size guard.  The environment variable
 SUBSPACE_FORGE_GUARD (an integer) overrides both the field-order guard
 and the enumeration guard, which bounds the (k+1)-subspaces of AS
-verification, the request multisets of exhaustive batch and the
-k-subspace candidates of greedy search.
+verification, the coset table entries of a batch code, the request
+multisets of exhaustive batch and the k-subspace candidates of greedy
+search.
 """
 
 from __future__ import annotations
@@ -258,6 +259,12 @@ def _cmd_search(args, field_guard: int, enum_guard: int) -> dict:
 
 def _cmd_batch(args, field_guard: int, enum_guard: int) -> dict:
     fam = _load_family(args.family, field_guard)
+    # the code's coset tables hold K entries per member
+    entries = fam.field.q**fam.n * len(fam)
+    if entries > enum_guard:
+        raise SizeGuardError(
+            f"batch code needs {entries} coset table entries, over the guard {enum_guard}"
+        )
     code = BatchCode(fam)
     s = args.s if args.s is not None else batch_s(len(fam), code.L_aad)
     if args.mode == "exhaustive" and s >= 1:

@@ -1,9 +1,75 @@
+import gc
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from subspace_forge.batch import BatchCode, batch_s, verify_batch
+from subspace_forge.batch import BatchCode, RecoveryEntry, RecoveryPlan, batch_s, verify_batch
+from subspace_forge.constructions import build_rs_family
+from subspace_forge.gf import make_field
+from test_family import DIFFERENTIAL, families
+
+
+# ---------------------------------------------------------------------------
+# Slow oracle: the batch code built point by point from Subspace.reduce and
+# Subspace.vectors, without the coset tables
+# ---------------------------------------------------------------------------
+
+
+def oracle_recovery_sets(code, idx):
+    f = code.family.field
+    v = code.index_point(idx)
+    out = [frozenset({idx})]
+    for a, S in enumerate(code.family.members):
+        positions = {code.parity_position(a, S.reduce(v))}
+        for w in S.vectors():
+            if any(w):
+                positions.add(code.point_index(tuple(f.add(x, y) for x, y in zip(v, w))))
+        out.append(frozenset(positions))
+    return out
+
+
+def oracle_encode(code, x):
+    """Each parity is the XOR of the information bits on its coset."""
+    f = code.family.field
+    y = list(x) + [0] * (code.N - code.K)
+    for entry in code.parity_layout():
+        S = code.family.members[entry["member"]]
+        for w in S.vectors():
+            y[entry["position"]] ^= x[code.point_index(tuple(f.add(r, c) for r, c in zip(entry["rep"], w)))]
+    return y
+
+
+def oracle_plan(code, requests):
+    """Recursive backtracking over the oracle's candidates, in sorted
+    request order and candidate order."""
+    requests = sorted(requests)
+    candidates = {idx: oracle_recovery_sets(code, idx) for idx in set(requests)}
+    chosen = []
+    used = set()
+
+    def backtrack(t):
+        if t == len(requests):
+            return True
+        idx = requests[t]
+        for cand in candidates[idx]:
+            if used & cand:
+                continue
+            rule = "direct" if cand == frozenset({idx}) else "parity_xor"
+            chosen.append(RecoveryEntry(idx, cand, rule))
+            used.update(cand)
+            if backtrack(t + 1):
+                return True
+            used.difference_update(cand)
+            chosen.pop()
+        return False
+
+    return RecoveryPlan(tuple(chosen)) if backtrack(0) else None
+
+
+# small spreads: k in {1, 2}, q in {2, 3, 4, 5}
+BATCH_GRID = [(1, 3, 2), (1, 3, 3), (1, 3, 4), (1, 3, 5), (1, 4, 3), (2, 5, 2), (2, 5, 3), (2, 5, 4)]
 
 
 @pytest.fixture(scope="module")
@@ -137,9 +203,6 @@ def test_point_index_roundtrip(code):
 
 
 def test_batch_code_ternary_field():
-    from subspace_forge.gf import make_field
-    from subspace_forge.constructions import build_rs_family
-
     fam = build_rs_family(3, 1, make_field(3))
     c = BatchCode(fam)
     assert c.K == 27
@@ -158,3 +221,45 @@ def test_batch_code_ternary_field():
     assert s == 3
     ok, _ = verify_batch(c, s, mode="sampled", trials=300, seed=1)
     assert ok
+
+
+# ---------------------------------------------------------------------------
+# Coset tables against the slow oracle
+# ---------------------------------------------------------------------------
+
+
+@DIFFERENTIAL
+@given(families(BATCH_GRID), st.randoms(use_true_random=False))
+def test_tables_match_oracle(fam, rng):
+    code = BatchCode(fam)
+    for idx in range(code.K):
+        assert code.recovery_sets_for(idx) == oracle_recovery_sets(code, idx)
+    for _ in range(5):
+        x = [rng.randrange(2) for _ in range(code.K)]
+        assert code.encode(x) == oracle_encode(code, x)
+
+
+@DIFFERENTIAL
+@given(families(BATCH_GRID), st.data())
+def test_plan_matches_oracle(fam, data):
+    code = BatchCode(fam)
+    # a small pool makes repeated indices common
+    pool = data.draw(st.lists(st.integers(0, code.K - 1), min_size=1, max_size=4))
+    for _ in range(3):
+        requests = data.draw(st.lists(st.sampled_from(pool), min_size=0, max_size=len(fam) + 2))
+        assert code.plan_recovery(requests) == oracle_plan(code, requests)
+
+
+def test_plans_leave_no_cyclic_garbage():
+    code = BatchCode(build_rs_family(4, 1, make_field(5)))
+    s = batch_s(len(code.family), code.L_aad)
+    rng = random.Random(3)
+    requests = [[rng.randrange(code.K) for _ in range(s)] for _ in range(20)]
+    gc.collect()
+    gc.disable()
+    try:
+        for req in requests:
+            assert code.plan_recovery(req) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -252,6 +254,19 @@ def test_guard_env_limits_batch_multisets(capsys, monkeypatch, tmp_path, four_li
     assert code == 0
 
 
+def test_guard_env_limits_batch_tables(capsys, monkeypatch, tmp_path, four_line_family):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(four_line_family.to_json()))
+    # K = 8 information bits times 4 members: 32 coset table entries
+    monkeypatch.setenv("SUBSPACE_FORGE_GUARD", "31")
+    code, _, err = run_cli(capsys, "batch", "--family", str(path), "--mode", "sampled")
+    assert code == 4
+    assert "32 coset table entries" in err and "guard 31" in err
+    monkeypatch.setenv("SUBSPACE_FORGE_GUARD", "32")
+    code, _, _ = run_cli(capsys, "batch", "--family", str(path), "--mode", "sampled")
+    assert code == 0
+
+
 def test_guard_env_limits_greedy_search(capsys, monkeypatch):
     monkeypatch.setenv("SUBSPACE_FORGE_GUARD", "100")
     # GF(3)^5 has 121 lines
@@ -386,10 +401,15 @@ def test_search_greedy_seed_determinism(capsys):
 
 
 def test_console_script_runs():
+    # the subprocess does not see pytest's pythonpath, so put src on its path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "subspace_forge.cli", "bounds", "--n", "3", "--k", "1", "--L", "1", "--q", "2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["size_bound"] == 4

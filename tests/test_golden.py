@@ -98,6 +98,26 @@ RUNS = [
         ["batch", "--family", "@four-lines", "--layout"],
         "268dc1a1c827fbb5e65c3690fbaa79e8bd6fbd8e0d7e369ead5febff934b3b76",
     ),
+    (
+        "construct-rs-3-1-3",
+        ["construct", "rs", "--n", "3", "--k", "1", "--q", "3"],
+        "78eac3f4f4d771146bf9b5d3a76bcd65a8908fd6ff27f11208b30a3cf28a2a9a",
+    ),
+    (
+        "construct-rs-3-1-7",
+        ["construct", "rs", "--n", "3", "--k", "1", "--q", "7"],
+        "6ac023f69bbcf840860154b5af46be035219ee62f25ddf98b9ae492199ed369c",
+    ),
+    (
+        "batch-rs-3-1-3",
+        ["batch", "--family", "@construct-rs-3-1-3"],
+        "7708cc0a52916ae53be6ad4e4fac98b83e7d33db5a4bdb2b6af3aea8d9e4c363",
+    ),
+    (
+        "batch-rs-3-1-7-sampled",
+        ["batch", "--family", "@construct-rs-3-1-7", "--mode", "sampled", "--trials", "200", "--seed", "1"],
+        "6af17b6d56191a1128ade4b0a43a534470425b1461dcd045e86b8cd9cf33cfde",
+    ),
 ]
 
 
