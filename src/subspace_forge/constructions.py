@@ -24,7 +24,7 @@ from fractions import Fraction
 from .gf import Field
 from .matgf import MatrixGF, kernel_basis, rank
 from .subspace import Subspace
-from .family import Family, compute_L_as
+from .family import Family, compute_L_aad, compute_L_as
 
 
 # -- bounds -------------------------------------------------------------
@@ -378,7 +378,10 @@ def build_random_family(
     achieved = False
     while True:
         fam = Family(field, n, k, tuple(kept))
-        L_as, V = compute_L_as(fam, enum_guard=as_enum_guard)
+        # for k = 1, L_as = L_aad + 1: the AS count stops at the first plane
+        # that attains it, the witness of the full enumeration
+        stop_at = compute_L_aad(fam)[0] + 1 if k == 1 else None
+        L_as, V = compute_L_as(fam, enum_guard=as_enum_guard, stop_at=stop_at)
         if L_as <= L:
             achieved = True
             break

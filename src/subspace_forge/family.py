@@ -226,6 +226,7 @@ def compute_L_aad(
         return i, tuple(u)
 
     add, mul = f.add_table, f.mul_table
+    member_rows = [T.basis.row_list() for T in members]
     best = 0
     best_witness = None
     for i, S in enumerate(members):
@@ -235,13 +236,10 @@ def compute_L_aad(
         free_cols = [c for c in range(fam.n) if c not in pivot_set]
         counts: dict[tuple[int, ...], int] = {}
         first: dict[tuple[int, ...], tuple[int, ...]] = {}  # point -> first combination
-        for j, T in enumerate(members):
+        for j, rows in enumerate(member_rows):
             if j == i:
                 continue
-            proj = [
-                tuple(w[c] for c in free_cols)
-                for w in (S.reduce(row) for row in T.basis.row_list())
-            ]
+            proj = [tuple(w[c] for c in free_cols) for w in map(S.reduce, rows)]
             for v in _leading_one_combinations(proj, add, mul):
                 # key the point by its normalized form, scaled to a leading 1
                 for lead in v:
@@ -265,7 +263,17 @@ def compute_L_aad(
     return best, unproject(*best_witness)
 
 
-def compute_L_as(fam: Family, enum_guard: int | None = DEFAULT_AS_ENUM_GUARD) -> tuple[int, Subspace]:
+def _check_as_guard(fam: Family, enum_guard: int | None) -> None:
+    total = gaussian_binomial(fam.n, fam.k + 1, fam.field.q)
+    if enum_guard is not None and total > enum_guard:
+        raise SizeGuardError(
+            f"AS verification needs {total} (k+1)-subspaces, over the guard {enum_guard}"
+        )
+
+
+def compute_L_as(
+    fam: Family, enum_guard: int | None = DEFAULT_AS_ENUM_GUARD, *, stop_at: int | None = None
+) -> tuple[int, Subspace]:
     """Exact AS parameter with an attaining (k+1)-subspace witness.
 
     Enumerates every (k+1)-subspace V.  V meets a member non-trivially
@@ -274,13 +282,17 @@ def compute_L_as(fam: Family, enum_guard: int | None = DEFAULT_AS_ENUM_GUARD) ->
     from a map of every member point to its member.  In a partial spread
     each point has at most one owner; after the enumeration guard, a
     second owner met while the map is built raises ValueError.
+
+    The witness is the first V, in enumeration order, with the largest
+    count.  With stop_at set, the enumeration stops at the first V whose
+    count reaches stop_at, which is that witness whenever the maximum is
+    stop_at; if no V reaches it, the full maximum is returned.  For k = 1
+    a plane that meets a line contains it, so L_as = L_aad + 1 exactly and
+    stop_at = L_aad + 1 (build_report, build_random_family) gives the
+    full-enumeration result.  stop_at=None enumerates every V.
     """
+    _check_as_guard(fam, enum_guard)
     f = fam.field
-    total = gaussian_binomial(fam.n, fam.k + 1, f.q)
-    if enum_guard is not None and total > enum_guard:
-        raise SizeGuardError(
-            f"AS verification needs {total} (k+1)-subspaces, over the guard {enum_guard}"
-        )
     add, mul = f.add_table, f.mul_table
     owner = {}
     for idx, S in enumerate(fam.members):
@@ -288,6 +300,8 @@ def compute_L_as(fam: Family, enum_guard: int | None = DEFAULT_AS_ENUM_GUARD) ->
             if owner.setdefault(pt, idx) != idx:
                 raise _not_a_spread(fam)
     m = len(fam.members)
+    # no V meets more than all m members
+    enough = m if stop_at is None else min(stop_at, m)
     best = -1
     best_V = None
     for V in enumerate_subspaces(f, fam.n, fam.k + 1):
@@ -295,7 +309,7 @@ def compute_L_as(fam: Family, enum_guard: int | None = DEFAULT_AS_ENUM_GUARD) ->
         hits = len(met) - (None in met)
         if hits > best:
             best, best_V = hits, V
-            if best == m:
+            if best >= enough:
                 break
     assert best_V is not None
     return best, best_V
@@ -334,6 +348,10 @@ def build_report(
 
     Properties depending on the partial-spread precondition are skipped
     (left None, with a diagnostic) when the family is not a spread.
+
+    For k = 1 the AS count stops at the first plane that attains
+    L_aad + 1, so an `as` report runs the AAD count even when `aad` is not
+    requested; that value is then used but not reported.
     """
     properties = set(properties)
     unknown = properties - {"spread", "aad", "as", "bound", "relations"}
@@ -353,7 +371,13 @@ def build_report(
     if properties & {"aad", "bound", "relations"}:
         report.L_aad, report.aad_witness = compute_L_aad(fam)
     if properties & {"as", "relations"}:
-        report.L_as, report.as_witness = compute_L_as(fam, as_enum_guard)
+        stop_at = None
+        if fam.k == 1:
+            # over the guard, refuse before running the AAD count
+            _check_as_guard(fam, as_enum_guard)
+            L_aad = report.L_aad if report.L_aad is not None else compute_L_aad(fam)[0]
+            stop_at = L_aad + 1
+        report.L_as, report.as_witness = compute_L_as(fam, as_enum_guard, stop_at=stop_at)
     if "bound" in properties:
         from .constructions import max_family_size_bound
 

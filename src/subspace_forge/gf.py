@@ -310,6 +310,15 @@ class Field:
             self._build_tables()
         return self._add
 
+    @property
+    def built_tables(self):
+        """The (add, mul, neg) tables if they are built, else None.  Never
+        builds them, so a caller above _TABLE_MAX_Q can fall back to the
+        operation methods."""
+        if self._add is None:
+            return None
+        return self._add, self._mul, self._neg
+
     # -- identity / serialization ----------------------------------------
 
     def __eq__(self, other):

@@ -50,6 +50,16 @@ class Subspace:
         object.__setattr__(self, "_pivots", pivots)
 
     @classmethod
+    def _trusted(cls, field: Field, n: int, k: int, basis: MatrixGF, pivots: tuple[int, ...]) -> "Subspace":
+        """A subspace whose basis is already its canonical RREF with the
+        given pivot columns.  Skips the rref check of __post_init__, so
+        only callers that build the canonical form themselves may use it."""
+        S = object.__new__(cls)
+        for name, value in (("field", field), ("n", n), ("k", k), ("basis", basis), ("_pivots", pivots)):
+            object.__setattr__(S, name, value)
+        return S
+
+    @classmethod
     def from_generators(cls, field: Field, n: int, vectors) -> "Subspace":
         """Canonical subspace spanned by the given vectors."""
         vectors = [tuple(int(x) for x in v) for v in vectors]
@@ -72,16 +82,26 @@ class Subspace:
         """Residue of v modulo this subspace: the unique coset member with
         zeros in all pivot coordinates.  It is also the lexicographically
         smallest member of v + S, hence the coset's canonical representative.
+
+        Subtracting c times a basis row reads rows of the field's add, mul
+        and neg tables when the field has built them (every q <= 512);
+        otherwise it calls Field.sub and Field.mul, which never build them.
         """
         f = self.field
-        r = list(int(x) for x in v)
+        r = [int(x) for x in v]
         if len(r) != self.n:
             raise ValueError("vector length mismatch")
+        tables = f.built_tables
         for row_idx, p in enumerate(self.pivots):
             c = r[p]
             if c:
                 brow = self.basis.row(row_idx)
-                r = [f.sub(x, f.mul(c, b)) for x, b in zip(r, brow)]
+                if tables is None:
+                    r = [f.sub(x, f.mul(c, b)) for x, b in zip(r, brow)]
+                else:
+                    add, mul, neg = tables
+                    scaled = mul[neg[c]]  # b -> -c*b
+                    r = [add[x][scaled[b]] for x, b in zip(r, brow)]
         return tuple(r)
 
     def contains(self, v) -> bool:
@@ -186,7 +206,9 @@ def enumerate_subspaces(field: Field, n: int, k: int):
             for (r, c), val in zip(free_cells, assignment):
                 rows[r][c] = val
             basis = MatrixGF(field, k, n, tuple(x for row in rows for x in row))
-            yield Subspace(field, n, k, basis)
+            # unit pivots, zeros in other pivot columns and left of each
+            # pivot: the basis is canonical RREF by construction
+            yield Subspace._trusted(field, n, k, basis, pattern)
 
 
 def all_vectors(field: Field, n: int):

@@ -343,6 +343,25 @@ def test_random_family_prunes_to_target(f3):
     assert len(fam) + res.spread_deletions + res.as_deletions == res.sampled
 
 
+@pytest.mark.parametrize("n, L, q, M", [(3, 2, 3, 13), (4, 2, 2, 15), (4, 3, 3, 30), (3, 3, 5, 25)])
+def test_random_family_pruning_matches_full_as_enumeration(n, L, q, M, monkeypatch):
+    # more samples than the formula draws force AS pruning rounds; stopping
+    # each round's AS count at L_aad + 1 deletes the same victims as the
+    # full enumeration
+    from subspace_forge import constructions
+
+    field = field_from_order(q)
+    monkeypatch.setattr(constructions, "random_sample_size", lambda *args: M)
+    fast = build_random_family(n, 1, L, field, seed=7)
+    assert fast.as_deletions > 0
+
+    def full_as(fam, enum_guard=None, stop_at=None):
+        return compute_L_as(fam, enum_guard)
+
+    monkeypatch.setattr(constructions, "compute_L_as", full_as)
+    assert build_random_family(n, 1, L, field, seed=7) == fast
+
+
 def test_random_family_best_effort_flag(f3):
     # max_rounds=0 forbids AS pruning; the flag reports whether the
     # sampled spread already met the target

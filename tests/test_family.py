@@ -59,7 +59,7 @@ def exhaustive_L_as_oracle(fam):
     return best
 
 
-FIELDS = {q: field_from_order(q) for q in (2, 3, 4, 5, 9)}
+FIELDS = {q: field_from_order(q) for q in (2, 3, 4, 5, 7, 9)}
 
 # Families come from a drawn seed, which has no simpler neighbour, and each
 # shrink step reruns an exhaustive oracle: report the first failure as found.
@@ -73,28 +73,44 @@ AAD_GRID = [
     (2, 5, 2), (2, 5, 3), (3, 7, 2),
 ]
 AS_GRID = [(k, n, q) for k, n, q in AAD_GRID if k <= 2]
+# distinct lines always meet trivially, so only k >= 2 can fail to be a spread
+NON_SPREAD_GRID = [(k, n, q) for k, n, q in AAD_GRID if k >= 2]
+# k = 1 points for the early-stopping AS count
+LINE_GRID = [
+    (1, 3, 2), (1, 4, 2), (1, 5, 2), (1, 3, 3), (1, 4, 3), (1, 3, 4),
+    (1, 3, 5), (1, 4, 5), (1, 3, 7), (1, 4, 7),
+]
 
 
 @st.composite
 def families(draw, grid, spread=True):
     """Distinct k-subspaces kept from up to six uniform random draws.
     With spread=True, a draw is kept only if it meets every kept one
-    trivially."""
+    trivially.  With spread=False and k >= 2, three families in four get
+    one more member, spanned by a point of a kept member and k-1 random
+    rows, so that most are not spreads."""
     k, n, q = draw(st.sampled_from(grid))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     field = FIELDS[q]
     members = []
-    for _ in range(draw(st.integers(1, 6))):
-        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+
+    def keep(rows):
         if not any(any(r) for r in rows):
-            continue
+            return
         S = Subspace.from_generators(field, n, rows)
         if S.k != k or any(S.key() == T.key() for T in members):
-            continue
+            return
         if spread and not all(S.trivially_intersects(T) for T in members):
-            continue
+            return
         members.append(S)
+
+    for _ in range(draw(st.integers(1, 6))):
+        keep([[rng.randrange(q) for _ in range(n)] for _ in range(k)])
     assume(members)
+    if not spread and k >= 2 and draw(st.integers(0, 3)):
+        points = [v for v in members[rng.randrange(len(members))].vectors() if any(v)]
+        shared = points[rng.randrange(len(points))]
+        keep([shared] + [[rng.randrange(q) for _ in range(n)] for _ in range(k - 1)])
     return Family(field, n, k, tuple(members))
 
 
@@ -273,7 +289,59 @@ def test_L_as_differential(fam):
 
 
 @DIFFERENTIAL
-@given(families(AAD_GRID, spread=False))
+@given(families(LINE_GRID))
+def test_L_as_early_stop_matches_full_enumeration(fam):
+    # k = 1: L_as = L_aad + 1, and stopping at the first plane that reaches
+    # it returns the full enumeration's value and witness
+    full = compute_L_as(fam)
+    L_aad = compute_L_aad(fam)[0]
+    assert compute_L_as(fam, stop_at=L_aad + 1) == full
+    assert full[0] == L_aad + 1
+    # a target no plane reaches gives the full maximum; a lower one stops
+    # at a plane with at least that many hits
+    assert compute_L_as(fam, stop_at=full[0] + 1) == full
+    for stop_at in range(full[0]):
+        hits, V = compute_L_as(fam, stop_at=stop_at)
+        assert stop_at <= hits <= full[0]
+        assert hits == sum(1 for S in fam.members if rank_of_stack(V.basis, S.basis) < V.k + S.k)
+
+
+def test_report_draws_74_planes_on_rs_5_1_7(monkeypatch):
+    # the full AS enumeration on RS(5,1,7) draws all 140,050 planes; the
+    # all-properties report stops at the first one holding L_aad + 1 lines,
+    # the 74th (index 73)
+    from subspace_forge import family as family_mod
+    from subspace_forge.constructions import build_rs_family
+
+    fam = build_rs_family(5, 1, FIELDS[7])
+    drawn = 0
+
+    def counting(*args):
+        nonlocal drawn
+        for V in enumerate_subspaces(*args):
+            drawn += 1
+            yield V
+
+    monkeypatch.setattr(family_mod, "enumerate_subspaces", counting)
+    report = build_report(fam)
+    assert drawn == 74
+    assert (report.L_aad, report.L_as, report.relations_ok) == (3, 4, True)
+    assert report.as_witness.basis.row_list() == [(1, 0, 0, 0, 0), (0, 1, 1, 3, 3)]
+
+
+def test_as_report_over_guard_refuses_before_aad(four_line_family, monkeypatch):
+    from subspace_forge import family as family_mod
+
+    def no_aad(*args, **kwargs):
+        raise AssertionError("AAD count run over the AS guard")
+
+    monkeypatch.setattr(family_mod, "compute_L_aad", no_aad)
+    with pytest.raises(SizeGuardError):
+        build_report(four_line_family, ("as",), as_enum_guard=3)
+
+
+@DIFFERENTIAL
+@given(families(NON_SPREAD_GRID, spread=False))
 def test_verifiers_detect_non_spread(fam):
     ok, witness = check_partial_spread(fam)
     message = f"family is not a partial spread (members {witness})"

@@ -118,6 +118,24 @@ RUNS = [
         ["batch", "--family", "@construct-rs-3-1-7", "--mode", "sampled", "--trials", "200", "--seed", "1"],
         "6af17b6d56191a1128ade4b0a43a534470425b1461dcd045e86b8cd9cf33cfde",
     ),
+    # k = 1 reports that ask for `as` but not `aad`: the AS count stops at
+    # L_aad + 1, which they compute internally.  The digests were taken
+    # with the full AS enumeration.
+    (
+        "verify-k1-as",
+        ["verify", "--family", "@construct-rs-3-1-7", "--properties", "as"],
+        "cdcd7c183767d611eafed67bcf633f43224d57d0960dddef981a70e9790ef9d5",
+    ),
+    (
+        "verify-k1-as-relations",
+        ["verify", "--family", "@construct-random", "--properties", "as,relations"],
+        "0da5beb2ced14dbb5d1069064a83063c147a546cb6345de3914b7b6ba2e0802f",
+    ),
+    (
+        "construct-random-5-1-3-4",
+        ["construct", "random", "--n", "5", "--k", "1", "--L", "3", "--q", "4", "--seed", "2"],
+        "1815939469e72892deccb3dfb8ee6d7c397278df0601f1934bddf4bf0c4808d6",
+    ),
 ]
 
 

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subspace_forge.gf import make_field
+from subspace_forge.gf import field_from_order, make_field
 from subspace_forge.matgf import MatrixGF, kernel_basis, rank_of_stack, stack
 from subspace_forge.subspace import (
     AffineCoset,
@@ -193,6 +193,23 @@ def test_enumerate_counts_match_gaussian_binomial():
                 assert sum(1 for _ in enumerate_subspaces(field, n, k)) == expected
 
 
+@pytest.mark.parametrize(
+    "n, k, q", [(3, 1, 2), (5, 1, 3), (4, 2, 2), (5, 2, 2), (4, 2, 3), (3, 2, 5), (4, 3, 4), (5, 3, 2)]
+)
+def test_enumerated_subspaces_equal_checked_construction(n, k, q):
+    # the enumerator skips the rref check; the checked constructor must
+    # accept each basis and agree on every attribute, pivots included
+    field = field_from_order(q)
+    count = 0
+    for S in enumerate_subspaces(field, n, k):
+        checked = Subspace(field, n, k, S.basis)
+        assert S == checked and hash(S) == hash(checked)
+        assert S.pivots == checked.pivots
+        assert vars(S) == vars(checked)
+        count += 1
+    assert count == gaussian_binomial(n, k, q)
+
+
 def test_enumerate_rejects_bad_k(f2):
     with pytest.raises(ValueError):
         list(enumerate_subspaces(f2, 3, 0))
@@ -269,6 +286,45 @@ def test_reduce_idempotent_and_kills_membership(seed, n):
     # v - r lies in S
     diff = tuple(f.sub(a, b) for a, b in zip(v, r))
     assert S.contains(diff)
+
+
+def _raw_residue(S, v):
+    """reduce's elimination in the field's raw polynomial arithmetic."""
+    f = S.field
+    r = list(v)
+    for row, p in zip(S.basis.row_list(), S.pivots):
+        c = r[p]
+        r = [f._add_raw(x, f._neg_raw(f._mul_raw(c, b))) for x, b in zip(r, row)]
+    return tuple(r)
+
+
+def test_reduce_above_table_limit_uses_raw_arithmetic():
+    # GF(1024) builds no q x q tables at construction; reduce and contains
+    # must give the raw-arithmetic residue without building them
+    f = field_from_order(1024)
+    rng = random.Random(1024)
+    S = _random_subspace(f, 5, 2, rng)
+    for _ in range(20):
+        v = tuple(rng.randrange(f.q) for _ in range(5))
+        r = _raw_residue(S, v)
+        assert S.reduce(v) == r
+        assert S.contains(v) == (not any(r))
+    inside = S.basis.row(0)
+    assert S.contains(inside) and not any(S.reduce(inside))
+    assert f.built_tables is None
+    assert f._add is None and f._mul is None
+
+
+@pytest.mark.parametrize("p, m", [(7, 1), (2, 3), (3, 2)])
+def test_reduce_reads_tables_like_raw_arithmetic(p, m):
+    field = make_field(p, m)
+    assert field.built_tables is not None
+    rng = random.Random(field.q)
+    for _ in range(30):
+        n = rng.randrange(2, 6)
+        S = _random_subspace(field, n, rng.randrange(1, n + 1), rng)
+        v = tuple(rng.randrange(field.q) for _ in range(n))
+        assert S.reduce(v) == _raw_residue(S, v)
 
 
 def test_json_roundtrip(f5):
