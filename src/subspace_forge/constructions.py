@@ -24,7 +24,7 @@ from fractions import Fraction
 from .gf import Field
 from .matgf import MatrixGF, kernel_basis, rank
 from .subspace import Subspace
-from .family import Family, compute_L_aad, compute_L_as
+from .family import Family, check_as_guard, compute_L_aad, compute_L_as
 
 
 # -- bounds -------------------------------------------------------------
@@ -362,6 +362,8 @@ def build_random_family(
     M = random_sample_size(n, k, L, field.q)
     if M < 1:
         raise ValueError(f"sample size M = {M} < 1 for these parameters")
+    # the guard depends on (n, k, q) only: refuse before sampling
+    check_as_guard(n, k, field.q, as_enum_guard)
     rng = random.Random(seed)
     sampled = [_random_subspace(field, n, k, rng) for _ in range(M)]
 
@@ -378,10 +380,10 @@ def build_random_family(
     achieved = False
     while True:
         fam = Family(field, n, k, tuple(kept))
-        # for k = 1, L_as = L_aad + 1: the AS count stops at the first plane
-        # that attains it, the witness of the full enumeration
-        stop_at = compute_L_aad(fam)[0] + 1 if k == 1 else None
-        L_as, V = compute_L_as(fam, enum_guard=as_enum_guard, stop_at=stop_at)
+        # for k = 1 the AS count stops at the first plane attaining
+        # L_aad + 1, the witness of the full enumeration
+        L_aad = compute_L_aad(fam)[0] if k == 1 else None
+        L_as, V = compute_L_as(fam, enum_guard=as_enum_guard, L_aad=L_aad)
         if L_as <= L:
             achieved = True
             break

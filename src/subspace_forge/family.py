@@ -263,8 +263,10 @@ def compute_L_aad(
     return best, unproject(*best_witness)
 
 
-def _check_as_guard(fam: Family, enum_guard: int | None) -> None:
-    total = gaussian_binomial(fam.n, fam.k + 1, fam.field.q)
+def check_as_guard(n: int, k: int, q: int, enum_guard: int | None) -> None:
+    """Raise SizeGuardError when the AS count on k-subspaces of GF(q)^n
+    would enumerate more than enum_guard (k+1)-subspaces (None: no guard)."""
+    total = gaussian_binomial(n, k + 1, q)
     if enum_guard is not None and total > enum_guard:
         raise SizeGuardError(
             f"AS verification needs {total} (k+1)-subspaces, over the guard {enum_guard}"
@@ -272,7 +274,7 @@ def _check_as_guard(fam: Family, enum_guard: int | None) -> None:
 
 
 def compute_L_as(
-    fam: Family, enum_guard: int | None = DEFAULT_AS_ENUM_GUARD, *, stop_at: int | None = None
+    fam: Family, enum_guard: int | None = DEFAULT_AS_ENUM_GUARD, *, L_aad: int | None = None
 ) -> tuple[int, Subspace]:
     """Exact AS parameter with an attaining (k+1)-subspace witness.
 
@@ -284,14 +286,14 @@ def compute_L_as(
     second owner met while the map is built raises ValueError.
 
     The witness is the first V, in enumeration order, with the largest
-    count.  With stop_at set, the enumeration stops at the first V whose
-    count reaches stop_at, which is that witness whenever the maximum is
-    stop_at; if no V reaches it, the full maximum is returned.  For k = 1
-    a plane that meets a line contains it, so L_as = L_aad + 1 exactly and
-    stop_at = L_aad + 1 (build_report, build_random_family) gives the
-    full-enumeration result.  stop_at=None enumerates every V.
+    count.  For k = 1 a plane that meets a line contains it, so
+    L_as = L_aad + 1 exactly: given the family's L_aad, the enumeration
+    stops at the first plane whose count reaches L_aad + 1, which is that
+    witness.  If no plane reaches it, the full maximum is returned and
+    check_relations reports the breach; a too small L_aad is not caught
+    here.  For k >= 2, or with L_aad=None, every V is enumerated.
     """
-    _check_as_guard(fam, enum_guard)
+    check_as_guard(fam.n, fam.k, fam.field.q, enum_guard)
     f = fam.field
     add, mul = f.add_table, f.mul_table
     owner = {}
@@ -301,7 +303,7 @@ def compute_L_as(
                 raise _not_a_spread(fam)
     m = len(fam.members)
     # no V meets more than all m members
-    enough = m if stop_at is None else min(stop_at, m)
+    enough = m if fam.k != 1 or L_aad is None else min(L_aad + 1, m)
     best = -1
     best_V = None
     for V in enumerate_subspaces(f, fam.n, fam.k + 1):
@@ -328,6 +330,13 @@ def check_relations(fam: Family, report: VerificationReport) -> tuple[bool, list
     Any family: L_aad <= L_as - 1 (a coset hitting t members yields a
     (k+1)-subspace meeting t+1).  For k=1 also L_as <= L_aad + 1 (a
     plane meeting a line contains it), hence equality.
+
+    For k=1, build_report's AS count stops at the first plane reaching
+    L_aad + 1, so L_as is no longer an independent count there: an L_aad
+    that is too large still shows as L_aad > L_as - 1, but one that is too
+    small yields L_as = L_aad + 1 and passes.  The second clause is then
+    guarded by the tests that compare both verifiers with the full
+    enumeration and exhaustive oracles, not at run time.
     """
     if report.L_aad is None or report.L_as is None:
         raise ValueError("report must hold computed L_aad and L_as")
@@ -349,9 +358,9 @@ def build_report(
     Properties depending on the partial-spread precondition are skipped
     (left None, with a diagnostic) when the family is not a spread.
 
-    For k = 1 the AS count stops at the first plane that attains
-    L_aad + 1, so an `as` report runs the AAD count even when `aad` is not
-    requested; that value is then used but not reported.
+    For k = 1, when the AAD count has run (aad, bound or relations), the
+    AS count stops at the first plane that attains L_aad + 1; an `as`-only
+    report runs the full enumeration and no AAD count.
     """
     properties = set(properties)
     unknown = properties - {"spread", "aad", "as", "bound", "relations"}
@@ -371,13 +380,7 @@ def build_report(
     if properties & {"aad", "bound", "relations"}:
         report.L_aad, report.aad_witness = compute_L_aad(fam)
     if properties & {"as", "relations"}:
-        stop_at = None
-        if fam.k == 1:
-            # over the guard, refuse before running the AAD count
-            _check_as_guard(fam, as_enum_guard)
-            L_aad = report.L_aad if report.L_aad is not None else compute_L_aad(fam)[0]
-            stop_at = L_aad + 1
-        report.L_as, report.as_witness = compute_L_as(fam, as_enum_guard, stop_at=stop_at)
+        report.L_as, report.as_witness = compute_L_as(fam, as_enum_guard, L_aad=report.L_aad)
     if "bound" in properties:
         from .constructions import max_family_size_bound
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from subspace_forge.gf import field_from_order, make_field
+from subspace_forge.gf import SizeGuardError, field_from_order, make_field
 from subspace_forge.matgf import MatrixGF, mat_vec
 from subspace_forge.subspace import Subspace, enumerate_subspaces
 from subspace_forge.family import Family, check_partial_spread, compute_L_aad, compute_L_as
@@ -355,11 +355,25 @@ def test_random_family_pruning_matches_full_as_enumeration(n, L, q, M, monkeypat
     fast = build_random_family(n, 1, L, field, seed=7)
     assert fast.as_deletions > 0
 
-    def full_as(fam, enum_guard=None, stop_at=None):
+    def full_as(fam, enum_guard=None, L_aad=None):
         return compute_L_as(fam, enum_guard)
 
     monkeypatch.setattr(constructions, "compute_L_as", full_as)
     assert build_random_family(n, 1, L, field, seed=7) == fast
+
+
+def test_random_family_over_guard_refuses_before_sampling(f3, monkeypatch):
+    # the AS guard depends on (n, k, q) only, so an over-guard build samples
+    # nothing and runs no AAD count
+    from subspace_forge import constructions
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work done over the AS guard")
+
+    monkeypatch.setattr(constructions, "_random_subspace", forbidden)
+    monkeypatch.setattr(constructions, "compute_L_aad", forbidden)
+    with pytest.raises(SizeGuardError):
+        build_random_family(5, 1, 8, f3, seed=3, as_enum_guard=100)
 
 
 def test_random_family_best_effort_flag(f3):

@@ -295,15 +295,10 @@ def test_L_as_early_stop_matches_full_enumeration(fam):
     # it returns the full enumeration's value and witness
     full = compute_L_as(fam)
     L_aad = compute_L_aad(fam)[0]
-    assert compute_L_as(fam, stop_at=L_aad + 1) == full
+    assert compute_L_as(fam, L_aad=L_aad) == full
     assert full[0] == L_aad + 1
-    # a target no plane reaches gives the full maximum; a lower one stops
-    # at a plane with at least that many hits
-    assert compute_L_as(fam, stop_at=full[0] + 1) == full
-    for stop_at in range(full[0]):
-        hits, V = compute_L_as(fam, stop_at=stop_at)
-        assert stop_at <= hits <= full[0]
-        assert hits == sum(1 for S in fam.members if rank_of_stack(V.basis, S.basis) < V.k + S.k)
+    # an L_aad that no plane reaches L_aad + 1 for gives the full maximum
+    assert compute_L_as(fam, L_aad=full[0]) == full
 
 
 def test_report_draws_74_planes_on_rs_5_1_7(monkeypatch):
@@ -329,15 +324,31 @@ def test_report_draws_74_planes_on_rs_5_1_7(monkeypatch):
     assert report.as_witness.basis.row_list() == [(1, 0, 0, 0, 0), (0, 1, 1, 3, 3)]
 
 
-def test_as_report_over_guard_refuses_before_aad(four_line_family, monkeypatch):
+def test_as_only_report_runs_no_aad_count(monkeypatch):
+    # without aad, bound or relations there is no L_aad to stop at: the AS
+    # count enumerates every plane and the AAD count does not run
     from subspace_forge import family as family_mod
+    from subspace_forge.constructions import build_rs_family
+
+    fam = build_rs_family(3, 1, FIELDS[5])
+    full = compute_L_as(fam)
 
     def no_aad(*args, **kwargs):
-        raise AssertionError("AAD count run over the AS guard")
+        raise AssertionError("AAD count run for an as-only report")
 
     monkeypatch.setattr(family_mod, "compute_L_aad", no_aad)
-    with pytest.raises(SizeGuardError):
-        build_report(four_line_family, ("as",), as_enum_guard=3)
+    report = build_report(fam, ("as",))
+    assert (report.L_aad, report.L_as, report.as_witness) == (None, *full)
+
+
+def test_L_aad_is_ignored_above_k_1(f2):
+    # for k >= 2 L_as - 1 may exceed L_aad, so L_aad gives no stop
+    A = Subspace.from_generators(f2, 5, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)])
+    B = Subspace.from_generators(f2, 5, [(0, 0, 1, 0, 0), (0, 0, 0, 1, 0)])
+    fam = Family(f2, 5, 2, (A, B))
+    full = compute_L_as(fam)
+    assert full[0] == 2
+    assert compute_L_as(fam, L_aad=0) == full
 
 
 @DIFFERENTIAL
