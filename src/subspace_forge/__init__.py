@@ -12,15 +12,10 @@ __version__ = "0.1.0"
 
 from .gf import Field, SizeGuardError, field_from_order, make_field
 from .matgf import MatrixGF, kernel_basis, rank_of_stack, rref
-from .subspace import (
-    AffineCoset,
-    Subspace,
-    coset_canonical_rep,
-    enumerate_subspaces,
-    gaussian_binomial,
-)
+from .subspace import Subspace, enumerate_subspaces, gaussian_binomial
 from .family import (
     Family,
+    NotAPartialSpread,
     VerificationReport,
     build_report,
     check_partial_spread,
@@ -60,12 +55,11 @@ __all__ = [
     "kernel_basis",
     "rank_of_stack",
     "Subspace",
-    "AffineCoset",
-    "coset_canonical_rep",
     "enumerate_subspaces",
     "gaussian_binomial",
     "Family",
     "VerificationReport",
+    "NotAPartialSpread",
     "check_partial_spread",
     "coset_hits",
     "coset_hits_bruteforce",

@@ -94,19 +94,6 @@ def random_sample_size(n: int, k: int, L: int, q: int) -> int:
     return _integer_root(q**e.numerator, e.denominator)
 
 
-def count_avoiding_subspaces(n: int, k: int, d: int, q: int) -> int:
-    """Number of k-subspaces of GF(q)^n meeting a fixed d-subspace trivially:
-    prod_{i<k} (q^n - q^{d+i}) / (q^k - q^i).
-    """
-    num = 1
-    den = 1
-    for i in range(k):
-        num *= q**n - q ** (d + i)
-        den *= q**k - q**i
-    assert num % den == 0
-    return num // den
-
-
 @dataclass(frozen=True)
 class BoundsTable:
     """Closed-form values for one (n, k, L, q) parameter point."""

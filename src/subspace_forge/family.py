@@ -21,12 +21,19 @@ as the combination of a basis whose first nonzero coefficient is 1, and
 keyed by its normalized form, the vector scaled to a leading 1.
 
 The partial-spread check is the precondition of both verifiers.  Each
-finds its failure in its own loop and only then runs check_partial_spread
-to name the first violating pair.
+finds a non-spread family in its own loop and raises NotAPartialSpread
+with a meeting pair.  The AAD count visits the ordered member pairs
+i-outer, j-inner and finds a zero combination at every pair that meets,
+so the first one it finds is the first meeting pair in member order, the
+pair check_partial_spread names; build_report therefore runs no pairwise
+scan on a report that runs the AAD count.  The AS count runs
+check_partial_spread to name the pair, because a point with two owners is
+not always found at the first meeting pair.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
 
 from .gf import Field, SizeGuardError
@@ -190,9 +197,17 @@ def _leading_one_combinations(rows, add, mul):
         yield from layer
 
 
-def _not_a_spread(fam: Family) -> ValueError:
-    witness = check_partial_spread(fam)[1]
-    return ValueError(f"family is not a partial spread (members {witness})")
+class NotAPartialSpread(ValueError):
+    """The family is not a partial spread: members `pair` = (i, j), i < j,
+    meet non-trivially, and (i, j) is the first such pair in member order."""
+
+    def __init__(self, pair: tuple[int, int]):
+        super().__init__(f"family is not a partial spread (members {pair})")
+        self.pair = pair
+
+
+def _not_a_spread(fam: Family) -> NotAPartialSpread:
+    return NotAPartialSpread(check_partial_spread(fam)[1])
 
 
 def compute_L_aad(
@@ -208,10 +223,15 @@ def compute_L_aad(
     the residues and keyed by its normalized form; the witness u is the
     raw combination that first reached the attaining point.
 
-    A zero combination of residues means S_i meets S_j: raises ValueError.
-    With upper_limit set, returns as soon as some count exceeds it; the
-    result is then only a lower bound (enough to decide "L <= limit?"),
-    which a family that is not a partial spread may return before raising.
+    A zero combination of residues means S_i meets S_j: raises
+    NotAPartialSpread.  Pairs are visited i-outer, j-inner, and every pair
+    that meets yields a zero combination, so the first one found is the
+    first meeting pair (i, j), i < j, that check_partial_spread names.
+    Without upper_limit every ordered pair is visited, so a return certifies
+    that the family is a partial spread.  With upper_limit set, returns as
+    soon as some count exceeds it; the result is then only a lower bound
+    (enough to decide "L <= limit?"), which a family that is not a partial
+    spread may return before raising.
     """
     f = fam.field
     members = fam.members
@@ -225,29 +245,32 @@ def compute_L_aad(
             u[c] = val
         return i, tuple(u)
 
-    add, mul = f.add_table, f.mul_table
+    add, mul, inv = f.add_table, f.mul_table, f.inv_table
     member_rows = [T.basis.row_list() for T in members]
     best = 0
     best_witness = None
     for i, S in enumerate(members):
         pivot_set = set(S.pivots)
         # residues vanish on the pivot columns, so count in the n-k free
-        # coordinates only
+        # coordinates only; 2k < n leaves at least two, so project returns
+        # a tuple
         free_cols = [c for c in range(fam.n) if c not in pivot_set]
+        project = operator.itemgetter(*free_cols)
         counts: dict[tuple[int, ...], int] = {}
         first: dict[tuple[int, ...], tuple[int, ...]] = {}  # point -> first combination
         for j, rows in enumerate(member_rows):
             if j == i:
                 continue
-            proj = [tuple(w[c] for c in free_cols) for w in map(S.reduce, rows)]
+            proj = [project(w) for w in map(S.reduce, rows)]
             for v in _leading_one_combinations(proj, add, mul):
                 # key the point by its normalized form, scaled to a leading 1
                 for lead in v:
                     if lead:
                         break
                 else:
-                    raise _not_a_spread(fam)
-                key = v if lead == 1 else tuple(mul[f.inv(lead)][x] for x in v)
+                    # no earlier pair met, so i < j (see the docstring)
+                    raise NotAPartialSpread((i, j))
+                key = v if lead == 1 else tuple(map(mul[inv[lead]].__getitem__, v))
                 cnt = counts.get(key, 0) + 1
                 counts[key] = cnt
                 if cnt == 1:
@@ -283,7 +306,9 @@ def compute_L_as(
     count for V is the number of distinct owners among V's points, read
     from a map of every member point to its member.  In a partial spread
     each point has at most one owner; after the enumeration guard, a
-    second owner met while the map is built raises ValueError.
+    second owner met while the map is built raises NotAPartialSpread.
+    That owner need not belong to the first meeting pair, so the pair is
+    named by check_partial_spread.
 
     The witness is the first V, in enumeration order, with the largest
     count.  For k = 1 a plane that meets a line contains it, so
@@ -358,27 +383,38 @@ def build_report(
     Properties depending on the partial-spread precondition are skipped
     (left None, with a diagnostic) when the family is not a spread.
 
-    For k = 1, when the AAD count has run (aad, bound or relations), the
-    AS count stops at the first plane that attains L_aad + 1; an `as`-only
-    report runs the full enumeration and no AAD count.
+    A report that runs the AAD count (aad, bound or relations) runs no
+    pairwise spread scan: the count visits every ordered member pair and
+    raises NotAPartialSpread at the first pair that meets, which is the
+    pair check_partial_spread would name, so a count that returns
+    certifies the spread.  Spread-only and `as`-only reports run
+    check_partial_spread once, before any AS count.
+
+    For k = 1, when the AAD count has run, the AS count stops at the
+    first plane that attains L_aad + 1; an `as`-only report runs the full
+    enumeration and no AAD count.
     """
     properties = set(properties)
     unknown = properties - {"spread", "aad", "as", "bound", "relations"}
     if unknown:
         raise ValueError(f"unknown properties: {sorted(unknown)}")
     report = VerificationReport()
-    need_spread = properties & {"aad", "as", "bound", "relations"}
-    if "spread" in properties or need_spread:
-        ok, witness = check_partial_spread(fam)
-        report.is_partial_spread = ok
-        report.spread_witness = witness
-        if not ok and need_spread:
-            report.diagnostics.append(
-                "not a partial spread; AAD/AS parameters are undefined"
-            )
-            return report
+    if not properties:
+        return report
     if properties & {"aad", "bound", "relations"}:
-        report.L_aad, report.aad_witness = compute_L_aad(fam)
+        try:
+            report.L_aad, report.aad_witness = compute_L_aad(fam)
+        except NotAPartialSpread as exc:
+            witness = exc.pair
+        else:
+            witness = None
+    else:
+        witness = check_partial_spread(fam)[1]
+    report.is_partial_spread = witness is None
+    report.spread_witness = witness
+    if witness is not None and properties != {"spread"}:
+        report.diagnostics.append("not a partial spread; AAD/AS parameters are undefined")
+        return report
     if properties & {"as", "relations"}:
         report.L_as, report.as_witness = compute_L_as(fam, as_enum_guard, L_aad=report.L_aad)
     if "bound" in properties:

@@ -311,6 +311,14 @@ class Field:
         return self._add
 
     @property
+    def inv_table(self):
+        """Row of multiplicative inverses, inv_table[a] * a == 1 for a != 0
+        (entry 0 is 0), built on demand with the other tables."""
+        if self._inv is None:
+            self._build_tables()
+        return self._inv
+
+    @property
     def built_tables(self):
         """The (add, mul, neg) tables if they are built, else None.  Never
         builds them, so a caller above _TABLE_MAX_Q can fall back to the

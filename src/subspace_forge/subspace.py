@@ -88,14 +88,16 @@ class Subspace:
         otherwise it calls Field.sub and Field.mul, which never build them.
         """
         f = self.field
-        r = [int(x) for x in v]
-        if len(r) != self.n:
+        n = self.n
+        r = list(map(int, v))
+        if len(r) != n:
             raise ValueError("vector length mismatch")
         tables = f.built_tables
-        for row_idx, p in enumerate(self.pivots):
+        entries = self.basis.entries
+        for row_idx, p in enumerate(self._pivots):
             c = r[p]
             if c:
-                brow = self.basis.row(row_idx)
+                brow = entries[row_idx * n : row_idx * n + n]
                 if tables is None:
                     r = [f.sub(x, f.mul(c, b)) for x, b in zip(r, brow)]
                 else:
@@ -119,13 +121,6 @@ class Subspace:
             raise ValueError("ambient space mismatch")
         return Subspace.from_generators(self.field, self.n, self.basis.row_list() + other.basis.row_list())
 
-    def span_with(self, u) -> "Subspace":
-        """The (k+1)-dimensional span of this subspace and the vector u."""
-        u = tuple(int(x) for x in u)
-        if self.contains(u):
-            raise ValueError("vector already lies in the subspace")
-        return Subspace.from_generators(self.field, self.n, self.basis.row_list() + [u])
-
     def vectors(self):
         """All q^k vectors of the subspace (coefficient order lexicographic)."""
         f = self.field
@@ -148,36 +143,6 @@ class Subspace:
     def from_json(cls, field: Field, obj: dict) -> "Subspace":
         basis = MatrixGF.from_rows(field, obj["basis"])
         return cls(field, int(obj["n"]), int(obj["k"]), basis)
-
-
-@dataclass(frozen=True)
-class AffineCoset:
-    """The affine subspace rep + sub; identity is the canonical representative."""
-
-    rep: tuple[int, ...]
-    sub: Subspace
-
-    def canonical_rep(self) -> tuple[int, ...]:
-        return self.sub.reduce(self.rep)
-
-    def __eq__(self, other):
-        if not isinstance(other, AffineCoset):
-            return NotImplemented
-        return self.sub == other.sub and self.canonical_rep() == other.canonical_rep()
-
-    def __hash__(self):
-        return hash((self.sub.key(), self.canonical_rep()))
-
-    def points(self):
-        f = self.sub.field
-        rep = self.rep
-        for v in self.sub.vectors():
-            yield tuple(f.add(a, b) for a, b in zip(rep, v))
-
-
-def coset_canonical_rep(c: AffineCoset) -> tuple[int, ...]:
-    """Lexicographically smallest member of the coset; equal cosets share it."""
-    return c.canonical_rep()
 
 
 def enumerate_subspaces(field: Field, n: int, k: int):

@@ -13,7 +13,6 @@ from subspace_forge.constructions import (
     build_code_based_family,
     build_random_family,
     build_rs_family,
-    count_avoiding_subspaces,
     twist_codeword,
     growth_diagnostic,
     power_sum,
@@ -71,26 +70,6 @@ def test_random_family_exponent_and_sample_size():
     assert random_sample_size(5, 1, 2, 27) == 3  # 27^(1/3)
     # negative exponent: no sample
     assert random_sample_size(3, 1, 1, 2) == 0
-
-
-def test_count_avoiding_subspaces_vs_exhaustive(f2):
-    # lines avoiding a fixed line in GF(2)^4
-    fixed = Subspace.from_generators(f2, 4, [(1, 0, 0, 0)])
-    observed = sum(
-        1 for S in enumerate_subspaces(f2, 4, 1) if S.trivially_intersects(fixed)
-    )
-    assert observed == count_avoiding_subspaces(4, 1, 1, 2) == 14
-    # lines avoiding a fixed plane
-    plane = Subspace.from_generators(f2, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
-    observed = sum(
-        1 for S in enumerate_subspaces(f2, 4, 1) if S.trivially_intersects(plane)
-    )
-    assert observed == count_avoiding_subspaces(4, 1, 2, 2) == 12
-    # planes avoiding a fixed plane
-    observed = sum(
-        1 for S in enumerate_subspaces(f2, 4, 2) if S.trivially_intersects(plane)
-    )
-    assert observed == count_avoiding_subspaces(4, 2, 2, 2) == 16
 
 
 def test_bounds_table_json():

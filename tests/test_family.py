@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from subspace_forge.matgf import rank_of_stack
 from subspace_forge.subspace import Subspace, all_vectors, enumerate_subspaces
 from subspace_forge.family import (
     Family,
+    NotAPartialSpread,
     VerificationReport,
     build_report,
     check_partial_spread,
@@ -238,10 +240,10 @@ def test_L_aad_requires_spread(f2):
     A = Subspace.from_generators(f2, 5, [e[0], e[1]])
     B = Subspace.from_generators(f2, 5, [e[1], e[2]])
     fam = Family(f2, 5, 2, (A, B))
-    with pytest.raises(ValueError):
-        compute_L_aad(fam)
-    with pytest.raises(ValueError):
-        compute_L_as(fam)
+    for verify in (compute_L_aad, compute_L_as):
+        with pytest.raises(NotAPartialSpread) as exc:
+            verify(fam)
+        assert exc.value.pair == (0, 1)
 
 
 def test_L_aad_matches_exhaustive_oracle_random():
@@ -361,9 +363,10 @@ def test_verifiers_detect_non_spread(fam):
         if ok:
             verify(fam)
         else:
-            with pytest.raises(ValueError) as exc:
+            with pytest.raises(NotAPartialSpread) as exc:
                 verify(fam)
             assert str(exc.value) == message
+            assert exc.value.pair == witness
     # an early stop may return before the loop meets the fault, but only
     # with a count above the limit
     for limit in range(4):
@@ -513,6 +516,49 @@ def test_build_report_skips_on_non_spread(f2):
     assert report.spread_witness == (0, 1)
     assert report.L_aad is None
     assert report.diagnostics
+
+
+PROPERTIES = ("spread", "aad", "as", "bound", "relations")
+PROPERTY_SUBSETS = [s for r in range(1, 6) for s in itertools.combinations(PROPERTIES, r)]
+SKIPPED = "not a partial spread; AAD/AS parameters are undefined"
+
+
+@DIFFERENTIAL
+@given(st.one_of(families(AAD_GRID), families(NON_SPREAD_GRID, spread=False)))
+def test_report_spread_fields_match_pairwise_scan(fam):
+    # a report that runs the AAD count takes its spread fields from the
+    # count's own failure, not from the scan: they must agree on every subset.
+    # Spreads for k = 1, 2, 3 come from the first strategy, mostly
+    # non-spreads for k = 2, 3 from the second.
+    ok, witness = check_partial_spread(fam)
+    if not ok:
+        with pytest.raises(NotAPartialSpread) as exc:
+            compute_L_aad(fam)
+        assert exc.value.pair == witness
+    for props in PROPERTY_SUBSETS:
+        report = build_report(fam, props)
+        assert (report.is_partial_spread, report.spread_witness) == (ok, witness), props
+        skipped = not ok and props != ("spread",)
+        assert report.diagnostics == ([SKIPPED] if skipped else []), props
+
+
+def test_pairwise_scan_runs_only_without_the_aad_count(four_line_family, monkeypatch):
+    from subspace_forge import family as family_mod
+
+    scan = family_mod.check_partial_spread
+    calls = 0
+
+    def counting(fam):
+        nonlocal calls
+        calls += 1
+        return scan(fam)
+
+    monkeypatch.setattr(family_mod, "check_partial_spread", counting)
+    for props, expected in ((PROPERTIES, 0), (("spread",), 1), (("as",), 1)):
+        calls = 0
+        report = build_report(four_line_family, props)
+        assert report.is_partial_spread is True
+        assert calls == expected, props
 
 
 def test_build_report_rejects_unknown_property(four_line_family):

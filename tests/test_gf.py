@@ -283,17 +283,20 @@ def test_neg_inv_rows_match_raw(q):
     f = _field(q)
     assert [f.neg(a) for a in range(q)] == [f._neg_raw(a) for a in range(q)]
     assert all(f._mul_raw(a, f.inv(a)) == 1 for a in range(1, q))
+    assert f.inv_table[0] == 0
+    assert all(f._mul_raw(a, f.inv_table[a]) == 1 for a in range(1, q))
 
 
 def test_lazy_tables_above_table_max_q_match_raw():
     f = field_from_order(729)
     assert f._mul is None and f._add is None
     rows = [0, 1, f.gamma, 364, 728]
+    inv = f.inv_table  # built on demand, like the q x q tables
     add, mul = f.add_table, f.mul_table
     for a in rows:
         assert add[a] == [f._add_raw(a, b) for b in range(729)]
         assert mul[a] == [f._mul_raw(a, b) for b in range(729)]
-    assert all(f._mul_raw(a, f.inv(a)) == 1 for a in range(1, 729))
+    assert all(f._mul_raw(a, f.inv(a)) == 1 == f._mul_raw(a, inv[a]) for a in range(1, 729))
 
 
 @pytest.mark.parametrize("q", [2, 3, 243, 256, 343])

@@ -136,6 +136,30 @@ RUNS = [
         ["construct", "random", "--n", "5", "--k", "1", "--L", "3", "--q", "4", "--seed", "2"],
         "1815939469e72892deccb3dfb8ee6d7c397278df0601f1934bddf4bf0c4808d6",
     ),
+    # k = 3 over GF(25): the AAD witness u is a raw residue combination
+    # whose leading entry is not 1.
+    (
+        "construct-rs-7-3-25",
+        ["construct", "rs", "--n", "7", "--k", "3", "--q", "25"],
+        "57c1ec3be3bdec8aed81fc4f10ab65720201e83e08eef2bd32a8e081dbf23b12",
+    ),
+    (
+        "verify-rs-7-3-25-aad",
+        ["verify", "--family", "@construct-rs-7-3-25", "--properties", "spread,aad,bound"],
+        "7d3ad1bf4f4d973ba02c863b98526235373b8e100da9729ec22521fc6663d091",
+    ),
+    # Non-spread reports that do not ask for `spread`: their spread fields
+    # come from the verifiers' own failure path.
+    (
+        "verify-non-spread-aad",
+        ["verify", "--family", "@non-spread", "--properties", "aad"],
+        "57a65a233d694c58cf67a5c72d79bdf9be0a0adb75ead172947f0d5e562d9acf",
+    ),
+    (
+        "verify-non-spread-as-relations",
+        ["verify", "--family", "@non-spread", "--properties", "as,relations"],
+        "57a65a233d694c58cf67a5c72d79bdf9be0a0adb75ead172947f0d5e562d9acf",
+    ),
 ]
 
 

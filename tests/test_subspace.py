@@ -6,14 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from subspace_forge.gf import field_from_order, make_field
 from subspace_forge.matgf import MatrixGF, kernel_basis, rank_of_stack, stack
-from subspace_forge.subspace import (
-    AffineCoset,
-    Subspace,
-    all_vectors,
-    coset_canonical_rep,
-    enumerate_subspaces,
-    gaussian_binomial,
-)
+from subspace_forge.subspace import Subspace, all_vectors, enumerate_subspaces, gaussian_binomial
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +132,6 @@ def test_sum_dimension_formula():
         assert A.sum(B).k == A.k + B.k - dim_int
 
 
-def test_span_with(f2):
-    S = Subspace.from_generators(f2, 3, [(1, 0, 0)])
-    T = S.span_with((0, 1, 0))
-    assert T == Subspace.from_generators(f2, 3, [(1, 0, 0), (0, 1, 0)])
-    assert T.k == S.k + 1
-    assert all(T.contains(v) for v in S.basis.row_list())
-    with pytest.raises(ValueError):
-        S.span_with((1, 0, 0))
-
-
 def test_vectors_enumerates_whole_subspace(f3):
     S = Subspace.from_generators(f3, 3, [(1, 0, 2), (0, 1, 1)])
     pts = set(S.vectors())
@@ -232,29 +215,26 @@ def test_gaussian_binomial_values():
 
 def test_coset_rep_of_subspace_itself_is_zero(f5):
     S = Subspace.from_generators(f5, 3, [(1, 2, 0)])
-    z = AffineCoset((0, 0, 0), S)
-    assert coset_canonical_rep(z) == (0, 0, 0)
+    assert S.reduce((0, 0, 0)) == (0, 0, 0)
     # any member of S represents the same (zero) coset
-    member = AffineCoset((3, 1, 0), S)
-    assert coset_canonical_rep(member) == (0, 0, 0)
+    assert S.reduce((3, 1, 0)) == (0, 0, 0)
+
+
+def _shifted(field, u, S):
+    """Every point of the coset u + S."""
+    return [tuple(field.add(a, b) for a, b in zip(u, v)) for v in S.vectors()]
 
 
 def test_coset_rep_independent_of_representative(f3):
     S = Subspace.from_generators(f3, 4, [(1, 0, 2, 1), (0, 1, 1, 1)])
-    u = (0, 0, 1, 2)
-    reps = set()
-    for v in S.vectors():
-        shifted = tuple(f3.add(a, b) for a, b in zip(u, v))
-        reps.add(coset_canonical_rep(AffineCoset(shifted, S)))
+    reps = {S.reduce(v) for v in _shifted(f3, (0, 0, 1, 2), S)}
     assert len(reps) == 1
 
 
 def test_coset_rep_is_lex_smallest_member(f3):
     S = Subspace.from_generators(f3, 3, [(1, 1, 2)])
     u = (0, 2, 1)
-    coset = AffineCoset(u, S)
-    members = sorted(coset.points())
-    assert coset_canonical_rep(coset) == members[0]
+    assert S.reduce(u) == min(_shifted(f3, u, S))
 
 
 def test_coset_count_is_q_to_n_minus_k(f3):
@@ -264,13 +244,11 @@ def test_coset_count_is_q_to_n_minus_k(f3):
 
 
 def test_coset_equality(f2):
+    # two vectors lie in the same coset exactly when their residues agree
     S = Subspace.from_generators(f2, 3, [(1, 0, 0)])
-    a = AffineCoset((0, 1, 0), S)
-    b = AffineCoset((1, 1, 0), S)  # same coset, shifted by a member
-    c = AffineCoset((0, 0, 1), S)
-    assert a == b
-    assert a != c
-    assert hash(a) == hash(b)
+    a, b, c = (0, 1, 0), (1, 1, 0), (0, 0, 1)  # b = a + a member
+    assert S.reduce(a) == S.reduce(b)
+    assert S.reduce(a) != S.reduce(c)
 
 
 @settings(max_examples=60)
