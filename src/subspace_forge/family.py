@@ -18,15 +18,18 @@ point, which gives the AS count of a (k+1)-subspace.  A coset u + S_i
 meets S_j exactly when the point of u in the quotient by S_i lies in
 (S_i + S_j)/S_i, which gives the AAD count.  A point is enumerated once,
 as the combination of a basis whose first nonzero coefficient is 1, and
-keyed by its normalized form, the vector scaled to a leading 1.
+keyed by its normalized form, the vector scaled to a leading 1.  The
+AAD count brings each residue basis to RREF first, so its combinations
+are already normalized and collections.Counter tallies them in C; only
+the member that names the witness is walked again point by point.
 
 The partial-spread check is the precondition of both verifiers.  Each
 finds a non-spread family in its own loop and raises NotAPartialSpread
 with a meeting pair.  The AAD count visits the ordered member pairs
-i-outer, j-inner and finds a zero combination at every pair that meets,
-so the first one it finds is the first meeting pair in member order, the
-pair check_partial_spread names; build_report therefore runs no pairwise
-scan on a report that runs the AAD count.  The AS count runs
+i-outer, j-inner and finds residues of rank below k at every pair that
+meets, so the first one it finds is the first meeting pair in member
+order, the pair check_partial_spread names; build_report therefore runs
+no pairwise scan on a report that runs the AAD count.  The AS count runs
 check_partial_spread to name the pair, because a point with two owners is
 not always found at the first meeting pair.
 """
@@ -34,9 +37,12 @@ not always found at the first meeting pair.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from itertools import repeat
 
 from .gf import Field, SizeGuardError
+from .matgf import _rref_rows
 from .subspace import Subspace, all_vectors, enumerate_subspaces, gaussian_binomial
 
 # compute_L_as enumerates every (k+1)-subspace; refuse above this count
@@ -210,6 +216,92 @@ def _not_a_spread(fam: Family) -> NotAPartialSpread:
     return NotAPartialSpread(check_partial_spread(fam)[1])
 
 
+def _quotient_point_counts(fam: Family, add, mul):
+    """Yield, for each member S_i in order, a Counter of the quotient points
+    over S_i keyed by their normalized forms (coordinates in S_i's free
+    columns): the count of a point is the number of members S_j, j != i,
+    whose residue span (S_i + S_j)/S_i holds it.
+
+    The residues of S_j's basis modulo S_i are brought to RREF, so the
+    leading-1 combinations of the RREF rows are already normalized and
+    Counter.update tallies them in C.  Rank below k means S_i meets S_j:
+    raises NotAPartialSpread((i, j)) at the first such j of S_i.
+    """
+    f, n, k = fam.field, fam.n, fam.k
+    member_rows = [T.basis.row_list() for T in fam.members]
+    for i, S in enumerate(fam.members):
+        project = operator.itemgetter(*_free_columns(S))
+        counts = Counter()
+        for j, rows in enumerate(member_rows):
+            if j == i:
+                continue
+            residues = [list(project(w)) for w in map(S.reduce, rows)]
+            if _rref_rows(f, residues, n - k)[0] < k:
+                raise NotAPartialSpread((i, j))
+            # tuples: the last row is yielded as it is, and keys must hash
+            counts.update(_leading_one_combinations(list(map(tuple, residues)), add, mul))
+        yield counts
+
+
+def _line_point_counts(fam: Family, add, mul, neg, inv):
+    """_quotient_point_counts for k = 1, in one batched pass over the lines.
+
+    Line S_i = <b> has pivot c and b[c] = 1, so the residue of line <x>
+    is x - x[c]*b.  The pass works a coordinate column at a time over all
+    other lines at once: free coordinate t of the residues reads the add
+    table and the row of b[t] in the mul table at -x[c], and each residue
+    is scaled to a leading 1 by the row of 1/lead in the mul table.
+    Distinct lines never meet, so every residue has a lead.
+    """
+    lines = [T.basis.entries for T in fam.members]
+    # lists, not tuples: the per-member slices then raise peak RSS less
+    columns = [list(col) for col in zip(*lines)]
+    getitem = operator.getitem
+    for i, (S, b) in enumerate(zip(fam.members, lines)):
+        others = [col[:i] + col[i + 1 :] for col in columns]
+        minus_a = list(map(neg.__getitem__, others[S.pivots[0]]))
+        residues = [
+            list(map(getitem, map(add.__getitem__, others[t]), map(mul[b[t]].__getitem__, minus_a)))
+            for t in _free_columns(S)
+        ]
+        leads = map(next, map(filter, repeat(None), zip(*residues)))
+        scales = list(map(mul.__getitem__, map(inv.__getitem__, leads)))
+        yield Counter(zip(*[map(getitem, scales, r) for r in residues]))
+
+
+def _free_columns(S: Subspace) -> list[int]:
+    """The n-k non-pivot columns of S.  Residues modulo S vanish on the
+    pivot columns, so the AAD count keys points by the free coordinates
+    only; 2k < n leaves at least two, so an itemgetter of them returns a
+    tuple."""
+    pivot_set = set(S.pivots)
+    return [c for c in range(S.n) if c not in pivot_set]
+
+
+def _first_attaining_coset(fam: Family, i: int, attaining: set, add, mul, inv):
+    """The witness (i, u) of compute_L_aad: walks S_i's residue
+    combinations in the raw order of the count (j in member order, then
+    _leading_one_combinations of the unreduced residues) and returns the
+    first combination u whose normalized point is in `attaining`, lifted
+    to GF(q)^n with zeros in S_i's pivot columns."""
+    S = fam.members[i]
+    free_cols = _free_columns(S)
+    project = operator.itemgetter(*free_cols)
+    for j, T in enumerate(fam.members):
+        if j == i:
+            continue
+        proj = [project(w) for w in map(S.reduce, T.basis.row_list())]
+        for v in _leading_one_combinations(proj, add, mul):
+            lead = next(filter(None, v))
+            key = v if lead == 1 else tuple(map(mul[inv[lead]].__getitem__, v))
+            if key in attaining:
+                u = [0] * fam.n
+                for c, val in zip(free_cols, v):
+                    u[c] = val
+                return i, tuple(u)
+    raise AssertionError("no quotient point attains the member's maximum")
+
+
 def compute_L_aad(
     fam: Family, upper_limit: int | None = None
 ) -> tuple[int, tuple[int, tuple[int, ...]]]:
@@ -219,19 +311,30 @@ def compute_L_aad(
     point of u in the quotient by S_i lies in (S_i + S_j)/S_i, the span
     of the residues of S_j's basis modulo S_i.  Counting, over all j, the
     points of those spans finds the quotient point that the most members
-    reach.  Each point is reached through its leading-1 combination of
-    the residues and keyed by its normalized form; the witness u is the
-    raw combination that first reached the attaining point.
+    reach.  For k >= 2 each S_j's residues are brought to RREF, whose
+    leading-1 combinations are the points' normalized forms, and a
+    collections.Counter tallies them; for k = 1 one batched pass forms
+    each line's residue from table rows, scales it to a leading 1 and
+    tallies the keys with one Counter per member.
 
-    A zero combination of residues means S_i meets S_j: raises
+    The witness is the first member S_i, in member order, whose largest
+    count is the maximum.  Only that member is walked again, in the raw
+    order of the residue combinations, and u is the first combination
+    whose point has the maximal count: the point first inserted among
+    those that attain it, reached by the combination that first reached
+    it.  The walk costs about 1/m of the count.
+
+    Residues of rank below k mean S_i meets S_j: raises
     NotAPartialSpread.  Pairs are visited i-outer, j-inner, and every pair
-    that meets yields a zero combination, so the first one found is the
+    that meets has dependent residues, so the first one found is the
     first meeting pair (i, j), i < j, that check_partial_spread names.
     Without upper_limit every ordered pair is visited, so a return certifies
-    that the family is a partial spread.  With upper_limit set, returns as
-    soon as some count exceeds it; the result is then only a lower bound
-    (enough to decide "L <= limit?"), which a family that is not a partial
-    spread may return before raising.
+    that the family is a partial spread.  With upper_limit set, returns
+    after the first member whose largest count exceeds it, with that count
+    and its witness; the result is then only a lower bound (enough to
+    decide "L <= limit?"), which a family that is not a partial spread may
+    return before raising.  A count at or below the limit is returned only
+    after every pair has been visited.
     """
     f = fam.field
     members = fam.members
@@ -239,51 +342,21 @@ def compute_L_aad(
         u = _lex_smallest_outside(members[0])
         return 0, (0, u)
 
-    def unproject(i, free_cols, key):
-        u = [0] * fam.n
-        for c, val in zip(free_cols, key):
-            u[c] = val
-        return i, tuple(u)
-
-    add, mul, inv = f.add_table, f.mul_table, f.inv_table
-    member_rows = [T.basis.row_list() for T in members]
+    inv = f.inv_table  # builds every table on first use
+    add, mul, neg = f.built_tables
+    if fam.k == 1:
+        per_member = _line_point_counts(fam, add, mul, neg, inv)
+    else:
+        per_member = _quotient_point_counts(fam, add, mul)
     best = 0
-    best_witness = None
-    for i, S in enumerate(members):
-        pivot_set = set(S.pivots)
-        # residues vanish on the pivot columns, so count in the n-k free
-        # coordinates only; 2k < n leaves at least two, so project returns
-        # a tuple
-        free_cols = [c for c in range(fam.n) if c not in pivot_set]
-        project = operator.itemgetter(*free_cols)
-        counts: dict[tuple[int, ...], int] = {}
-        first: dict[tuple[int, ...], tuple[int, ...]] = {}  # point -> first combination
-        for j, rows in enumerate(member_rows):
-            if j == i:
-                continue
-            proj = [project(w) for w in map(S.reduce, rows)]
-            for v in _leading_one_combinations(proj, add, mul):
-                # key the point by its normalized form, scaled to a leading 1
-                for lead in v:
-                    if lead:
-                        break
-                else:
-                    # no earlier pair met, so i < j (see the docstring)
-                    raise NotAPartialSpread((i, j))
-                key = v if lead == 1 else tuple(map(mul[inv[lead]].__getitem__, v))
-                cnt = counts.get(key, 0) + 1
-                counts[key] = cnt
-                if cnt == 1:
-                    first[key] = v
-                if upper_limit is not None and cnt > upper_limit:
-                    return cnt, unproject(i, free_cols, v)
-        for key, cnt in counts.items():
-            if cnt > best:
-                best = cnt
-                best_witness = (i, free_cols, first[key])
-
-    assert best_witness is not None
-    return best, unproject(*best_witness)
+    for i, counts in enumerate(per_member):
+        top = max(counts.values())
+        if top > best:
+            best, best_i = top, i
+            attaining = {key for key, cnt in counts.items() if cnt == top}
+            if upper_limit is not None and best > upper_limit:
+                break
+    return best, _first_attaining_coset(fam, best_i, attaining, add, mul, inv)
 
 
 def check_as_guard(n: int, k: int, q: int, enum_guard: int | None) -> None:

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .gf import Field
-from .family import Family, compute_L_aad
+from .family import Family, NotAPartialSpread, compute_L_aad
 from .constructions import max_family_size_bound
 from .subspace import Subspace, enumerate_subspaces, gaussian_binomial
 
@@ -78,11 +78,17 @@ class SearchResult:
 
 
 def _feasible(cfg: SearchConfig, chosen: list[Subspace], cand: Subspace) -> bool:
-    """Can cand extend chosen while staying a valid <=L family?"""
-    if any(not cand.trivially_intersects(S) for S in chosen):
-        return False
+    """Can cand extend chosen while staying a valid <=L family?
+
+    The limited AAD count is the whole test: it raises NotAPartialSpread
+    at any meeting pair it reaches, and it returns a count at or below the
+    limit only after visiting every member pair.
+    """
     fam = Family(cfg.field, cfg.n, cfg.k, tuple(chosen) + (cand,))
-    L, _ = compute_L_aad(fam, upper_limit=cfg.L)
+    try:
+        L, _ = compute_L_aad(fam, upper_limit=cfg.L)
+    except NotAPartialSpread:
+        return False
     return L <= cfg.L
 
 

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 
 import pytest
@@ -8,6 +9,8 @@ from subspace_forge.gf import SizeGuardError, field_from_order, make_field
 from subspace_forge.matgf import rank_of_stack
 from subspace_forge.subspace import Subspace, all_vectors, enumerate_subspaces
 from subspace_forge.family import (
+    _leading_one_combinations,
+    _lex_smallest_outside,
     Family,
     NotAPartialSpread,
     VerificationReport,
@@ -61,7 +64,7 @@ def exhaustive_L_as_oracle(fam):
     return best
 
 
-FIELDS = {q: field_from_order(q) for q in (2, 3, 4, 5, 7, 9)}
+FIELDS = {q: field_from_order(q) for q in (2, 3, 4, 5, 7, 8, 9)}
 
 # Families come from a drawn seed, which has no simpler neighbour, and each
 # shrink step reruns an exhaustive oracle: report the first failure as found.
@@ -77,6 +80,10 @@ AAD_GRID = [
 AS_GRID = [(k, n, q) for k, n, q in AAD_GRID if k <= 2]
 # distinct lines always meet trivially, so only k >= 2 can fail to be a spread
 NON_SPREAD_GRID = [(k, n, q) for k, n, q in AAD_GRID if k >= 2]
+# with extension fields, where leads other than 1 have inverses other than
+# themselves, for the comparison with the point-by-point reference count
+REFERENCE_GRID = AAD_GRID + [(1, 3, 8), (1, 4, 4), (2, 5, 4), (2, 5, 8), (2, 5, 9), (3, 7, 4)]
+REFERENCE_NON_SPREAD_GRID = [(k, n, q) for k, n, q in REFERENCE_GRID if k >= 2]
 # k = 1 points for the early-stopping AS count
 LINE_GRID = [
     (1, 3, 2), (1, 4, 2), (1, 5, 2), (1, 3, 3), (1, 4, 3), (1, 3, 4),
@@ -219,6 +226,83 @@ def test_oracle_equivalence_seeded_families():
 # ---------------------------------------------------------------------------
 # exact L computation
 # ---------------------------------------------------------------------------
+
+
+def _reference_L_aad(fam):
+    """The AAD count point by point: a dict of normalized quotient points
+    and the first raw combination that reached each, in member order and
+    first-insertion order.  compute_L_aad must match its value, witness
+    and NotAPartialSpread pair exactly."""
+    f = fam.field
+    members = fam.members
+    if len(members) <= 1:
+        u = _lex_smallest_outside(members[0])
+        return 0, (0, u)
+
+    def unproject(i, free_cols, key):
+        u = [0] * fam.n
+        for c, val in zip(free_cols, key):
+            u[c] = val
+        return i, tuple(u)
+
+    add, mul, inv = f.add_table, f.mul_table, f.inv_table
+    member_rows = [T.basis.row_list() for T in members]
+    best = 0
+    best_witness = None
+    for i, S in enumerate(members):
+        pivot_set = set(S.pivots)
+        free_cols = [c for c in range(fam.n) if c not in pivot_set]
+        project = operator.itemgetter(*free_cols)
+        counts = {}
+        first = {}  # point -> first combination
+        for j, rows in enumerate(member_rows):
+            if j == i:
+                continue
+            proj = [project(w) for w in map(S.reduce, rows)]
+            for v in _leading_one_combinations(proj, add, mul):
+                for lead in v:
+                    if lead:
+                        break
+                else:
+                    raise NotAPartialSpread((i, j))
+                key = v if lead == 1 else tuple(map(mul[inv[lead]].__getitem__, v))
+                cnt = counts.get(key, 0) + 1
+                counts[key] = cnt
+                if cnt == 1:
+                    first[key] = v
+        for key, cnt in counts.items():
+            if cnt > best:
+                best = cnt
+                best_witness = (i, free_cols, first[key])
+
+    assert best_witness is not None
+    return best, unproject(*best_witness)
+
+
+@settings(max_examples=120, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.one_of(families(REFERENCE_GRID), families(REFERENCE_NON_SPREAD_GRID, spread=False)))
+def test_L_aad_matches_reference_loop(fam):
+    try:
+        expected = _reference_L_aad(fam)
+    except NotAPartialSpread as exc:
+        with pytest.raises(NotAPartialSpread) as got:
+            compute_L_aad(fam)
+        assert got.value.pair == exc.pair
+        # a limited count raises at that pair or stops above the limit
+        for limit in range(4):
+            try:
+                cnt, _ = compute_L_aad(fam, upper_limit=limit)
+            except NotAPartialSpread as raised:
+                assert raised.pair == exc.pair
+            else:
+                assert cnt > limit
+        return
+    assert compute_L_aad(fam) == expected
+    L = expected[0]
+    for limit in range(L + 2):
+        cnt, (i, u) = compute_L_aad(fam, upper_limit=limit)
+        assert (cnt > limit) == (L > limit)
+        assert coset_hits(fam, i, u) >= cnt
 
 
 def test_L_aad_four_line_family(four_line_family):

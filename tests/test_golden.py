@@ -160,6 +160,34 @@ RUNS = [
         ["verify", "--family", "@non-spread", "--properties", "as,relations"],
         "57a65a233d694c58cf67a5c72d79bdf9be0a0adb75ead172947f0d5e562d9acf",
     ),
+    # The AAD count's k = 1 path over an extension field, and its k >= 2
+    # path over GF(16).
+    (
+        "construct-rs-4-1-9",
+        ["construct", "rs", "--n", "4", "--k", "1", "--q", "9"],
+        "9f84fcb4e54460f94026572594bb2738df9b8b287a2d44aaf8b511b116e690a8",
+    ),
+    (
+        "verify-rs-4-1-9-aad",
+        ["verify", "--family", "@construct-rs-4-1-9", "--properties", "aad"],
+        "f2a2be71dd52211dcd5e0c160dbd8d64cf9a88602b5bcda56e3dda45ea870b12",
+    ),
+    (
+        "construct-rs-5-2-16",
+        ["construct", "rs", "--n", "5", "--k", "2", "--q", "16"],
+        "38f14cc05bbc5a208c35151d4499a011e40a482cafe72aa32236a6d29cdf5080",
+    ),
+    (
+        "verify-rs-5-2-16-aad",
+        ["verify", "--family", "@construct-rs-5-2-16", "--properties", "spread,aad,bound"],
+        "249fc835dd1bdd7bbcc7a54dcfc0ee3e7e12ea9228d5f615d3e8501b14917336",
+    ),
+    # The seeded greedy k = 1 search that the benchmark's search workload runs.
+    (
+        "search-greedy-k1",
+        ["search", "--mode", "greedy", "--n", "5", "--k", "1", "--L", "2", "--q", "3", "--seed", "1"],
+        "2ae88728fef2d6d29731ac09d653c05ec4c10f2679890ca9e2b18218319fdbb1",
+    ),
 ]
 
 

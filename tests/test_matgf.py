@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from subspace_forge.gf import make_field
+from subspace_forge.gf import field_from_order, make_field
 from subspace_forge.matgf import (
     MatrixGF,
     kernel_basis,
@@ -66,6 +66,81 @@ def test_rref_pivots_strictly_increasing():
             _, rk, piv = rref(M)
             assert len(piv) == rk
             assert all(a < b for a, b in zip(piv, piv[1:]))
+
+
+def _raw_rref(M):
+    """Gauss-Jordan in the field's raw polynomial arithmetic: (R, rank,
+    pivots) as rref returns them."""
+    f = M.field
+
+    def mul(a, b):
+        return f._mul_raw(a, b)
+
+    def inv(a):
+        out, e = 1, f.q - 2
+        while e:
+            if e & 1:
+                out = mul(out, a)
+            a, e = mul(a, a), e >> 1
+        return out
+
+    rows = M.row_list()
+    pivots = []
+    for c in range(M.cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, M.rows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        s = inv(rows[r][c])
+        rows[r] = tuple(mul(s, x) for x in rows[r])
+        for i in range(M.rows):
+            if i != r and rows[i][c]:
+                g = rows[i][c]
+                rows[i] = tuple(f._add_raw(x, f._neg_raw(mul(g, y))) for x, y in zip(rows[i], rows[r]))
+        pivots.append(c)
+    R = MatrixGF(f, M.rows, M.cols, tuple(x for row in rows for x in row))
+    return R, len(pivots), tuple(pivots)
+
+
+def _random_rank_deficient_matrix(field, rng):
+    rows, cols = rng.randrange(1, 6), rng.randrange(1, 7)
+    M = random_matrix(field, rows, cols, rng)
+    if rows > 1 and rng.randrange(2):
+        # append a combination of the rows, so that ranks below rows occur
+        c = [rng.randrange(field.q) for _ in range(rows)]
+        extra = [0] * cols
+        for ci, row in zip(c, M.row_list()):
+            extra = [field.add(x, field.mul(ci, y)) for x, y in zip(extra, row)]
+        M = MatrixGF.from_rows(field, M.row_list() + [extra])
+    return M
+
+
+@pytest.mark.parametrize("p, m", [(7, 1), (2, 3), (3, 2)])
+def test_rref_reads_tables_like_raw_arithmetic(p, m):
+    field = make_field(p, m)
+    assert field.built_tables is not None
+    rng = random.Random(field.q)
+    for _ in range(30):
+        A = _random_rank_deficient_matrix(field, rng)
+        assert rref(A) == _raw_rref(A)
+        B = random_matrix(field, rng.randrange(1, 4), A.cols, rng)
+        assert rank_of_stack(A, B) == _raw_rref(stack(A, B))[1]
+
+
+def test_rref_above_table_limit_uses_raw_arithmetic():
+    # GF(1024) builds no q x q tables at construction; rref and
+    # rank_of_stack must give the raw-arithmetic result without building
+    # them
+    f = field_from_order(1024)
+    rng = random.Random(1024)
+    for _ in range(20):
+        A = _random_rank_deficient_matrix(f, rng)
+        assert rref(A) == _raw_rref(A)
+        B = random_matrix(f, rng.randrange(1, 4), A.cols, rng)
+        assert rank_of_stack(A, B) == _raw_rref(stack(A, B))[1]
+    assert f.built_tables is None
+    assert f._add is None and f._mul is None and f._inv is None
 
 
 # ---------------------------------------------------------------------------
