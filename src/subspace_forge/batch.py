@@ -11,7 +11,10 @@ simultaneous requests.
 A BatchCode builds two coset tables per member once, from the field's
 addition table: the coset rank of every point, and the points of every
 coset.  Encoding and the recovery candidates read these tables, so no
-request reduces a vector or enumerates a subspace.
+request reduces a vector or enumerates a subspace.  A recovery plan
+builds each candidate only when its backtracking first tests it, in the
+order of `recovery_sets_for`; most plans stop at the direct read or the
+first parity that fits.
 """
 
 from __future__ import annotations
@@ -176,22 +179,26 @@ class BatchCode:
 
     # -- recovery ------------------------------------------------------------
 
+    def _candidate(self, idx: int, a: int) -> frozenset[int]:
+        """Recovery candidate a of information bit idx: the direct read
+        for a = 0, else the coset of idx under member a - 1 with idx
+        replaced by that coset's parity."""
+        if a == 0:
+            return frozenset((idx,))
+        a -= 1
+        size = self.coset_size
+        r = self._coset_of[a][idx]
+        positions = self._coset_points[a][r * size : (r + 1) * size]
+        positions[positions.index(idx)] = self.K + a * self.cosets_per_member + r
+        return frozenset(positions)
+
     def recovery_sets_for(self, idx: int) -> list[frozenset[int]]:
         """1 + |F| candidate recovery sets for information bit idx: the
         direct read, plus per member the coset parity with the other
         coset points.  Candidates are pairwise disjoint."""
         if not 0 <= idx < self.K:
             raise ValueError(f"information index out of range: {idx}")
-        size = self.coset_size
-        out = [frozenset({idx})]
-        base = self.K
-        for coset_of, points in zip(self._coset_of, self._coset_points):
-            r = coset_of[idx]
-            positions = points[r * size : (r + 1) * size]
-            positions[positions.index(idx)] = base + r
-            out.append(frozenset(positions))
-            base += self.cosets_per_member
-        return out
+        return [self._candidate(idx, a) for a in range(1 + len(self.family))]
 
     def recover(self, y, positions) -> int:
         bit = 0
@@ -203,19 +210,29 @@ class BatchCode:
         """Pairwise disjoint recovery sets for a multiset of information
         indices, one per request, or None if no assignment exists.
         Depth-first backtracking over each request's candidate list, in
-        sorted request order and candidate order."""
+        sorted request order and candidate order.  A candidate is built
+        when the search first tests it; requests for the same index share
+        one list of the candidates built so far."""
         requests = sorted(requests)
-        candidates = {idx: self.recovery_sets_for(idx) for idx in set(requests)}
-        lists = [candidates[idx] for idx in requests]
+        for idx in requests:
+            if not 0 <= idx < self.K:
+                raise ValueError(f"information index out of range: {idx}")
+        total = 1 + len(self.family)
+        built: dict[int, list[frozenset[int]]] = {}
+        lists = [built.setdefault(idx, []) for idx in requests]
 
         picks: list[int] = []  # the candidate chosen for each served request
         used: set[int] = set()
         j = 0  # next candidate to try for request len(picks)
         while len(picks) < len(requests):
             cands = lists[len(picks)]
-            while j < len(cands) and not used.isdisjoint(cands[j]):
+            while j < total:
+                if j == len(cands):
+                    cands.append(self._candidate(requests[len(picks)], j))
+                if used.isdisjoint(cands[j]):
+                    break
                 j += 1
-            if j < len(cands):
+            if j < total:
                 used.update(cands[j])
                 picks.append(j)
                 j = 0

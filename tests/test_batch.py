@@ -250,6 +250,64 @@ def test_plan_matches_oracle(fam, data):
         assert code.plan_recovery(requests) == oracle_plan(code, requests)
 
 
+@pytest.fixture(scope="module")
+def rs_code(f3):
+    return BatchCode(build_rs_family(3, 1, f3))
+
+
+@pytest.fixture(params=["code", "rs_code"])
+def edge_code(request):
+    return request.getfixturevalue(request.param)
+
+
+def test_plan_validates_every_index(edge_code):
+    code = edge_code
+    for requests in ([0, code.K], [-1]):
+        with pytest.raises(ValueError):
+            code.plan_recovery(requests)
+    # the plan for the valid part fails before the bad index is reached
+    requests = [0] * (len(code.family) + 2) + [code.K]
+    assert code.plan_recovery(requests[:-1]) is None
+    with pytest.raises(ValueError):
+        code.plan_recovery(requests)
+
+
+def test_plan_uses_every_candidate(edge_code):
+    code = edge_code
+    requests = [1] * (1 + len(code.family))
+    plan = code.plan_recovery(requests)
+    assert plan is not None and plan == oracle_plan(code, requests)
+    assert [e.positions for e in plan.entries] == code.recovery_sets_for(1)
+    assert [e.rule for e in plan.entries] == ["direct"] + ["parity_xor"] * len(code.family)
+
+
+def test_plan_past_candidate_count_fails(edge_code):
+    code = edge_code
+    requests = [1] * (2 + len(code.family))
+    assert code.plan_recovery(requests) is None
+    assert oracle_plan(code, requests) is None
+
+
+def test_plan_empty_request(edge_code):
+    assert edge_code.plan_recovery([]) == oracle_plan(edge_code, []) == RecoveryPlan(())
+
+
+def test_plan_builds_only_tested_candidates(edge_code, monkeypatch):
+    code = edge_code
+    built = []
+    candidate = BatchCode._candidate
+
+    def counted(self, idx, a):
+        built.append((idx, a))
+        return candidate(self, idx, a)
+
+    monkeypatch.setattr(BatchCode, "_candidate", counted)
+    requests = list(range(0, code.K, 2))[: len(code.family)]
+    plan = code.plan_recovery(requests)
+    assert [e.rule for e in plan.entries] == ["direct"] * len(requests)
+    assert built == [(idx, 0) for idx in requests]
+
+
 def test_plans_leave_no_cyclic_garbage():
     code = BatchCode(build_rs_family(4, 1, make_field(5)))
     s = batch_s(len(code.family), code.L_aad)

@@ -113,6 +113,18 @@ RUNS = [
         ["batch", "--family", "@construct-rs-3-1-3"],
         "7708cc0a52916ae53be6ad4e4fac98b83e7d33db5a4bdb2b6af3aea8d9e4c363",
     ),
+    # Every 27-point multiset of size 1 + |F| = 4, with deep backtracking.
+    (
+        "batch-rs-3-1-3-s4",
+        ["batch", "--family", "@construct-rs-3-1-3", "--s", "4"],
+        "4d821d56469ecee2a491e39b257fa8874ce29930c07946c93504ca6b855f7a8a",
+    ),
+    # One request past the candidate count: counterexample [0, 0, 0, 0, 0].
+    (
+        "batch-rs-3-1-3-s5",
+        ["batch", "--family", "@construct-rs-3-1-3", "--s", "5"],
+        "207aa4c9559ca65ce7b915c71b0fe531507cdaa7cf56a2f52d1140cefaf5fffb",
+    ),
     (
         "batch-rs-3-1-7-sampled",
         ["batch", "--family", "@construct-rs-3-1-7", "--mode", "sampled", "--trials", "200", "--seed", "1"],
