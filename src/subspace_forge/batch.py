@@ -57,15 +57,13 @@ class BatchCode:
     in rank order.
     """
 
-    def __init__(self, family: Family, L_aad: int | None = None):
+    def __init__(self, family: Family):
         self.family = family
         f = family.field
         self.q = f.q
         self.n = family.n
         self.k = family.k
-        if L_aad is None:
-            L_aad, _ = compute_L_aad(family)
-        self.L_aad = L_aad
+        self.L_aad, _ = compute_L_aad(family)
         self.K = self.q**self.n
         self.coset_size = self.q**self.k
         self.cosets_per_member = self.q ** (self.n - self.k)

@@ -8,11 +8,14 @@ byte-identical result (only the manifest wall time varies).
 
 Exit codes: 0 report produced, 2 parameter violation, 3 malformed
 input, 4 computation aborted by a size guard.  The environment variable
-SUBSPACE_FORGE_GUARD (an integer) overrides both the field-order guard
-and the enumeration guard, which bounds the (k+1)-subspaces of AS
+SUBSPACE_FORGE_GUARD (an integer) overrides both the field guard, which
+bounds the q^2 operation-table entries that building GF(q) costs, and
+the enumeration guard, which bounds the (k+1)-subspaces of AS
 verification, the coset table entries of a batch code, the request
 multisets of exhaustive batch and the k-subspace candidates of greedy
-search.
+search.  Every field is checked against the field guard before it is
+built: a family file's (p, m) before Field.from_json, and --q before
+field_from_order factors it.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ def _load_family(path: str, field_guard: int) -> Family:
     if not isinstance(obj, dict) or "members" not in obj:
         raise InputParseError(f"{path} does not contain a family object")
     try:
-        # before Field.from_json, whose set-up work grows with q
+        # before Field.from_json, which builds q x q tables
         check_order_guard(int(obj["field"]["p"]), int(obj["field"]["m"]), field_guard)
         return Family.from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
@@ -115,11 +118,6 @@ def _emit(result: dict, command: str, params: dict, seed, out, pretty: bool, t0:
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", help="write the JSON envelope to this file instead of stdout")
     p.add_argument("--pretty", action="store_true", help="indent the JSON output")
-    p.add_argument(
-        "--threads",
-        type=int,
-        help="ignored; accepted so that older command lines still run",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,7 +325,7 @@ def main(argv=None) -> int:
     params = {
         k: v
         for k, v in vars(args).items()
-        if k not in {"command", "out", "pretty", "threads"} and v is not None
+        if k not in {"command", "out", "pretty"} and v is not None
     }
     _emit(result, command, params, seed, args.out, args.pretty, t0)
     return EXIT_OK

@@ -342,8 +342,7 @@ def compute_L_aad(
         u = _lex_smallest_outside(members[0])
         return 0, (0, u)
 
-    inv = f.inv_table  # builds every table on first use
-    add, mul, neg = f.built_tables
+    add, mul, neg, inv = f.add_table, f.mul_table, f.neg_table, f.inv_table
     if fam.k == 1:
         per_member = _line_point_counts(fam, add, mul, neg, inv)
     else:

@@ -5,7 +5,7 @@ polynomial a_0 + a_1 x + ... + a_{m-1} x^{m-1} over GF(p) is the packed
 base-p integer sum(a_i * p^i).  Keeping elements as ints makes them
 hashable and cheap to store in the hot verifier loops; all structure
 lives in the Field object, which carries the modulus, the primitive
-element and (for small q) precomputed operation tables.
+element and the operation tables, built at construction for every q.
 
 Field construction is deterministic: the modulus is the
 lexicographically smallest monic irreducible polynomial of degree m
@@ -18,16 +18,16 @@ O(q) seeds: the antilog list exp[i] = gamma^i, its inverse log, and the
 Zech logarithms z[i] = log(1 + gamma^i).  Then
 gamma^a * gamma^b = gamma^(a+b) and
 gamma^a + gamma^b = gamma^(a + z[b-a]), so every table entry is a lookup.
+Every operation reads the tables; the raw routines are only the seeds,
+the primitive-element search that precedes them, and the test oracle.
+
+The tables hold about 2q^2 entries, so the size guard of make_field and
+field_from_order bounds q^2, not q.
 """
 
 from __future__ import annotations
 
 DEFAULT_SIZE_GUARD = 1 << 20
-
-# Fields up to this order build their q x q add/mul tables (from the exp,
-# log and Zech seeds) at construction; above it, operations use raw
-# polynomial arithmetic and add_table/mul_table build the tables on demand.
-_TABLE_MAX_Q = 512
 
 
 class SizeGuardError(RuntimeError):
@@ -112,6 +112,17 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
             raise AssertionError("no irreducible polynomial found")
 
 
+def _power(a: int, e: int, mul) -> int:
+    """a**e for e >= 0 by square-and-multiply with the product `mul`."""
+    result = 1
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        e >>= 1
+    return result
+
+
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -130,11 +141,16 @@ class Field:
     """The finite field GF(p^m) with a designated primitive element.
 
     Elements are integer codes in [0, q); code 0 is the additive and
-    code 1 the multiplicative identity.  Instances are immutable after
-    construction and safe to share across threads.
+    code 1 the multiplicative identity.  Construction builds the q x q
+    add_table and mul_table and the neg_table and inv_table rows
+    (inv_table[0] is 0), in O(q^2) time and memory.  It checks no size
+    guard: make_field and field_from_order do, and a caller that builds
+    a Field from untrusted input (Field.from_json) runs check_order_guard
+    first.  Instances are immutable after construction and safe to share
+    across threads.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "gamma", "_add", "_mul", "_neg", "_inv")
+    __slots__ = ("p", "m", "q", "modulus", "gamma", "add_table", "mul_table", "neg_table", "inv_table")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...], gamma: int | None = None):
         if not is_prime(p):
@@ -150,7 +166,6 @@ class Field:
         self.m = m
         self.q = p**m
         self.modulus = modulus
-        self._add = self._mul = self._neg = self._inv = None
         # gamma comes first, on the raw routines: the tables are built from it
         if gamma is None:
             gamma = self._find_primitive()
@@ -159,8 +174,7 @@ class Field:
             if not self._is_primitive(gamma):
                 raise ValueError(f"gamma={gamma} does not have order q-1")
         self.gamma = gamma
-        if self.q <= _TABLE_MAX_Q:
-            self._build_tables()
+        self._build_tables()
 
     # -- encoding ------------------------------------------------------
 
@@ -178,7 +192,7 @@ class Field:
             code = code * self.p + d % self.p
         return code
 
-    # -- raw polynomial arithmetic (exp/log/Zech seeds, large q, oracle) -
+    # -- raw polynomial arithmetic (gamma search, table seeds, oracle) ---
 
     def _add_raw(self, a: int, b: int) -> int:
         if self.m == 1:
@@ -229,53 +243,38 @@ class Field:
         zech += zech  # zech[lb - la + n] needs no reduction mod n
         exp += exp + [0] * n  # exp[i] = gamma^i for i < 2n, 0 from the marker on
         logs = log[1:]  # log b for b = 1, ..., q-1
-        self._mul = [[0] * q] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
-        self._add = [list(range(q))] + [
+        self.mul_table = [[0] * q] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
+        self.add_table = [list(range(q))] + [
             [a] + [exp[la + zech[lb - la + n]] for lb in logs] for a, la in enumerate(logs, 1)
         ]
-        self._neg = [self._neg_raw(a) for a in range(q)]
-        self._inv = [0] + [exp[n - la] for la in logs]
+        self.neg_table = [self._neg_raw(a) for a in range(q)]
+        self.inv_table = [0] + [exp[n - la] for la in logs]
 
     # -- public operations ---------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self._add is not None:
-            return self._add[a][b]
-        return self._add_raw(a, b)
+        return self.add_table[a][b]
 
     def neg(self, a: int) -> int:
-        if self._neg is not None:
-            return self._neg[a]
-        return self._neg_raw(a)
+        return self.neg_table[a]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul is not None:
-            return self._mul[a][b]
-        return self._mul_raw(a, b)
+        return self.mul_table[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self._inv is not None:
-            return self._inv[a]
-        return self.pow(a, self.q - 2)
+        return self.inv_table[a]
 
     def pow(self, a: int, e: int) -> int:
         """a**e by square-and-multiply; negative e inverts first."""
         if e < 0:
             a = self.inv(a)
             e = -e
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return _power(a, e, self.mul)
 
     def elements(self) -> range:
         """All q element codes in increasing order."""
@@ -286,46 +285,14 @@ class Field:
         every prime f dividing q-1."""
         if not 0 < a < self.q:
             return False
-        return all(self.pow(a, (self.q - 1) // f) != 1 for f in _prime_factors(self.q - 1))
+        # runs before the tables exist, so it multiplies raw
+        return all(_power(a, (self.q - 1) // f, self._mul_raw) != 1 for f in _prime_factors(self.q - 1))
 
     def _find_primitive(self) -> int:
         for cand in range(1, self.q):
             if self._is_primitive(cand):
                 return cand
         raise AssertionError("no primitive element found")
-
-    # -- table accessors for hot loops -----------------------------------
-
-    @property
-    def mul_table(self):
-        """q x q multiplication table (list of row lists), built on demand."""
-        if self._mul is None:
-            self._build_tables()
-        return self._mul
-
-    @property
-    def add_table(self):
-        """q x q addition table (list of row lists), built on demand."""
-        if self._add is None:
-            self._build_tables()
-        return self._add
-
-    @property
-    def inv_table(self):
-        """Row of multiplicative inverses, inv_table[a] * a == 1 for a != 0
-        (entry 0 is 0), built on demand with the other tables."""
-        if self._inv is None:
-            self._build_tables()
-        return self._inv
-
-    @property
-    def built_tables(self):
-        """The (add, mul, neg) tables if they are built, else None.  Never
-        builds them, so a caller above _TABLE_MAX_Q can fall back to the
-        operation methods."""
-        if self._add is None:
-            return None
-        return self._add, self._mul, self._neg
 
     # -- identity / serialization ----------------------------------------
 
@@ -358,8 +325,9 @@ def make_field(p: int, m: int = 1, size_guard: int | None = DEFAULT_SIZE_GUARD) 
     """Build GF(p^m) with the canonical modulus and primitive element.
 
     Deterministic: identical inputs yield identical Field values.  The
-    guard rejects q = p^m above `size_guard` (default 2^20) to prevent
-    accidental blowup; pass None to disable.
+    guard rejects fields whose q^2 table entries exceed `size_guard`
+    (default 2^20, which admits q <= 1024) to prevent accidental blowup;
+    pass None to disable.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -370,22 +338,32 @@ def make_field(p: int, m: int = 1, size_guard: int | None = DEFAULT_SIZE_GUARD) 
 
 
 def check_order_guard(p: int, m: int, size_guard: int | None = DEFAULT_SIZE_GUARD) -> None:
-    """Raise SizeGuardError when q = p^m exceeds `size_guard` (None disables).
+    """Raise SizeGuardError when the q^2 table entries of GF(p^m) exceed
+    `size_guard` (None disables).
 
-    The exponent is capped at the guard's bit length, so a huge m costs
+    A Field builds its q x q add and mul tables at construction, so the
+    guard bounds q^2, the work and memory that construction costs.  The
+    exponent is capped at the guard's bit length, so a huge m costs
     nothing.
     """
     if size_guard is None or p < 2 or m < 1:
         return
-    # 2^b > size_guard for b = its bit length, so p^m > size_guard once m >= b
-    if p ** min(m, max(size_guard, 1).bit_length()) > size_guard:
-        raise SizeGuardError(f"q = {p}^{m} exceeds the size guard {size_guard}")
+    # 2^b > size_guard for b = its bit length, so p^(2m) > size_guard once m >= b
+    if p ** (2 * min(m, max(size_guard, 1).bit_length())) > size_guard:
+        raise SizeGuardError(
+            f"q = {p}^{m} needs {p}^{2 * m} table entries, over the size guard {size_guard}"
+        )
 
 
 def field_from_order(q: int, size_guard: int | None = DEFAULT_SIZE_GUARD) -> Field:
-    """Build GF(q) for a prime power q, factoring q as p^m."""
+    """Build GF(q) for a prime power q, factoring q as p^m.
+
+    The guard is checked on q before the factoring, whose trial division
+    runs up to the smallest prime factor of q.
+    """
     if q < 2:
         raise ValueError(f"field order must be >= 2, got {q}")
+    check_order_guard(q, 1, size_guard)
     for p in range(2, q + 1):
         if q % p == 0:
             m = 0

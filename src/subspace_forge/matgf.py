@@ -67,13 +67,9 @@ def _rref_rows(field: Field, rows: list[list[int]], ncols: int):
     """In-place Gauss-Jordan; returns (rank, pivot columns).
 
     Scaling and elimination read rows of the field's add, mul, neg and inv
-    tables when the field has built them (every q <= 512); otherwise they
-    call Field.sub and Field.mul, which never build them.
+    tables.
     """
-    tables = field.built_tables
-    if tables is not None:
-        add, mul, neg = tables
-        inv_of = field.inv_table
+    add, mul, neg, inv = field.add_table, field.mul_table, field.neg_table, field.inv_table
     pivots = []
     r = 0
     nrows = len(rows)
@@ -89,20 +85,13 @@ def _rref_rows(field: Field, rows: list[list[int]], ncols: int):
             rows[r], rows[pr] = rows[pr], rows[r]
         lead = rows[r][c]
         if lead != 1:
-            if tables is None:
-                inv = field.inv(lead)
-                rows[r] = [field.mul(inv, x) for x in rows[r]]
-            else:
-                rows[r] = list(map(mul[inv_of[lead]].__getitem__, rows[r]))
+            rows[r] = list(map(mul[inv[lead]].__getitem__, rows[r]))
         rr = rows[r]
         for i in range(nrows):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                if tables is None:
-                    rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rr)]
-                else:
-                    scaled = mul[neg[f]]  # y -> -f*y
-                    rows[i] = [add[x][scaled[y]] for x, y in zip(rows[i], rr)]
+                scaled = mul[neg[f]]  # y -> -f*y
+                rows[i] = [add[x][scaled[y]] for x, y in zip(rows[i], rr)]
         pivots.append(c)
         r += 1
         if r == nrows:

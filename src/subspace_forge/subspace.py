@@ -84,26 +84,21 @@ class Subspace:
         smallest member of v + S, hence the coset's canonical representative.
 
         Subtracting c times a basis row reads rows of the field's add, mul
-        and neg tables when the field has built them (every q <= 512);
-        otherwise it calls Field.sub and Field.mul, which never build them.
+        and neg tables.
         """
         f = self.field
         n = self.n
         r = list(map(int, v))
         if len(r) != n:
             raise ValueError("vector length mismatch")
-        tables = f.built_tables
+        add, mul, neg = f.add_table, f.mul_table, f.neg_table
         entries = self.basis.entries
         for row_idx, p in enumerate(self._pivots):
             c = r[p]
             if c:
                 brow = entries[row_idx * n : row_idx * n + n]
-                if tables is None:
-                    r = [f.sub(x, f.mul(c, b)) for x, b in zip(r, brow)]
-                else:
-                    add, mul, neg = tables
-                    scaled = mul[neg[c]]  # b -> -c*b
-                    r = [add[x][scaled[b]] for x, b in zip(r, brow)]
+                scaled = mul[neg[c]]  # b -> -c*b
+                r = [add[x][scaled[b]] for x, b in zip(r, brow)]
         return tuple(r)
 
     def contains(self, v) -> bool:

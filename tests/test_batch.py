@@ -192,11 +192,6 @@ def test_verify_batch_validates(code):
         verify_batch(code, 2, mode="bogus")
 
 
-def test_explicit_L_skips_recompute(four_line_family):
-    c = BatchCode(four_line_family, L_aad=1)
-    assert c.L_aad == 1 and c.N == 24
-
-
 def test_point_index_roundtrip(code):
     for idx in range(code.K):
         assert code.point_index(code.index_point(idx)) == idx

@@ -214,6 +214,32 @@ def test_family_field_over_guard_exits_4_promptly(capsys, tmp_path, argv):
     assert "q = 2^31" in err and str(1 << 20) in err
 
 
+def test_large_field_family_over_guard_exits_4_promptly(capsys, tmp_path):
+    # GF(2^16) would build 2^32-entry tables; the guard counts them first
+    fam = {
+        "field": {"p": 2, "m": 16, "modulus": [1, 0, 1, 1, 0, 1] + [0] * 10 + [1], "gamma": 2},
+        "n": 2,
+        "k": 1,
+        "members": [{"n": 2, "k": 1, "basis": v} for v in ([[1, 0]], [[0, 1]])],
+    }
+    path = tmp_path / "gf65536.json"
+    path.write_text(json.dumps(fam))
+    t0 = time.perf_counter()
+    code, _, err = run_cli(capsys, "verify", "--family", str(path), "--properties", "aad")
+    assert time.perf_counter() - t0 < 2
+    assert code == 4
+    assert "q = 2^16" in err and "1048576" in err
+
+
+def test_search_prime_order_over_guard_exits_4_promptly(capsys):
+    # 2^31 - 1 is prime: factoring it by trial division would take minutes
+    t0 = time.perf_counter()
+    code, _, err = run_cli(capsys, "search", "--n", "3", "--k", "1", "--L", "1", "--q", "2147483647")
+    assert time.perf_counter() - t0 < 2
+    assert code == 4
+    assert "q = 2147483647^1" in err and "size guard 1048576" in err
+
+
 def test_guard_env_limits_family_field(capsys, monkeypatch, tmp_path, four_line_family):
     path = tmp_path / "fam.json"
     path.write_text(json.dumps(four_line_family.to_json()))
@@ -362,13 +388,11 @@ def test_pretty_and_out_file(capsys, tmp_path):
     assert json.loads(text)["result"]["size_bound"] == 7
 
 
-def test_threads_flag_accepted(capsys):
-    code, out, _ = run_cli(
-        capsys, "bounds", "--n", "3", "--k", "1", "--L", "1", "--q", "2", "--threads", "4"
-    )
-    assert code == 0
-    # the flag is ignored, so it must not make manifests differ across machines
-    assert "threads" not in json.loads(out)["manifest"]["parameters"]
+def test_threads_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--n", "3", "--k", "1", "--L", "1", "--q", "2", "--threads", "4"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_round_trip_all_builders(capsys, tmp_path):

@@ -86,10 +86,10 @@ def test_make_field_rejects_bad_degree():
 
 def test_size_guard():
     with pytest.raises(SizeGuardError):
-        make_field(2, 21)  # 2^21 > 2^20
+        make_field(2, 11)  # (2^11)^2 table entries > 2^20
     # overridable
-    f = make_field(2, 21, size_guard=None)
-    assert f.q == 2**21
+    f = make_field(2, 11, size_guard=None)
+    assert f.q == 2**11
 
 
 def test_make_field_deterministic():
@@ -191,9 +191,8 @@ def test_pow_negative_exponent():
 
 
 def test_large_field_no_tables():
-    # above the table threshold arithmetic still works
+    # a prime field above the default guard, against integer arithmetic
     f = make_field(1021, size_guard=None)
-    assert f._mul is None
     assert f.mul(1000, 1000) == 1000 * 1000 % 1021
     assert f.mul(f.inv(937), 937) == 1
 
@@ -288,14 +287,14 @@ def test_neg_inv_rows_match_raw(q):
 
 
 def test_lazy_tables_above_table_max_q_match_raw():
+    # GF(729) rows against the raw routines
     f = field_from_order(729)
-    assert f._mul is None and f._add is None
     rows = [0, 1, f.gamma, 364, 728]
-    inv = f.inv_table  # built on demand, like the q x q tables
-    add, mul = f.add_table, f.mul_table
+    inv, add, mul = f.inv_table, f.add_table, f.mul_table
     for a in rows:
         assert add[a] == [f._add_raw(a, b) for b in range(729)]
         assert mul[a] == [f._mul_raw(a, b) for b in range(729)]
+    assert f.neg_table == [f._neg_raw(a) for a in range(729)]
     assert all(f._mul_raw(a, f.inv(a)) == 1 == f._mul_raw(a, inv[a]) for a in range(1, 729))
 
 
@@ -350,5 +349,14 @@ def test_field_512_build_budget():
     t0 = time.perf_counter()
     f = field_from_order(512)
     dt = time.perf_counter() - t0
-    assert f.q == 512 and f._mul is not None
+    assert f.q == 512
     assert dt < 1.0, f"field_from_order(512) took {dt:.2f}s"
+
+
+def test_field_1024_build_budget():
+    # the largest field the default guard admits: 2^20 table entries
+    t0 = time.perf_counter()
+    f = field_from_order(1024)
+    dt = time.perf_counter() - t0
+    assert f.q == 1024 and len(f.add_table) == len(f.mul_table[1023]) == 1024
+    assert dt < 1.0, f"field_from_order(1024) took {dt:.2f}s"

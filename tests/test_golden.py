@@ -200,6 +200,18 @@ RUNS = [
         ["search", "--mode", "greedy", "--n", "5", "--k", "1", "--L", "2", "--q", "3", "--seed", "1"],
         "2ae88728fef2d6d29731ac09d653c05ec4c10f2679890ca9e2b18218319fdbb1",
     ),
+    # GF(729): the digests were taken when fields above q = 512 ran on raw
+    # polynomial arithmetic, so they pin the table path to those bytes.
+    (
+        "construct-rs-3-1-729",
+        ["construct", "rs", "--n", "3", "--k", "1", "--q", "729"],
+        "fa1c685beee124d80d2f980df73795cdf6a8c7e3a3108f467ff706a8ebc678f7",
+    ),
+    (
+        "verify-rs-3-1-729-aad",
+        ["verify", "--family", "@construct-rs-3-1-729", "--properties", "aad"],
+        "e075c9227c907e1153290329b83c48247e555a584e03f14c8ff978ad3fca76a8",
+    ),
 ]
 
 
