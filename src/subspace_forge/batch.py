@@ -23,7 +23,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .family import Family, compute_L_aad
+from .family import Family, count_L_aad
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class BatchCode:
         self.q = f.q
         self.n = family.n
         self.k = family.k
-        self.L_aad, _ = compute_L_aad(family)
+        self.L_aad = count_L_aad(family)[0]
         self.K = self.q**self.n
         self.coset_size = self.q**self.k
         self.cosets_per_member = self.q ** (self.n - self.k)

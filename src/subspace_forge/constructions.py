@@ -24,7 +24,7 @@ from fractions import Fraction
 from .gf import Field
 from .matgf import MatrixGF, kernel_basis, rank
 from .subspace import Subspace
-from .family import Family, check_as_guard, compute_L_aad, compute_L_as
+from .family import Family, check_as_guard, compute_L_as, count_L_aad
 
 
 # -- bounds -------------------------------------------------------------
@@ -369,7 +369,7 @@ def build_random_family(
         fam = Family(field, n, k, tuple(kept))
         # for k = 1 the AS count stops at the first plane attaining
         # L_aad + 1, the witness of the full enumeration
-        L_aad = compute_L_aad(fam)[0] if k == 1 else None
+        L_aad = count_L_aad(fam)[0] if k == 1 else None
         L_as, V = compute_L_as(fam, enum_guard=as_enum_guard, L_aad=L_aad)
         if L_as <= L:
             achieved = True

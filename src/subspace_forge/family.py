@@ -21,15 +21,20 @@ as the combination of a basis whose first nonzero coefficient is 1, and
 keyed by its normalized form, the vector scaled to a leading 1.  The
 AAD count brings each residue basis to RREF first, so its combinations
 are already normalized and collections.Counter tallies them in C; only
-the member that names the witness is walked again point by point.
+the member that names the witness is walked again point by point, and
+count_L_aad, for callers that read only the value, walks none.  For
+k = 1 the quotient point of S_j over S_i is the plane S_i + S_j, and
+L_aad is the most family lines on one plane, minus one: the count visits
+each unordered pair i < j once, at its first member.
 
 The partial-spread check is the precondition of both verifiers.  Each
 finds a non-spread family in its own loop and raises NotAPartialSpread
-with a meeting pair.  The AAD count visits the ordered member pairs
-i-outer, j-inner and finds residues of rank below k at every pair that
-meets, so the first one it finds is the first meeting pair in member
-order, the pair check_partial_spread names; build_report therefore runs
-no pairwise scan on a report that runs the AAD count.  The AS count runs
+with a meeting pair.  The AAD count visits the member pairs i-outer,
+j-inner (for k >= 2 every ordered pair; distinct lines never meet) and
+finds residues of rank below k at every pair that meets, so the first
+one it finds is the first meeting pair in member order, the pair
+check_partial_spread names; build_report therefore runs no pairwise scan
+on a report that runs the AAD count.  The AS count runs
 check_partial_spread to name the pair, because a point with two owners is
 not always found at the first meeting pair.
 """
@@ -243,25 +248,41 @@ def _quotient_point_counts(fam: Family, add, mul):
         yield counts
 
 
-def _line_point_counts(fam: Family, add, mul, neg, inv):
-    """_quotient_point_counts for k = 1, in one batched pass over the lines.
+def _line_point_counts(lines, add, mul, neg, inv):
+    """The AAD count for k = 1 over a sequence of distinct lines, in one
+    batched pass: yields, for each line S_i in order, a Counter of the
+    quotient points over S_i of the later lines S_j, j > i.
+
+    Each unordered pair is counted once, at its earlier line, and the
+    value, witness member and attaining keys are those of the count over
+    all j != i.  Proof: line S_i's full count of the quotient point of
+    S_j is the number of family lines on the plane P = S_i + S_j other
+    than S_i, |F on P| - 1, the same from each line on P.  Counting only
+    j > i gives P its full count at its first line and less at every
+    later one.  So the largest count is the same, L, and line i reaches
+    it exactly at the maximal planes (those holding L + 1 lines) whose
+    first line is i.  Let i0 be the least first line of a maximal plane.
+    In the full count, line i reaches L exactly when it lies on a maximal
+    plane, and the least such line is i0.  Every maximal plane through i0
+    has its first line at or before i0, and no maximal plane has its
+    first line before i0, so at i0 both counts attain L at the same keys.
 
     Line S_i = <b> has pivot c and b[c] = 1, so the residue of line <x>
     is x - x[c]*b.  The pass works a coordinate column at a time over all
-    other lines at once: free coordinate t of the residues reads the add
+    later lines at once: free coordinate t of the residues reads the add
     table and the row of b[t] in the mul table at -x[c], and each residue
     is scaled to a leading 1 by the row of 1/lead in the mul table.
     Distinct lines never meet, so every residue has a lead.
     """
-    lines = [T.basis.entries for T in fam.members]
+    entries = [T.basis.entries for T in lines]
     # lists, not tuples: the per-member slices then raise peak RSS less
-    columns = [list(col) for col in zip(*lines)]
+    columns = [list(col) for col in zip(*entries)]
     getitem = operator.getitem
-    for i, (S, b) in enumerate(zip(fam.members, lines)):
-        others = [col[:i] + col[i + 1 :] for col in columns]
-        minus_a = list(map(neg.__getitem__, others[S.pivots[0]]))
+    for i, (S, b) in enumerate(zip(lines, entries)):
+        later = [col[i + 1 :] for col in columns]
+        minus_a = list(map(neg.__getitem__, later[S.pivots[0]]))
         residues = [
-            list(map(getitem, map(add.__getitem__, others[t]), map(mul[b[t]].__getitem__, minus_a)))
+            list(map(getitem, map(add.__getitem__, later[t]), map(mul[b[t]].__getitem__, minus_a)))
             for t in _free_columns(S)
         ]
         leads = map(next, map(filter, repeat(None), zip(*residues)))
@@ -280,7 +301,7 @@ def _free_columns(S: Subspace) -> list[int]:
 
 def _first_attaining_coset(fam: Family, i: int, attaining: set, add, mul, inv):
     """The witness (i, u) of compute_L_aad: walks S_i's residue
-    combinations in the raw order of the count (j in member order, then
+    combinations in raw order (every j != i in member order, then
     _leading_one_combinations of the unreduced residues) and returns the
     first combination u whose normalized point is in `attaining`, lifted
     to GF(q)^n with zeros in S_i's pivot columns."""
@@ -302,6 +323,33 @@ def _first_attaining_coset(fam: Family, i: int, attaining: set, add, mul, inv):
     raise AssertionError("no quotient point attains the member's maximum")
 
 
+def count_L_aad(fam: Family, upper_limit: int | None = None) -> tuple[int, int, set]:
+    """The AAD count of compute_L_aad without the witness walk: returns
+    (L, i, attaining), where S_i is the first member whose largest count
+    is L and `attaining` is the set of S_i's normalized quotient points
+    with that count.  A one-member family returns (0, 0, set()).
+
+    upper_limit, the visiting order and NotAPartialSpread are as in
+    compute_L_aad, whose value this is.
+    """
+    f = fam.field
+    add, mul = f.add_table, f.mul_table
+    if fam.k == 1:
+        per_member = _line_point_counts(fam.members, add, mul, f.neg_table, f.inv_table)
+    else:
+        per_member = _quotient_point_counts(fam, add, mul)
+    best, best_i, attaining = 0, 0, set()
+    for i, counts in enumerate(per_member):
+        # for k = 1 the last line has no later line to count
+        top = max(counts.values(), default=0)
+        if top > best:
+            best, best_i = top, i
+            attaining = {key for key, cnt in counts.items() if cnt == top}
+            if upper_limit is not None and best > upper_limit:
+                break
+    return best, best_i, attaining
+
+
 def compute_L_aad(
     fam: Family, upper_limit: int | None = None
 ) -> tuple[int, tuple[int, tuple[int, ...]]]:
@@ -315,47 +363,43 @@ def compute_L_aad(
     leading-1 combinations are the points' normalized forms, and a
     collections.Counter tallies them; for k = 1 one batched pass forms
     each line's residue from table rows, scales it to a leading 1 and
-    tallies the keys with one Counter per member.
+    tallies the keys with one Counter per member.  For k = 1 the point of
+    S_j over S_i is the plane S_i + S_j, whose count is the same from
+    each of its lines, so S_i counts only the later lines j > i, and each
+    unordered pair once (_line_point_counts proves that the value and
+    witness are unchanged).  count_L_aad is this count alone, for callers
+    that need no witness.
 
     The witness is the first member S_i, in member order, whose largest
-    count is the maximum.  Only that member is walked again, in the raw
-    order of the residue combinations, and u is the first combination
-    whose point has the maximal count: the point first inserted among
-    those that attain it, reached by the combination that first reached
-    it.  The walk costs about 1/m of the count.
+    count is the maximum.  Only that member is walked again, over every
+    S_j, j != i, in the raw order of the residue combinations, and u is
+    the first combination whose point has the maximal count: the point
+    first inserted among those that attain it, reached by the combination
+    that first reached it.  The walk costs about 1/m of the count.
 
     Residues of rank below k mean S_i meets S_j: raises
     NotAPartialSpread.  Pairs are visited i-outer, j-inner, and every pair
     that meets has dependent residues, so the first one found is the
-    first meeting pair (i, j), i < j, that check_partial_spread names.
-    Without upper_limit every ordered pair is visited, so a return certifies
-    that the family is a partial spread.  With upper_limit set, returns
-    after the first member whose largest count exceeds it, with that count
-    and its witness; the result is then only a lower bound (enough to
-    decide "L <= limit?"), which a family that is not a partial spread may
-    return before raising.  A count at or below the limit is returned only
-    after every pair has been visited.
+    first meeting pair (i, j), i < j, that check_partial_spread names
+    (distinct lines never meet, so for k = 1 nothing is raised).
+    Without upper_limit every pair is visited, so a return certifies that
+    the family is a partial spread.  With upper_limit set, returns after
+    the first member whose largest count exceeds it, with that count and
+    its witness; the result is then only a lower bound (enough to decide
+    "L <= limit?"), which a family that is not a partial spread may
+    return before raising.  For k = 1 the member counted first may stop
+    such a call at a different member, with a different witness, than a
+    count over all j != i would; the limit contract is the same.  A count
+    at or below the limit is returned only after every pair has been
+    visited.
     """
-    f = fam.field
     members = fam.members
     if len(members) <= 1:
         u = _lex_smallest_outside(members[0])
         return 0, (0, u)
-
-    add, mul, neg, inv = f.add_table, f.mul_table, f.neg_table, f.inv_table
-    if fam.k == 1:
-        per_member = _line_point_counts(fam, add, mul, neg, inv)
-    else:
-        per_member = _quotient_point_counts(fam, add, mul)
-    best = 0
-    for i, counts in enumerate(per_member):
-        top = max(counts.values())
-        if top > best:
-            best, best_i = top, i
-            attaining = {key for key, cnt in counts.items() if cnt == top}
-            if upper_limit is not None and best > upper_limit:
-                break
-    return best, _first_attaining_coset(fam, best_i, attaining, add, mul, inv)
+    best, best_i, attaining = count_L_aad(fam, upper_limit)
+    f = fam.field
+    return best, _first_attaining_coset(fam, best_i, attaining, f.add_table, f.mul_table, f.inv_table)
 
 
 def check_as_guard(n: int, k: int, q: int, enum_guard: int | None) -> None:

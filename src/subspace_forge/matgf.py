@@ -52,9 +52,6 @@ class MatrixGF:
     def row_list(self) -> list[tuple[int, ...]]:
         return [self.row(r) for r in range(self.rows)]
 
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
     def to_json(self) -> dict:
         return {"rows": self.rows, "cols": self.cols, "entries": list(self.entries)}
 

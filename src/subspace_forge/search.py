@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .gf import Field
-from .family import Family, NotAPartialSpread, compute_L_aad
+from .family import Family, NotAPartialSpread, _line_point_counts, count_L_aad
 from .constructions import max_family_size_bound
 from .subspace import Subspace, enumerate_subspaces, gaussian_binomial
 
@@ -80,13 +80,25 @@ class SearchResult:
 def _feasible(cfg: SearchConfig, chosen: list[Subspace], cand: Subspace) -> bool:
     """Can cand extend chosen while staying a valid <=L family?
 
-    The limited AAD count is the whole test: it raises NotAPartialSpread
-    at any meeting pair it reaches, and it returns a count at or below the
-    limit only after visiting every member pair.
+    Precondition, kept by both searches: chosen is itself a partial spread
+    with L_aad <= L, and cand is not one of its members.
+
+    For k = 1, L_aad is the most family lines on one plane, minus one, and
+    adding cand changes only the planes through cand.  So chosen + cand
+    is feasible exactly when no plane through cand holds more than L
+    lines of chosen: one tally of chosen modulo cand, the first line's
+    count when cand is placed first.  For k >= 2 the limited AAD count is
+    the whole test: it raises NotAPartialSpread at any meeting pair it
+    reaches, and it returns a count at or below the limit only after
+    visiting every member pair.
     """
+    if cfg.k == 1:
+        f = cfg.field
+        tally = _line_point_counts([cand, *chosen], f.add_table, f.mul_table, f.neg_table, f.inv_table)
+        return max(next(tally).values(), default=0) <= cfg.L
     fam = Family(cfg.field, cfg.n, cfg.k, tuple(chosen) + (cand,))
     try:
-        L, _ = compute_L_aad(fam, upper_limit=cfg.L)
+        L = count_L_aad(fam, upper_limit=cfg.L)[0]
     except NotAPartialSpread:
         return False
     return L <= cfg.L
@@ -145,6 +157,9 @@ def exhaustive_max_family(cfg: SearchConfig) -> SearchResult:
             dfs(chosen, 1)
     else:
         dfs([], 0)
+    # dfs holds itself, and through it the candidates, in its closure: a
+    # cycle that only a full collection frees unless the name is cleared
+    del dfs
 
     proven = bound_hit or not budget_hit
     fam = Family(cfg.field, cfg.n, cfg.k, tuple(best))

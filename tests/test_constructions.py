@@ -350,7 +350,7 @@ def test_random_family_over_guard_refuses_before_sampling(f3, monkeypatch):
         raise AssertionError("work done over the AS guard")
 
     monkeypatch.setattr(constructions, "_random_subspace", forbidden)
-    monkeypatch.setattr(constructions, "compute_L_aad", forbidden)
+    monkeypatch.setattr(constructions, "count_L_aad", forbidden)
     with pytest.raises(SizeGuardError):
         build_random_family(5, 1, 8, f3, seed=3, as_enum_guard=100)
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import operator
 import random
@@ -20,6 +21,7 @@ from subspace_forge.family import (
     compute_L_aad,
     compute_L_as,
     coset_hits,
+    count_L_aad,
     coset_hits_bruteforce,
     verify_size_bound,
 )
@@ -297,6 +299,60 @@ def test_L_aad_matches_reference_loop(fam):
             else:
                 assert cnt > limit
         return
+    assert compute_L_aad(fam) == expected
+    L = expected[0]
+    for limit in range(L + 2):
+        cnt, (i, u) = compute_L_aad(fam, upper_limit=limit)
+        assert (cnt > limit) == (L > limit)
+        assert coset_hits(fam, i, u) >= cnt
+
+
+@settings(max_examples=120, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.one_of(families(REFERENCE_GRID), families(REFERENCE_NON_SPREAD_GRID, spread=False)))
+def test_count_L_aad_is_the_value_of_compute_L_aad(fam):
+    # the count without the witness walk: the same value, witness member
+    # and NotAPartialSpread pair, with and without a limit
+    try:
+        L, (i, _) = compute_L_aad(fam)
+    except NotAPartialSpread as exc:
+        with pytest.raises(NotAPartialSpread) as got:
+            count_L_aad(fam)
+        assert got.value.pair == exc.pair
+        for limit in range(4):
+            try:
+                expected = compute_L_aad(fam, upper_limit=limit)[0]
+            except NotAPartialSpread as raised:
+                with pytest.raises(NotAPartialSpread) as got:
+                    count_L_aad(fam, upper_limit=limit)
+                assert got.value.pair == raised.pair
+            else:
+                assert count_L_aad(fam, upper_limit=limit)[0] == expected
+        return
+    assert count_L_aad(fam)[:2] == (L, i)
+    for limit in range(L + 2):
+        cnt, (i, _) = compute_L_aad(fam, upper_limit=limit)
+        assert count_L_aad(fam, upper_limit=limit)[:2] == (cnt, i)
+
+
+@functools.cache
+def _points(n, q):
+    return tuple(enumerate_subspaces(FIELDS[q], n, 1))
+
+
+# projective spaces with 15 to 91 points, for families of 10 to 40 of them
+DENSE_LINE_SPACES = [(4, 2), (3, 4), (3, 5), (4, 3), (3, 7), (3, 8), (3, 9)]
+
+
+@settings(max_examples=60, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.sampled_from(DENSE_LINE_SPACES), st.integers(10, 40), st.integers(0, 2**32 - 1))
+def test_L_aad_matches_reference_loop_on_dense_line_families(space, size, seed):
+    # Dense k = 1 families have many maximal planes, often with different
+    # first lines: the ties on which the count's one visit per unordered
+    # pair must keep the full count's witness.
+    points = _points(*space)
+    members = random.Random(seed).sample(points, min(size, len(points)))
+    fam = Family(FIELDS[space[1]], space[0], 1, tuple(members))
+    expected = _reference_L_aad(fam)
     assert compute_L_aad(fam) == expected
     L = expected[0]
     for limit in range(L + 2):

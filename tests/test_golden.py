@@ -212,6 +212,18 @@ RUNS = [
         ["verify", "--family", "@construct-rs-3-1-729", "--properties", "aad"],
         "e075c9227c907e1153290329b83c48247e555a584e03f14c8ff978ad3fca76a8",
     ),
+    # Exhaustive k = 1 searches: they pin the nodes, optimum and certificate
+    # of the search's test of a candidate against the planes through it.
+    (
+        "search-exhaustive-5-1-2-3",
+        ["search", "--n", "5", "--k", "1", "--L", "2", "--q", "3"],
+        "e78d217d2e8b572e6fa9a66bc4c7da06df6e0d0637da687a278369bbe637d885",
+    ),
+    (
+        "search-exhaustive-3-1-1-5",
+        ["search", "--n", "3", "--k", "1", "--L", "1", "--q", "5"],
+        "239479aa93db9065d6b011885b50a1dd72ba574d8b8c8a42dfd4bef1bf5f4458",
+    ),
 ]
 
 

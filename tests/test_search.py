@@ -1,11 +1,18 @@
+import functools
+import gc
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subspace_forge import family
-from subspace_forge.gf import make_field
-from subspace_forge.family import check_partial_spread, compute_L_aad
+from subspace_forge.gf import field_from_order, make_field
+from subspace_forge.family import Family, NotAPartialSpread, check_partial_spread, compute_L_aad
 from subspace_forge.constructions import max_family_size_bound
+from subspace_forge.subspace import Subspace, enumerate_subspaces
 from subspace_forge.search import (
     SearchConfig,
+    _feasible,
     exhaustive_max_family,
     greedy_max_family,
 )
@@ -121,3 +128,77 @@ def test_search_needs_no_spread_scan(f2, monkeypatch):
 
     monkeypatch.setattr(family, "check_partial_spread", scan)
     assert run() == expected
+
+
+def test_exhaustive_search_leaves_no_cyclic_garbage(f2):
+    # the candidate list dies with the call, not at the next full collection
+    gc.collect()
+    gc.disable()
+    try:
+        exhaustive_max_family(SearchConfig(f2, 5, 2, 1))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _limited_count_feasible(cfg, members):
+    """The old test of a candidate: the limited AAD count of the new family."""
+    fam = Family(cfg.field, cfg.n, cfg.k, tuple(members))
+    try:
+        return compute_L_aad(fam, upper_limit=cfg.L)[0] <= cfg.L
+    except NotAPartialSpread:
+        return False
+
+
+# (n, q) for k = 1, with the extension fields GF(4), GF(8) and GF(9)
+LINE_SEARCH_GRID = [(3, 2), (3, 3), (3, 4), (3, 5), (3, 8), (3, 9), (4, 2), (4, 3), (4, 4)]
+# (n, q) for k = 2, where a candidate may meet a chosen member
+PLANE_SEARCH_GRID = [(5, 2), (5, 3), (5, 4)]
+
+
+@functools.cache
+def _lines(n, q):
+    return tuple(enumerate_subspaces(field_from_order(q), n, 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(LINE_SEARCH_GRID), st.integers(1, 3), st.integers(0, 30), st.integers(0, 2**32 - 1))
+def test_k1_feasible_tests_the_planes_through_the_candidate(space, L, tries, seed):
+    # chosen is grown feasible by the old test, as both searches grow it;
+    # then every candidate outside it gets the same answer from both tests
+    n, q = space
+    cfg = SearchConfig(field_from_order(q), n, 1, L)
+    points = _lines(n, q)
+    order = random.Random(seed).sample(points, len(points))
+    chosen = []
+    for cand in order[:tries]:
+        if _limited_count_feasible(cfg, chosen + [cand]):
+            chosen.append(cand)
+    for cand in order[tries : tries + 12]:
+        assert _feasible(cfg, chosen, cand) == _limited_count_feasible(cfg, chosen + [cand])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PLANE_SEARCH_GRID), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_k2_feasible_is_the_limited_count(space, L, seed):
+    n, q = space
+    cfg = SearchConfig(field_from_order(q), n, 2, L, mode="greedy")
+    rng = random.Random(seed)
+
+    def draw():
+        while True:
+            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(2)]
+            if any(map(any, rows)):
+                S = Subspace.from_generators(cfg.field, n, rows)
+                if S.k == 2:
+                    return S
+
+    chosen = []
+    for _ in range(12):
+        cand = draw()
+        if any(cand.key() == S.key() for S in chosen):
+            continue
+        expected = _limited_count_feasible(cfg, chosen + [cand])
+        assert _feasible(cfg, chosen, cand) == expected
+        if expected:
+            chosen.append(cand)
