@@ -24,7 +24,6 @@ from .family import (
     compute_L_as,
     coset_hits,
     coset_hits_bruteforce,
-    verify_size_bound,
 )
 from .constructions import (
     BoundsTable,
@@ -66,7 +65,6 @@ __all__ = [
     "compute_L_aad",
     "compute_L_as",
     "check_relations",
-    "verify_size_bound",
     "build_report",
     "RSCodeSpec",
     "make_rs_code",

@@ -23,7 +23,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .family import Family, count_L_aad
+from .family import Family, _free_columns, count_L_aad
 
 
 @dataclass(frozen=True)
@@ -36,14 +36,6 @@ class RecoveryEntry:
 @dataclass(frozen=True)
 class RecoveryPlan:
     entries: tuple[RecoveryEntry, ...]
-
-    def pairwise_disjoint(self) -> bool:
-        used: set[int] = set()
-        for e in self.entries:
-            if used & e.positions:
-                return False
-            used |= e.positions
-        return True
 
 
 class BatchCode:
@@ -72,11 +64,7 @@ class BatchCode:
         # canonical reps of member a are the vectors vanishing on its
         # pivot columns; enumerating the free coordinates in lexicographic
         # order ranks the reps lexicographically.
-        self._free_cols = []
-        for S in family.members:
-            pivots = set(S.pivots)
-            free = [c for c in range(self.n) if c not in pivots]
-            self._free_cols.append(free)
+        self._free_cols = [_free_columns(S) for S in family.members]
 
         add = f.add_table
         place = [self.q ** (self.n - 1 - c) for c in range(self.n)]
@@ -103,19 +91,6 @@ class BatchCode:
                 points.extend(point[idx] for idx in coset)
             self._coset_of.append(coset_of)
             self._coset_points.append(points)
-
-    def point_index(self, v) -> int:
-        idx = 0
-        for x in v:
-            idx = idx * self.q + x
-        return idx
-
-    def index_point(self, idx: int) -> tuple[int, ...]:
-        digits = []
-        for _ in range(self.n):
-            digits.append(idx % self.q)
-            idx //= self.q
-        return tuple(reversed(digits))
 
     def parity_position(self, member: int, rep) -> int:
         rep = tuple(rep)

@@ -226,7 +226,7 @@ def _cmd_verify(args, field_guard: int, as_guard: int) -> dict:
     report = build_report(fam, props, as_enum_guard=as_guard)
     return {
         "family_size": len(fam),
-        "growth_log_q": float(growth_diagnostic(fam)) if len(fam) else None,
+        "growth_log_q": float(growth_diagnostic(fam)),
         "report": report.to_json(),
     }
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gf import Field
-from .matgf import MatrixGF, kernel_basis, rank
+from .matgf import MatrixGF, kernel_basis, rank, rref
 from .subspace import Subspace
 from .family import Family, check_as_guard, compute_L_as, count_L_aad
 
@@ -320,9 +320,9 @@ def _random_subspace(field: Field, n: int, k: int, rng: random.Random) -> Subspa
     q = field.q
     while True:
         entries = [rng.randrange(q) for _ in range(k * n)]
-        M = MatrixGF(field, k, n, tuple(entries))
-        if rank(M) == k:
-            return Subspace.from_generators(field, n, M.row_list())
+        R, rk, pivots = rref(MatrixGF(field, k, n, tuple(entries)))
+        if rk == k:
+            return Subspace._trusted(field, n, k, R, pivots)
 
 
 def build_random_family(

@@ -22,10 +22,11 @@ keyed by its normalized form, the vector scaled to a leading 1.  The
 AAD count brings each residue basis to RREF first, so its combinations
 are already normalized and collections.Counter tallies them in C; only
 the member that names the witness is walked again point by point, and
-count_L_aad, for callers that read only the value, walks none.  For
-k = 1 the quotient point of S_j over S_i is the plane S_i + S_j, and
-L_aad is the most family lines on one plane, minus one: the count visits
-each unordered pair i < j once, at its first member.
+count_L_aad, for callers that read only the value or decide
+"L <= limit?", walks none.  For k = 1 the quotient point of S_j over S_i
+is the plane S_i + S_j, and L_aad is the most family lines on one plane,
+minus one: the count visits each unordered pair i < j once, at its first
+member.
 
 The partial-spread check is the precondition of both verifiers.  Each
 finds a non-spread family in its own loop and raises NotAPartialSpread
@@ -329,8 +330,17 @@ def count_L_aad(fam: Family, upper_limit: int | None = None) -> tuple[int, int, 
     is L and `attaining` is the set of S_i's normalized quotient points
     with that count.  A one-member family returns (0, 0, set()).
 
-    upper_limit, the visiting order and NotAPartialSpread are as in
-    compute_L_aad, whose value this is.
+    Pairs are visited i-outer, j-inner, and NotAPartialSpread names the
+    first meeting pair, as in compute_L_aad.  Without upper_limit every
+    pair is visited, so a return certifies that the family is a partial
+    spread.  With upper_limit set, returns after the first member whose
+    largest count exceeds it; the count is then only a lower bound
+    (enough to decide "L <= limit?"), which a family that is not a
+    partial spread may return before raising.  For k = 1 the member
+    counted first may stop such a call at a different member than a
+    count over all j != i would.  A count at or below the limit is
+    returned only after every pair has been visited, and is the exact
+    (L, i, attaining).
     """
     f = fam.field
     add, mul = f.add_table, f.mul_table
@@ -350,9 +360,7 @@ def count_L_aad(fam: Family, upper_limit: int | None = None) -> tuple[int, int, 
     return best, best_i, attaining
 
 
-def compute_L_aad(
-    fam: Family, upper_limit: int | None = None
-) -> tuple[int, tuple[int, tuple[int, ...]]]:
+def compute_L_aad(fam: Family) -> tuple[int, tuple[int, tuple[int, ...]]]:
     """Exact AAD parameter with an attaining witness (member index, u).
 
     For each member S_i, the coset u + S_i meets S_j exactly when the
@@ -368,7 +376,7 @@ def compute_L_aad(
     each of its lines, so S_i counts only the later lines j > i, and each
     unordered pair once (_line_point_counts proves that the value and
     witness are unchanged).  count_L_aad is this count alone, for callers
-    that need no witness.
+    that need no witness or only decide "L <= limit?".
 
     The witness is the first member S_i, in member order, whose largest
     count is the maximum.  Only that member is walked again, over every
@@ -381,23 +389,15 @@ def compute_L_aad(
     NotAPartialSpread.  Pairs are visited i-outer, j-inner, and every pair
     that meets has dependent residues, so the first one found is the
     first meeting pair (i, j), i < j, that check_partial_spread names
-    (distinct lines never meet, so for k = 1 nothing is raised).
-    Without upper_limit every pair is visited, so a return certifies that
-    the family is a partial spread.  With upper_limit set, returns after
-    the first member whose largest count exceeds it, with that count and
-    its witness; the result is then only a lower bound (enough to decide
-    "L <= limit?"), which a family that is not a partial spread may
-    return before raising.  For k = 1 the member counted first may stop
-    such a call at a different member, with a different witness, than a
-    count over all j != i would; the limit contract is the same.  A count
-    at or below the limit is returned only after every pair has been
-    visited.
+    (distinct lines never meet, so for k = 1 nothing is raised).  Every
+    pair is visited, so a return certifies that the family is a partial
+    spread.
     """
     members = fam.members
     if len(members) <= 1:
         u = _lex_smallest_outside(members[0])
         return 0, (0, u)
-    best, best_i, attaining = count_L_aad(fam, upper_limit)
+    best, best_i, attaining = count_L_aad(fam)
     f = fam.field
     return best, _first_attaining_coset(fam, best_i, attaining, f.add_table, f.mul_table, f.inv_table)
 
@@ -456,13 +456,6 @@ def compute_L_as(
                 break
     assert best_V is not None
     return best, best_V
-
-
-def verify_size_bound(fam: Family, L: int) -> bool:
-    """Size-vs-L compliance: |F| <= floor(1 + L (q^{n-k}-1)/(q^k-1))."""
-    from .constructions import max_family_size_bound
-
-    return len(fam) <= max_family_size_bound(fam.n, fam.k, L, fam.field.q)
 
 
 def check_relations(fam: Family, report: VerificationReport) -> tuple[bool, list[str]]:

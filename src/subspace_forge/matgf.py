@@ -36,10 +36,6 @@ class MatrixGF:
         return cls(field, len(rows), ncols, tuple(x for r in rows for x in r))
 
     @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "MatrixGF":
-        return cls(field, rows, cols, (0,) * (rows * cols))
-
-    @classmethod
     def identity(cls, field: Field, n: int) -> "MatrixGF":
         return cls(field, n, n, tuple(1 if r == c else 0 for r in range(n) for c in range(n)))
 
@@ -139,14 +135,6 @@ def kernel_basis(M: MatrixGF) -> MatrixGF:
     return MatrixGF(field, len(gens), M.cols, tuple(x for r in gens for x in r))
 
 
-def stack(A: MatrixGF, B: MatrixGF) -> MatrixGF:
-    if A.field != B.field:
-        raise ValueError("field mismatch")
-    if A.cols != B.cols:
-        raise ValueError("column count mismatch")
-    return MatrixGF(A.field, A.rows + B.rows, A.cols, A.entries + B.entries)
-
-
 def rank_of_stack(A: MatrixGF, B: MatrixGF) -> int:
     """Rank of the vertical concatenation of A and B."""
     if A.field != B.field:
@@ -157,20 +145,3 @@ def rank_of_stack(A: MatrixGF, B: MatrixGF) -> int:
     rows += [list(B.row(r)) for r in range(B.rows)]
     r, _ = _rref_rows(A.field, rows, A.cols)
     return r
-
-
-def mat_vec(M: MatrixGF, v) -> tuple[int, ...]:
-    """M v^T as a tuple of length rows(M)."""
-    field = M.field
-    v = tuple(v)
-    if len(v) != M.cols:
-        raise ValueError("vector length mismatch")
-    out = []
-    for r in range(M.rows):
-        acc = 0
-        row = M.row(r)
-        for x, y in zip(row, v):
-            if x and y:
-                acc = field.add(acc, field.mul(x, y))
-        out.append(acc)
-    return tuple(out)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .gf import Field
+from .gf import Field, SizeGuardError
 from .family import Family, NotAPartialSpread, _line_point_counts, count_L_aad
 from .constructions import max_family_size_bound
 from .subspace import Subspace, enumerate_subspaces, gaussian_binomial
@@ -45,7 +45,7 @@ class SearchConfig:
         if self.mode == "exhaustive":
             total = gaussian_binomial(self.n, self.k, self.field.q)
             if total > EXHAUSTIVE_SPACE_LIMIT:
-                raise ValueError(
+                raise SizeGuardError(
                     f"exhaustive mode needs the k-subspace count <= {EXHAUSTIVE_SPACE_LIMIT}, got {total}"
                 )
 
@@ -58,7 +58,6 @@ class SearchResult:
     nodes: int
     bound: int
     config: SearchConfig
-    provenance: str = "exhaustive search ground truth (artifact-generated)"
 
     def to_json(self) -> dict:
         return {
@@ -72,7 +71,7 @@ class SearchResult:
             "proven": self.optimality_proven,
             "nodes": self.nodes,
             "symmetry_break": self.config.symmetry_break,
-            "provenance": self.provenance,
+            "provenance": "exhaustive search ground truth (artifact-generated)",
             "family": self.family.to_json(),
         }
 
@@ -143,18 +142,12 @@ def exhaustive_max_family(cfg: SearchConfig) -> SearchResult:
                 if budget_hit or bound_hit:
                     return
 
-    if cfg.symmetry_break and candidates:
+    if cfg.symmetry_break:
         # Invertible maps act transitively on k-subspaces and preserve
         # every family property, so some maximum family contains the
         # canonically smallest subspace.
         nodes += 1
-        chosen = [candidates[0]]
-        if len(chosen) > len(best):
-            best = chosen[:]
-        if len(best) >= bound:
-            bound_hit = True
-        else:
-            dfs(chosen, 1)
+        dfs([candidates[0]], 1)
     else:
         dfs([], 0)
     # dfs holds itself, and through it the candidates, in its closure: a

@@ -68,11 +68,11 @@ class Subspace:
         if any(len(v) != n for v in vectors):
             raise ValueError("generator length does not match ambient dimension")
         M = MatrixGF.from_rows(field, vectors)
-        R, rk, _ = rref(M)
+        R, rk, pivots = rref(M)
         if rk == 0:
             raise ValueError("generators span only the zero space")
         basis = MatrixGF(field, rk, n, R.entries[: rk * n])
-        return cls(field, n, rk, basis)
+        return cls._trusted(field, n, rk, basis, pivots)
 
     @property
     def pivots(self) -> tuple[int, ...]:

@@ -240,6 +240,13 @@ def test_search_prime_order_over_guard_exits_4_promptly(capsys):
     assert "q = 2147483647^1" in err and "size guard 1048576" in err
 
 
+def test_exhaustive_search_over_space_limit_exits_4(capsys):
+    # GF(3)^6 has 11011 planes, over the exhaustive candidate limit
+    code, out, err = run_cli(capsys, "search", "--n", "6", "--k", "2", "--L", "1", "--q", "3")
+    assert code == 4 and out == ""
+    assert "11011" in err and "10000" in err
+
+
 def test_guard_env_limits_family_field(capsys, monkeypatch, tmp_path, four_line_family):
     path = tmp_path / "fam.json"
     path.write_text(json.dumps(four_line_family.to_json()))

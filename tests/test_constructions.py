@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from subspace_forge.gf import SizeGuardError, field_from_order, make_field
-from subspace_forge.matgf import MatrixGF, mat_vec
+from subspace_forge.matgf import MatrixGF
 from subspace_forge.subspace import Subspace, enumerate_subspaces
 from subspace_forge.family import Family, check_partial_spread, compute_L_aad, compute_L_as
 from subspace_forge.constructions import (
@@ -23,6 +23,7 @@ from subspace_forge.constructions import (
     rs_guaranteed_L,
     vandermonde_matrix,
 )
+from test_matgf import mat_vec
 
 
 # ---------------------------------------------------------------------------

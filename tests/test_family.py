@@ -23,7 +23,6 @@ from subspace_forge.family import (
     coset_hits,
     count_L_aad,
     coset_hits_bruteforce,
-    verify_size_bound,
 )
 
 
@@ -293,7 +292,7 @@ def test_L_aad_matches_reference_loop(fam):
         # a limited count raises at that pair or stops above the limit
         for limit in range(4):
             try:
-                cnt, _ = compute_L_aad(fam, upper_limit=limit)
+                cnt = count_L_aad(fam, upper_limit=limit)[0]
             except NotAPartialSpread as raised:
                 assert raised.pair == exc.pair
             else:
@@ -302,16 +301,16 @@ def test_L_aad_matches_reference_loop(fam):
     assert compute_L_aad(fam) == expected
     L = expected[0]
     for limit in range(L + 2):
-        cnt, (i, u) = compute_L_aad(fam, upper_limit=limit)
+        cnt = count_L_aad(fam, upper_limit=limit)[0]
         assert (cnt > limit) == (L > limit)
-        assert coset_hits(fam, i, u) >= cnt
 
 
 @settings(max_examples=120, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(st.one_of(families(REFERENCE_GRID), families(REFERENCE_NON_SPREAD_GRID, spread=False)))
 def test_count_L_aad_is_the_value_of_compute_L_aad(fam):
     # the count without the witness walk: the same value, witness member
-    # and NotAPartialSpread pair, with and without a limit
+    # and NotAPartialSpread pair; with a limit, the exact value and member
+    # at or below it, a lower bound above it
     try:
         L, (i, _) = compute_L_aad(fam)
     except NotAPartialSpread as exc:
@@ -320,18 +319,19 @@ def test_count_L_aad_is_the_value_of_compute_L_aad(fam):
         assert got.value.pair == exc.pair
         for limit in range(4):
             try:
-                expected = compute_L_aad(fam, upper_limit=limit)[0]
+                cnt = count_L_aad(fam, upper_limit=limit)[0]
             except NotAPartialSpread as raised:
-                with pytest.raises(NotAPartialSpread) as got:
-                    count_L_aad(fam, upper_limit=limit)
-                assert got.value.pair == raised.pair
+                assert raised.pair == exc.pair
             else:
-                assert count_L_aad(fam, upper_limit=limit)[0] == expected
+                assert cnt > limit
         return
     assert count_L_aad(fam)[:2] == (L, i)
     for limit in range(L + 2):
-        cnt, (i, _) = compute_L_aad(fam, upper_limit=limit)
-        assert count_L_aad(fam, upper_limit=limit)[:2] == (cnt, i)
+        cnt, j, _ = count_L_aad(fam, upper_limit=limit)
+        if L <= limit:
+            assert (cnt, j) == (L, i)
+        else:
+            assert limit < cnt <= L
 
 
 @functools.cache
@@ -356,9 +356,8 @@ def test_L_aad_matches_reference_loop_on_dense_line_families(space, size, seed):
     assert compute_L_aad(fam) == expected
     L = expected[0]
     for limit in range(L + 2):
-        cnt, (i, u) = compute_L_aad(fam, upper_limit=limit)
+        cnt = count_L_aad(fam, upper_limit=limit)[0]
         assert (cnt > limit) == (L > limit)
-        assert coset_hits(fam, i, u) >= cnt
 
 
 def test_L_aad_four_line_family(four_line_family):
@@ -417,9 +416,8 @@ def test_L_aad_differential(fam):
     assert coset_hits(fam, i, u) == L
     # an early stop reports a count above the limit exactly when L is
     for limit in range(L + 2):
-        cnt, (i, u) = compute_L_aad(fam, upper_limit=limit)
+        cnt = count_L_aad(fam, upper_limit=limit)[0]
         assert (cnt > limit) == (L > limit)
-        assert coset_hits(fam, i, u) >= cnt
 
 
 @DIFFERENTIAL
@@ -511,7 +509,7 @@ def test_verifiers_detect_non_spread(fam):
     # with a count above the limit
     for limit in range(4):
         try:
-            cnt, _ = compute_L_aad(fam, upper_limit=limit)
+            cnt = count_L_aad(fam, upper_limit=limit)[0]
         except ValueError as exc:
             assert not ok and str(exc) == message
         else:
@@ -611,12 +609,6 @@ def test_relations_flag_violations(four_line_family):
 def test_relations_require_both_values(four_line_family):
     with pytest.raises(ValueError):
         check_relations(four_line_family, VerificationReport(L_aad=1))
-
-
-def test_verify_size_bound(four_line_family):
-    # bound at (3,1,L=1,q=2) is 4 and the family attains it
-    assert verify_size_bound(four_line_family, 1)
-    assert not verify_size_bound(four_line_family, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subspace_forge import family
-from subspace_forge.gf import field_from_order, make_field
-from subspace_forge.family import Family, NotAPartialSpread, check_partial_spread, compute_L_aad
+from subspace_forge.gf import SizeGuardError, field_from_order, make_field
+from subspace_forge.family import Family, NotAPartialSpread, check_partial_spread, compute_L_aad, count_L_aad
 from subspace_forge.constructions import max_family_size_bound
 from subspace_forge.subspace import Subspace, enumerate_subspaces
 from subspace_forge.search import (
@@ -71,7 +71,7 @@ def test_budget_exhaustion_returns_incumbent(f3):
 
 def test_exhaustive_space_limit():
     f25 = make_field(5, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(SizeGuardError):
         SearchConfig(f25, 4, 1, 1)  # 16276 lines > 10^4
 
 
@@ -145,7 +145,7 @@ def _limited_count_feasible(cfg, members):
     """The old test of a candidate: the limited AAD count of the new family."""
     fam = Family(cfg.field, cfg.n, cfg.k, tuple(members))
     try:
-        return compute_L_aad(fam, upper_limit=cfg.L)[0] <= cfg.L
+        return count_L_aad(fam, upper_limit=cfg.L)[0] <= cfg.L
     except NotAPartialSpread:
         return False
 

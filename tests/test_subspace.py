@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subspace_forge import constructions
 from subspace_forge.gf import field_from_order, make_field
-from subspace_forge.matgf import MatrixGF, kernel_basis, rank_of_stack, stack
+from subspace_forge.matgf import MatrixGF, kernel_basis, rank_of_stack
 from subspace_forge.subspace import Subspace, all_vectors, enumerate_subspaces, gaussian_binomial
 
 
@@ -98,7 +99,7 @@ def test_trivially_intersects_matches_kernel_route():
         if KA.rows == 0 and KB.rows == 0:
             dim_int = n
         else:
-            dim_int = kernel_basis(stack(KA, KB)).rows
+            dim_int = kernel_basis(MatrixGF.from_rows(field, KA.row_list() + KB.row_list())).rows
         assert A.trivially_intersects(B) == (dim_int == 0)
 
 
@@ -180,17 +181,27 @@ def test_enumerate_counts_match_gaussian_binomial():
     "n, k, q", [(3, 1, 2), (5, 1, 3), (4, 2, 2), (5, 2, 2), (4, 2, 3), (3, 2, 5), (4, 3, 4), (5, 3, 2)]
 )
 def test_enumerated_subspaces_equal_checked_construction(n, k, q):
-    # the enumerator skips the rref check; the checked constructor must
-    # accept each basis and agree on every attribute, pivots included
+    # the enumerator, from_generators and the random builder's sampler skip
+    # the rref check; the checked constructor must accept each basis and
+    # agree on every attribute, pivots included
     field = field_from_order(q)
-    count = 0
-    for S in enumerate_subspaces(field, n, k):
-        checked = Subspace(field, n, k, S.basis)
+    enumerated = list(enumerate_subspaces(field, n, k))
+    assert len(enumerated) == gaussian_binomial(n, k, q)
+    rng = random.Random(100 * n + 10 * k + q)
+    generated = []
+    while len(generated) < 30:
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+        c = rng.randrange(q)
+        # a dependent generator c*rows[0] + rows[-1] and a repeated one
+        dependent = [field.add(field.mul(c, x), y) for x, y in zip(rows[0], rows[-1])]
+        if any(map(any, rows)):
+            generated.append(Subspace.from_generators(field, n, rows + [dependent, rows[0]]))
+    sampled = [constructions._random_subspace(field, n, k, rng) for _ in range(30)]
+    for S in enumerated + generated + sampled:
+        checked = Subspace(S.field, S.n, S.k, S.basis)
         assert S == checked and hash(S) == hash(checked)
         assert S.pivots == checked.pivots
         assert vars(S) == vars(checked)
-        count += 1
-    assert count == gaussian_binomial(n, k, q)
 
 
 def test_enumerate_rejects_bad_k(f2):
