@@ -42,7 +42,7 @@ from .constructions import (
     vandermonde_matrix,
 )
 from .batch import BatchCode, batch_s, verify_batch
-from .search import SearchConfig, exhaustive_max_family, greedy_max_family
+from .search import DEFAULT_NODE_BUDGET, SearchConfig, exhaustive_max_family, greedy_max_family
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
@@ -239,10 +239,9 @@ def _cmd_search(args, field_guard: int, enum_guard: int) -> dict:
         args.k,
         args.L,
         mode=args.mode,
+        node_budget=DEFAULT_NODE_BUDGET if args.node_budget is None else args.node_budget,
         symmetry_break=not args.no_symmetry_break,
     )
-    if args.node_budget is not None:
-        cfg.node_budget = args.node_budget
     if args.mode == "greedy":
         # greedy search holds every k-subspace in memory
         total = gaussian_binomial(args.n, args.k, field.q)

@@ -22,11 +22,10 @@ keyed by its normalized form, the vector scaled to a leading 1.  The
 AAD count brings each residue basis to RREF first, so its combinations
 are already normalized and collections.Counter tallies them in C; only
 the member that names the witness is walked again point by point, and
-count_L_aad, for callers that read only the value or decide
-"L <= limit?", walks none.  For k = 1 the quotient point of S_j over S_i
-is the plane S_i + S_j, and L_aad is the most family lines on one plane,
-minus one: the count visits each unordered pair i < j once, at its first
-member.
+count_L_aad, for callers that read only the value, walks none.  For
+k = 1 the quotient point of S_j over S_i is the plane S_i + S_j, and
+L_aad is the most family lines on one plane, minus one: the count
+visits each unordered pair i < j once, at its first member.
 
 The partial-spread check is the precondition of both verifiers.  Each
 finds a non-spread family in its own loop and raises NotAPartialSpread
@@ -222,7 +221,7 @@ def _not_a_spread(fam: Family) -> NotAPartialSpread:
     return NotAPartialSpread(check_partial_spread(fam)[1])
 
 
-def _quotient_point_counts(fam: Family, add, mul):
+def _quotient_point_counts(fam: Family):
     """Yield, for each member S_i in order, a Counter of the quotient points
     over S_i keyed by their normalized forms (coordinates in S_i's free
     columns): the count of a point is the number of members S_j, j != i,
@@ -233,7 +232,6 @@ def _quotient_point_counts(fam: Family, add, mul):
     Counter.update tallies them in C.  Rank below k means S_i meets S_j:
     raises NotAPartialSpread((i, j)) at the first such j of S_i.
     """
-    f, n, k = fam.field, fam.n, fam.k
     member_rows = [T.basis.row_list() for T in fam.members]
     for i, S in enumerate(fam.members):
         project = operator.itemgetter(*_free_columns(S))
@@ -241,12 +239,29 @@ def _quotient_point_counts(fam: Family, add, mul):
         for j, rows in enumerate(member_rows):
             if j == i:
                 continue
-            residues = [list(project(w)) for w in map(S.reduce, rows)]
-            if _rref_rows(f, residues, n - k)[0] < k:
+            points = _quotient_points(S, project, rows)
+            if points is None:
                 raise NotAPartialSpread((i, j))
-            # tuples: the last row is yielded as it is, and keys must hash
-            counts.update(_leading_one_combinations(list(map(tuple, residues)), add, mul))
+            counts.update(points)
         yield counts
+
+
+def _quotient_points(S: Subspace, project, rows):
+    """The normalized quotient points over S of the span of `rows`, the
+    basis of a subspace T of S's dimension, or None when S meets T.
+
+    `project` is an itemgetter of S's free columns.  The residues of
+    `rows` modulo S, projected to those columns, are brought to RREF, so
+    their leading-1 combinations are already the points' normalized
+    forms; they are yielded lazily.  Rank below len(rows) means S meets
+    T.  The AAD count and the k >= 2 search both tally these points.
+    """
+    f = S.field
+    residues = [list(project(w)) for w in map(S.reduce, rows)]
+    if _rref_rows(f, residues, S.n - S.k)[0] < len(rows):
+        return None
+    # tuples: the last row is yielded as it is, and keys must hash
+    return _leading_one_combinations(list(map(tuple, residues)), f.add_table, f.mul_table)
 
 
 def _line_point_counts(lines, add, mul, neg, inv):
@@ -324,30 +339,22 @@ def _first_attaining_coset(fam: Family, i: int, attaining: set, add, mul, inv):
     raise AssertionError("no quotient point attains the member's maximum")
 
 
-def count_L_aad(fam: Family, upper_limit: int | None = None) -> tuple[int, int, set]:
+def count_L_aad(fam: Family) -> tuple[int, int, set]:
     """The AAD count of compute_L_aad without the witness walk: returns
     (L, i, attaining), where S_i is the first member whose largest count
     is L and `attaining` is the set of S_i's normalized quotient points
     with that count.  A one-member family returns (0, 0, set()).
 
     Pairs are visited i-outer, j-inner, and NotAPartialSpread names the
-    first meeting pair, as in compute_L_aad.  Without upper_limit every
-    pair is visited, so a return certifies that the family is a partial
-    spread.  With upper_limit set, returns after the first member whose
-    largest count exceeds it; the count is then only a lower bound
-    (enough to decide "L <= limit?"), which a family that is not a
-    partial spread may return before raising.  For k = 1 the member
-    counted first may stop such a call at a different member than a
-    count over all j != i would.  A count at or below the limit is
-    returned only after every pair has been visited, and is the exact
-    (L, i, attaining).
+    first meeting pair, as in compute_L_aad.  Every pair is visited, so a
+    return certifies that the family is a partial spread.
     """
     f = fam.field
     add, mul = f.add_table, f.mul_table
     if fam.k == 1:
         per_member = _line_point_counts(fam.members, add, mul, f.neg_table, f.inv_table)
     else:
-        per_member = _quotient_point_counts(fam, add, mul)
+        per_member = _quotient_point_counts(fam)
     best, best_i, attaining = 0, 0, set()
     for i, counts in enumerate(per_member):
         # for k = 1 the last line has no later line to count
@@ -355,8 +362,6 @@ def count_L_aad(fam: Family, upper_limit: int | None = None) -> tuple[int, int, 
         if top > best:
             best, best_i = top, i
             attaining = {key for key, cnt in counts.items() if cnt == top}
-            if upper_limit is not None and best > upper_limit:
-                break
     return best, best_i, attaining
 
 
@@ -376,7 +381,7 @@ def compute_L_aad(fam: Family) -> tuple[int, tuple[int, tuple[int, ...]]]:
     each of its lines, so S_i counts only the later lines j > i, and each
     unordered pair once (_line_point_counts proves that the value and
     witness are unchanged).  count_L_aad is this count alone, for callers
-    that need no witness or only decide "L <= limit?".
+    that need no witness.
 
     The witness is the first member S_i, in member order, whose largest
     count is the maximum.  Only that member is walked again, over every

@@ -7,17 +7,24 @@ that cannot beat the incumbent are cut, and the closed-form size bound
 ends the search early when attained.  Optimality is certified when the
 search completes within the node budget (or hits the bound).
 
+Both searches test each candidate once, with _feasible, on the pairs it
+adds only: for k = 1 one tally of the chosen lines modulo the
+candidate, for k >= 2 the per-member tallies that _Chosen keeps.
+
 All searched maximum sizes are artifact-generated ground truth for
 their tiny parameters, not values from the literature.
 """
 
 from __future__ import annotations
 
+import operator
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 from .gf import Field, SizeGuardError
-from .family import Family, NotAPartialSpread, _line_point_counts, count_L_aad
+from .family import Family, _free_columns, _line_point_counts, _quotient_points
 from .constructions import max_family_size_bound
 from .subspace import Subspace, enumerate_subspaces, gaussian_binomial
 
@@ -42,6 +49,8 @@ class SearchConfig:
             raise ValueError(f"need 2k < n, got k={self.k}, n={self.n}")
         if self.L < 0:
             raise ValueError("L must be >= 0")
+        if self.node_budget < 1:
+            raise ValueError(f"node budget must be >= 1, got {self.node_budget}")
         if self.mode == "exhaustive":
             total = gaussian_binomial(self.n, self.k, self.field.q)
             if total > EXHAUSTIVE_SPACE_LIMIT:
@@ -76,31 +85,84 @@ class SearchResult:
         }
 
 
-def _feasible(cfg: SearchConfig, chosen: list[Subspace], cand: Subspace) -> bool:
-    """Can cand extend chosen while staying a valid <=L family?
+class _Chosen:
+    """The members a search has chosen, in order, with the counts that
+    test a candidate against them.
 
-    Precondition, kept by both searches: chosen is itself a partial spread
-    with L_aad <= L, and cand is not one of its members.
+    For k >= 2, `tallies` holds one (rows, project, counts) per member
+    S_i: its basis rows, an itemgetter of its free columns, and a Counter
+    of its normalized quotient points, the count of a point being the
+    number of other chosen members whose span over S_i holds it, as in
+    family._quotient_point_counts.  The chosen family's L_aad is the
+    largest count.  push adds a member's points to every tally and gives
+    it its own; pop undoes the last push, removing points whose count
+    falls to 0.  For k = 1 only the members are kept.
+    """
+
+    def __init__(self, cfg: SearchConfig):
+        self.cfg = cfg
+        self.members: list[Subspace] = []
+        self.tallies: list[tuple[list, operator.itemgetter, Counter]] = []
+
+    def own_tally(self, cand: Subspace, project) -> Counter:
+        """cand's tally over the chosen members; they must not meet cand."""
+        own = Counter()
+        for rows, _, _ in self.tallies:
+            own.update(_quotient_points(cand, project, rows))
+        return own
+
+    def push(self, cand: Subspace) -> None:
+        if self.cfg.k >= 2:
+            rows = cand.basis.row_list()
+            project = operator.itemgetter(*_free_columns(cand))
+            for S, (_, S_project, counts) in zip(self.members, self.tallies):
+                counts.update(_quotient_points(S, S_project, rows))
+            self.tallies.append((rows, project, self.own_tally(cand, project)))
+        self.members.append(cand)
+
+    def pop(self) -> None:
+        cand = self.members.pop()
+        if self.cfg.k >= 2:
+            self.tallies.pop()
+            rows = cand.basis.row_list()
+            for S, (_, project, counts) in zip(self.members, self.tallies):
+                for pt in _quotient_points(S, project, rows):
+                    counts[pt] -= 1
+                    if not counts[pt]:
+                        del counts[pt]
+
+
+def _feasible(chosen: _Chosen, cand: Subspace) -> bool:
+    """Can cand extend the chosen members while staying a valid <=L family?
+
+    Precondition, kept by both searches: the chosen members are a partial
+    spread with L_aad <= L, and cand is not one of them.
 
     For k = 1, L_aad is the most family lines on one plane, minus one, and
     adding cand changes only the planes through cand.  So chosen + cand
     is feasible exactly when no plane through cand holds more than L
     lines of chosen: one tally of chosen modulo cand, the first line's
-    count when cand is placed first.  For k >= 2 the limited AAD count is
-    the whole test: it raises NotAPartialSpread at any meeting pair it
-    reaches, and it returns a count at or below the limit only after
-    visiting every member pair.
+    count when cand is placed first.
+
+    For k >= 2 adding cand raises by one the count of each point of
+    (S_i + cand)/S_i in S_i's tally, and gives cand a tally of its own.
+    So chosen + cand is feasible exactly when cand meets no S_i (its
+    residues modulo S_i have rank k), no point of (S_i + cand)/S_i
+    already has count L, and no point over cand is covered by more than
+    L chosen members: O(m) RREFs of k rows, and no Family is built.
     """
+    cfg = chosen.cfg
     if cfg.k == 1:
         f = cfg.field
-        tally = _line_point_counts([cand, *chosen], f.add_table, f.mul_table, f.neg_table, f.inv_table)
+        tally = _line_point_counts([cand, *chosen.members], f.add_table, f.mul_table, f.neg_table, f.inv_table)
         return max(next(tally).values(), default=0) <= cfg.L
-    fam = Family(cfg.field, cfg.n, cfg.k, tuple(chosen) + (cand,))
-    try:
-        L = count_L_aad(fam, upper_limit=cfg.L)[0]
-    except NotAPartialSpread:
-        return False
-    return L <= cfg.L
+    rows = cand.basis.row_list()
+    for S, (_, project, counts) in zip(chosen.members, chosen.tallies):
+        points = _quotient_points(S, project, rows)
+        if points is None or max(map(counts.get, points, repeat(0))) >= cfg.L:
+            return False
+    own = chosen.own_tally(cand, operator.itemgetter(*_free_columns(cand)))
+    return max(own.values(), default=0) <= cfg.L
 
 
 def exhaustive_max_family(cfg: SearchConfig) -> SearchResult:
@@ -118,26 +180,29 @@ def exhaustive_max_family(cfg: SearchConfig) -> SearchResult:
     budget_hit = False
     bound_hit = False
 
-    def dfs(chosen: list[Subspace], start: int):
+    chosen = _Chosen(cfg)
+    members = chosen.members
+
+    def dfs(start: int):
         nonlocal best, nodes, budget_hit, bound_hit
         if budget_hit or bound_hit:
             return
-        if len(chosen) > len(best):
-            best = chosen[:]
+        if len(members) > len(best):
+            best = members[:]
             if len(best) >= bound:
                 bound_hit = True
                 return
         for t in range(start, total):
             # not enough candidates left to beat the incumbent
-            if len(chosen) + (total - t) <= len(best):
+            if len(members) + (total - t) <= len(best):
                 return
             nodes += 1
             if nodes > cfg.node_budget:
                 budget_hit = True
                 return
-            if _feasible(cfg, chosen, candidates[t]):
-                chosen.append(candidates[t])
-                dfs(chosen, t + 1)
+            if _feasible(chosen, candidates[t]):
+                chosen.push(candidates[t])
+                dfs(t + 1)
                 chosen.pop()
                 if budget_hit or bound_hit:
                     return
@@ -147,9 +212,10 @@ def exhaustive_max_family(cfg: SearchConfig) -> SearchResult:
         # every family property, so some maximum family contains the
         # canonically smallest subspace.
         nodes += 1
-        dfs([candidates[0]], 1)
+        chosen.push(candidates[0])
+        dfs(1)
     else:
-        dfs([], 0)
+        dfs(0)
     # dfs holds itself, and through it the candidates, in its closure: a
     # cycle that only a full collection frees unless the name is cleared
     del dfs
@@ -171,8 +237,8 @@ def greedy_max_family(cfg: SearchConfig, seed: int) -> Family:
     candidates = list(enumerate_subspaces(cfg.field, cfg.n, cfg.k))
     rng = random.Random(seed)
     rng.shuffle(candidates)
-    chosen: list[Subspace] = []
+    chosen = _Chosen(cfg)
     for cand in candidates:
-        if _feasible(cfg, chosen, cand):
-            chosen.append(cand)
-    return Family(cfg.field, cfg.n, cfg.k, tuple(chosen))
+        if _feasible(chosen, cand):
+            chosen.push(cand)
+    return Family(cfg.field, cfg.n, cfg.k, tuple(chosen.members))

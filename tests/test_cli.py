@@ -346,6 +346,16 @@ def test_search_command(capsys):
     assert res["bound"] == 4
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_search_node_budget_below_1_exits_2(capsys, budget):
+    # a budget below 1 used to run and emit an unproven one-member family
+    code, out, err = run_cli(
+        capsys, "search", "--n", "3", "--k", "1", "--L", "1", "--q", "2", "--node-budget", budget
+    )
+    assert code == 2 and out == ""
+    assert f"node budget must be >= 1, got {budget}" in err
+
+
 def test_search_greedy_command(capsys):
     code, out, _ = run_cli(
         capsys, "search", "--n", "3", "--k", "1", "--L", "1", "--q", "3",

@@ -289,49 +289,23 @@ def test_L_aad_matches_reference_loop(fam):
         with pytest.raises(NotAPartialSpread) as got:
             compute_L_aad(fam)
         assert got.value.pair == exc.pair
-        # a limited count raises at that pair or stops above the limit
-        for limit in range(4):
-            try:
-                cnt = count_L_aad(fam, upper_limit=limit)[0]
-            except NotAPartialSpread as raised:
-                assert raised.pair == exc.pair
-            else:
-                assert cnt > limit
         return
     assert compute_L_aad(fam) == expected
-    L = expected[0]
-    for limit in range(L + 2):
-        cnt = count_L_aad(fam, upper_limit=limit)[0]
-        assert (cnt > limit) == (L > limit)
 
 
 @settings(max_examples=120, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(st.one_of(families(REFERENCE_GRID), families(REFERENCE_NON_SPREAD_GRID, spread=False)))
 def test_count_L_aad_is_the_value_of_compute_L_aad(fam):
     # the count without the witness walk: the same value, witness member
-    # and NotAPartialSpread pair; with a limit, the exact value and member
-    # at or below it, a lower bound above it
+    # and NotAPartialSpread pair
     try:
         L, (i, _) = compute_L_aad(fam)
     except NotAPartialSpread as exc:
         with pytest.raises(NotAPartialSpread) as got:
             count_L_aad(fam)
         assert got.value.pair == exc.pair
-        for limit in range(4):
-            try:
-                cnt = count_L_aad(fam, upper_limit=limit)[0]
-            except NotAPartialSpread as raised:
-                assert raised.pair == exc.pair
-            else:
-                assert cnt > limit
         return
     assert count_L_aad(fam)[:2] == (L, i)
-    for limit in range(L + 2):
-        cnt, j, _ = count_L_aad(fam, upper_limit=limit)
-        if L <= limit:
-            assert (cnt, j) == (L, i)
-        else:
-            assert limit < cnt <= L
 
 
 @functools.cache
@@ -354,10 +328,7 @@ def test_L_aad_matches_reference_loop_on_dense_line_families(space, size, seed):
     fam = Family(FIELDS[space[1]], space[0], 1, tuple(members))
     expected = _reference_L_aad(fam)
     assert compute_L_aad(fam) == expected
-    L = expected[0]
-    for limit in range(L + 2):
-        cnt = count_L_aad(fam, upper_limit=limit)[0]
-        assert (cnt > limit) == (L > limit)
+    assert count_L_aad(fam)[0] == expected[0]
 
 
 def test_L_aad_four_line_family(four_line_family):
@@ -414,10 +385,7 @@ def test_L_aad_differential(fam):
     L, (i, u) = compute_L_aad(fam)
     assert L == exhaustive_L_aad_oracle(fam)
     assert coset_hits(fam, i, u) == L
-    # an early stop reports a count above the limit exactly when L is
-    for limit in range(L + 2):
-        cnt = count_L_aad(fam, upper_limit=limit)[0]
-        assert (cnt > limit) == (L > limit)
+    assert count_L_aad(fam)[0] == L
 
 
 @DIFFERENTIAL
@@ -505,15 +473,13 @@ def test_verifiers_detect_non_spread(fam):
                 verify(fam)
             assert str(exc.value) == message
             assert exc.value.pair == witness
-    # an early stop may return before the loop meets the fault, but only
-    # with a count above the limit
-    for limit in range(4):
-        try:
-            cnt = count_L_aad(fam, upper_limit=limit)[0]
-        except ValueError as exc:
-            assert not ok and str(exc) == message
-        else:
-            assert ok or cnt > limit
+    # the count without the witness walk fails in the same loop
+    try:
+        count_L_aad(fam)
+    except ValueError as exc:
+        assert not ok and str(exc) == message
+    else:
+        assert ok
 
 
 def test_L_as_four_line_family(four_line_family):

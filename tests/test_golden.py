@@ -224,6 +224,46 @@ RUNS = [
         ["search", "--n", "3", "--k", "1", "--L", "1", "--q", "5"],
         "239479aa93db9065d6b011885b50a1dd72ba574d8b8c8a42dfd4bef1bf5f4458",
     ),
+    # k >= 2 searches: they pin the nodes, optimum, proven flag and
+    # certificate of the search's per-member tallies.  The digests were
+    # taken when each candidate was tested by a full AAD count of a new
+    # family.
+    (
+        "search-exhaustive-5-2-1-2",
+        ["search", "--n", "5", "--k", "2", "--L", "1", "--q", "2"],
+        "ac14137599269bd6a1905aa680adddfb2173b301243f935354ca80e4626ba903",
+    ),
+    (
+        "search-exhaustive-6-2-1-2",
+        ["search", "--n", "6", "--k", "2", "--L", "1", "--q", "2"],
+        "769ae2d178e6d75f397a88f183cc65438fd90204d7b1b7b433031a27a406a2da",
+    ),
+    (
+        "search-exhaustive-5-2-2-2",
+        ["search", "--n", "5", "--k", "2", "--L", "2", "--q", "2"],
+        "cb83b1f5d63fcfb7b523abe149fabd6c8cd2c6e53a7b4e82e26b5e3e6c958145",
+    ),
+    (
+        "search-exhaustive-5-2-3-2",
+        ["search", "--n", "5", "--k", "2", "--L", "3", "--q", "2"],
+        "98afc42f1d77ac3414d9f37c75099324b9663d71c4d01313063e90a244699a8c",
+    ),
+    # the budget-hit path: 20,001 nodes, not proven
+    (
+        "search-exhaustive-6-2-2-2-budget",
+        ["search", "--n", "6", "--k", "2", "--L", "2", "--q", "2", "--node-budget", "20000"],
+        "182c9d4ab3f2ef02b1c3310fa1533c48dee2521b90910b82709d25c04994ba38",
+    ),
+    (
+        "search-greedy-6-2-2-2",
+        ["search", "--mode", "greedy", "--n", "6", "--k", "2", "--L", "2", "--q", "2", "--seed", "1"],
+        "001f41358966d2489571845ec578fb530806b72eb3bb8b5b4ee9f6244dfb8b2c",
+    ),
+    (
+        "search-greedy-7-3-2-2",
+        ["search", "--mode", "greedy", "--n", "7", "--k", "3", "--L", "2", "--q", "2", "--seed", "1"],
+        "52e3b6599d679e2b915f80dfe8db307eae4fc1ee19c3c37ac32ee772dd47a3fc",
+    ),
 ]
 
 

@@ -5,13 +5,21 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subspace_forge import family
+from subspace_forge import family, search
 from subspace_forge.gf import SizeGuardError, field_from_order, make_field
-from subspace_forge.family import Family, NotAPartialSpread, check_partial_spread, compute_L_aad, count_L_aad
+from subspace_forge.family import (
+    Family,
+    NotAPartialSpread,
+    _quotient_point_counts,
+    check_partial_spread,
+    compute_L_aad,
+    count_L_aad,
+)
 from subspace_forge.constructions import max_family_size_bound
 from subspace_forge.subspace import Subspace, enumerate_subspaces
 from subspace_forge.search import (
     SearchConfig,
+    _Chosen,
     _feasible,
     exhaustive_max_family,
     greedy_max_family,
@@ -82,6 +90,8 @@ def test_config_validation(f2):
         SearchConfig(f2, 3, 1, 1, mode="magic")
     with pytest.raises(ValueError):
         SearchConfig(f2, 3, 1, -1)
+    with pytest.raises(ValueError):
+        SearchConfig(f2, 3, 1, 1, node_budget=0)
 
 
 def test_greedy_feasible_and_reproducible(f2):
@@ -131,29 +141,81 @@ def test_search_needs_no_spread_scan(f2, monkeypatch):
 
 
 def test_exhaustive_search_leaves_no_cyclic_garbage(f2):
-    # the candidate list dies with the call, not at the next full collection
+    # the candidate list and the tallies die with the call, not at the
+    # next full collection: exhaustive k = 2 with and without a budget
+    # hit, and greedy k = 2
+    runs = [
+        lambda: exhaustive_max_family(SearchConfig(f2, 5, 2, 1)),
+        lambda: exhaustive_max_family(SearchConfig(f2, 5, 2, 3, node_budget=2000)),
+        lambda: greedy_max_family(SearchConfig(f2, 6, 2, 2, mode="greedy"), seed=1),
+    ]
     gc.collect()
     gc.disable()
     try:
-        exhaustive_max_family(SearchConfig(f2, 5, 2, 1))
-        assert gc.collect() == 0
+        for run in runs:
+            run()
+            assert gc.collect() == 0
     finally:
         gc.enable()
 
 
+def test_feasible_is_called_once_per_node_after_the_first(f2, monkeypatch):
+    # the symmetry-broken search places its first member untested and
+    # tests every later node's candidate once, through search._feasible
+    calls = 0
+    feasible = search._feasible
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return feasible(*args)
+
+    monkeypatch.setattr(search, "_feasible", counted)
+    res = exhaustive_max_family(SearchConfig(f2, 5, 2, 1))
+    assert res.nodes == 8092 and res.optimality_proven
+    assert calls == res.nodes - 1
+
+
 def _limited_count_feasible(cfg, members):
-    """The old test of a candidate: the limited AAD count of the new family."""
+    """The old test of a candidate: the AAD count of the new family, at
+    most L, where a family that is not a partial spread fails."""
     fam = Family(cfg.field, cfg.n, cfg.k, tuple(members))
     try:
-        return count_L_aad(fam, upper_limit=cfg.L)[0] <= cfg.L
+        return count_L_aad(fam)[0] <= cfg.L
     except NotAPartialSpread:
         return False
+
+
+def _chosen(cfg, members):
+    """Search state built fresh by pushing members in order."""
+    chosen = _Chosen(cfg)
+    for S in members:
+        chosen.push(S)
+    return chosen
+
+
+def _tallies(chosen):
+    # dicts, not Counters: a key left at count 0 must make them differ
+    return [dict(counts) for _, _, counts in chosen.tallies]
+
+
+def _draw(rng, cfg):
+    """A uniform-ish random k-subspace of GF(q)^n."""
+    q = cfg.field.q
+    while True:
+        rows = [[rng.randrange(q) for _ in range(cfg.n)] for _ in range(cfg.k)]
+        if any(map(any, rows)):
+            S = Subspace.from_generators(cfg.field, cfg.n, rows)
+            if S.k == cfg.k:
+                return S
 
 
 # (n, q) for k = 1, with the extension fields GF(4), GF(8) and GF(9)
 LINE_SEARCH_GRID = [(3, 2), (3, 3), (3, 4), (3, 5), (3, 8), (3, 9), (4, 2), (4, 3), (4, 4)]
 # (n, q) for k = 2, where a candidate may meet a chosen member
 PLANE_SEARCH_GRID = [(5, 2), (5, 3), (5, 4)]
+# (n, k, q) for the k >= 2 tallies: the planes above and a k = 3 space
+TALLY_SEARCH_GRID = [(n, 2, q) for n, q in PLANE_SEARCH_GRID] + [(7, 3, 2)]
 
 
 @functools.cache
@@ -174,8 +236,9 @@ def test_k1_feasible_tests_the_planes_through_the_candidate(space, L, tries, see
     for cand in order[:tries]:
         if _limited_count_feasible(cfg, chosen + [cand]):
             chosen.append(cand)
+    state = _chosen(cfg, chosen)
     for cand in order[tries : tries + 12]:
-        assert _feasible(cfg, chosen, cand) == _limited_count_feasible(cfg, chosen + [cand])
+        assert _feasible(state, cand) == _limited_count_feasible(cfg, chosen + [cand])
 
 
 @settings(max_examples=40, deadline=None)
@@ -184,21 +247,41 @@ def test_k2_feasible_is_the_limited_count(space, L, seed):
     n, q = space
     cfg = SearchConfig(field_from_order(q), n, 2, L, mode="greedy")
     rng = random.Random(seed)
-
-    def draw():
-        while True:
-            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(2)]
-            if any(map(any, rows)):
-                S = Subspace.from_generators(cfg.field, n, rows)
-                if S.k == 2:
-                    return S
-
     chosen = []
     for _ in range(12):
-        cand = draw()
+        cand = _draw(rng, cfg)
         if any(cand.key() == S.key() for S in chosen):
             continue
         expected = _limited_count_feasible(cfg, chosen + [cand])
-        assert _feasible(cfg, chosen, cand) == expected
+        assert _feasible(_chosen(cfg, chosen), cand) == expected
         if expected:
             chosen.append(cand)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TALLY_SEARCH_GRID), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_tallies_follow_tests_pushes_and_pops(space, L, seed):
+    # a random run of tests, accepts and backtracks on one state: every
+    # answer is the full count's, every push leaves each member's tally
+    # equal to the AAD count's, and every pop leaves the state a fresh
+    # build from the remaining members would have
+    n, k, q = space
+    cfg = SearchConfig(field_from_order(q), n, k, L, mode="greedy")
+    rng = random.Random(seed)
+    chosen = _Chosen(cfg)
+    for _ in range(30):
+        if chosen.members and rng.random() < 0.3:
+            chosen.pop()
+            fresh = _chosen(cfg, chosen.members)
+            assert chosen.members == fresh.members
+            assert _tallies(chosen) == _tallies(fresh)
+            continue
+        cand = _draw(rng, cfg)
+        if any(cand.key() == S.key() for S in chosen.members):
+            continue
+        ok = _feasible(chosen, cand)
+        assert ok == _limited_count_feasible(cfg, chosen.members + [cand])
+        if ok and rng.random() < 0.8:
+            chosen.push(cand)
+            fam = Family(cfg.field, n, k, tuple(chosen.members))
+            assert _tallies(chosen) == list(map(dict, _quotient_point_counts(fam)))
