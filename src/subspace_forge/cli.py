@@ -168,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--q", type=int, required=True)
     ps.add_argument("--mode", choices=["exhaustive", "greedy"], default="exhaustive")
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--node-budget", type=int, default=None)
-    ps.add_argument("--no-symmetry-break", action="store_true")
+    ps.add_argument("--node-budget", type=int, default=None, help="exhaustive mode only")
+    ps.add_argument("--no-symmetry-break", action="store_true", help="exhaustive mode only")
     _add_common(ps)
 
     pba = sub.add_parser("batch", help="build a batch code from a family and verify it")
@@ -232,6 +232,12 @@ def _cmd_verify(args, field_guard: int, as_guard: int) -> dict:
 
 
 def _cmd_search(args, field_guard: int, enum_guard: int) -> dict:
+    if args.mode == "greedy":
+        # greedy search runs no branch-and-bound, so it would ignore them
+        if args.node_budget is not None:
+            raise ValueError("--node-budget applies only to exhaustive search, not greedy")
+        if args.no_symmetry_break:
+            raise ValueError("--no-symmetry-break applies only to exhaustive search, not greedy")
     field = field_from_order(args.q, field_guard)
     cfg = SearchConfig(
         field,

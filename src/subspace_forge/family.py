@@ -23,6 +23,9 @@ AAD count brings each residue basis to RREF first, so its combinations
 are already normalized and collections.Counter tallies them in C; only
 the member that names the witness is walked again point by point, and
 count_L_aad, for callers that read only the value, walks none.  For
+k >= 2, q <= 256 and n - k <= 8 the combinations are built as bytes
+columns and each point is keyed by one int that packs its coordinates a
+byte each; above either limit the keys are tuples of codes.  For
 k = 1 the quotient point of S_j over S_i is the plane S_i + S_j, and
 L_aad is the most family lines on one plane, minus one: the count
 visits each unordered pair i < j once, at its first member.
@@ -42,6 +45,7 @@ not always found at the first meeting pair.
 from __future__ import annotations
 
 import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from itertools import repeat
@@ -231,6 +235,10 @@ def _quotient_point_counts(fam: Family):
     leading-1 combinations of the RREF rows are already normalized and
     Counter.update tallies them in C.  Rank below k means S_i meets S_j:
     raises NotAPartialSpread((i, j)) at the first such j of S_i.
+
+    count_L_aad takes this path where _packed_quotient_point_counts does
+    not fit, q > 256 or n - k > 8, and the tests take it as that path's
+    oracle.
     """
     member_rows = [T.basis.row_list() for T in fam.members]
     for i, S in enumerate(fam.members):
@@ -254,7 +262,8 @@ def _quotient_points(S: Subspace, project, rows):
     `rows` modulo S, projected to those columns, are brought to RREF, so
     their leading-1 combinations are already the points' normalized
     forms; they are yielded lazily.  Rank below len(rows) means S meets
-    T.  The AAD count and the k >= 2 search both tally these points.
+    T.  The general AAD count and the k >= 2 search both tally these
+    points.
     """
     f = S.field
     residues = [list(project(w)) for w in map(S.reduce, rows)]
@@ -262,6 +271,62 @@ def _quotient_points(S: Subspace, project, rows):
         return None
     # tuples: the last row is yielded as it is, and keys must hash
     return _leading_one_combinations(list(map(tuple, residues)), f.add_table, f.mul_table)
+
+
+def _packed_quotient_point_counts(fam: Family):
+    """The byte path of _quotient_point_counts, for k >= 2, q <= 256 and
+    n - k <= 8: yields, for each member S_i in order, a Counter of the
+    same quotient points, each keyed by one int that packs its n - k
+    coordinates a byte each, in native byte order (key.to_bytes(8,
+    sys.byteorder)[:n - k] gives them back).
+
+    Each pair's residues are reduced, projected and brought to RREF as in
+    _quotient_points, and NotAPartialSpread((i, j)) is raised at the same
+    first pair.  The leading-1 combinations of the RREF rows r_0, ...,
+    r_{k-1} are then built a coordinate column at a time as bytes.
+    Layer p, the points whose first nonzero coefficient is on r_p, is r_p
+    plus the span of r_{p+1}, ...: column t of the span of the last row
+    is the mul-table row of r_{k-1}[t], a span grows by joining its q
+    translates by c * r_p[t], and bytes.translate with the padded
+    add-table row of r_p[t] shifts a span to layer p.  A member's columns
+    go into one bytearray at stride 8, and Counter tallies its 8-byte
+    words in C.  The points come in another order than _quotient_points
+    yields them, which no count depends on.
+    """
+    f = fam.field
+    k, d = fam.k, fam.n - fam.k
+    points_per_pair = (f.q**k - 1) // (f.q - 1)
+    pad = bytes(256 - f.q)
+    add_rows = [bytes(row) + pad for row in f.add_table]
+    mul_rows = [bytes(row) for row in f.mul_table]
+    translate = bytes.translate
+    member_rows = [T.basis.row_list() for T in fam.members]
+    for i, S in enumerate(fam.members):
+        project = operator.itemgetter(*_free_columns(S))
+        # each pair's last RREF row, and each of its other layers as a
+        # list of d bytes columns
+        lasts, layers = [], []
+        for j, rows in enumerate(member_rows):
+            if j == i:
+                continue
+            residues = [list(project(w)) for w in map(S.reduce, rows)]
+            if _rref_rows(f, residues, d)[0] < k:
+                raise NotAPartialSpread((i, j))
+            last = residues[-1]
+            lasts.append(last)
+            spans = list(map(mul_rows.__getitem__, last))
+            for p in range(k - 2, -1, -1):
+                row = residues[p]
+                layers.append(list(map(translate, spans, map(add_rows.__getitem__, row))))
+                if p:
+                    spans = [
+                        b"".join([translate(span, add_rows[a]) for a in mul_rows[x]])
+                        for span, x in zip(spans, row)
+                    ]
+        packed = bytearray(8 * len(lasts) * points_per_pair)
+        for t, (col, layer) in enumerate(zip(zip(*lasts), zip(*layers))):
+            packed[t::8] = bytes(col) + b"".join(layer)
+        yield Counter(memoryview(packed).cast("Q"))
 
 
 def _line_point_counts(lines, add, mul, neg, inv):
@@ -348,11 +413,21 @@ def count_L_aad(fam: Family) -> tuple[int, int, set]:
     Pairs are visited i-outer, j-inner, and NotAPartialSpread names the
     first meeting pair, as in compute_L_aad.  Every pair is visited, so a
     return certifies that the family is a partial spread.
+
+    For k >= 2 with q <= 256 and n - k <= 8 the points are tallied by
+    _packed_quotient_point_counts, keyed by packed ints, and only the
+    attaining keys of S_i are turned back into tuples.  Above either
+    limit a code or a point does not fit its byte or word, and
+    _quotient_point_counts tallies tuples.
     """
     f = fam.field
     add, mul = f.add_table, f.mul_table
+    d = fam.n - fam.k
+    packed = fam.k >= 2 and f.q <= 256 and d <= 8
     if fam.k == 1:
         per_member = _line_point_counts(fam.members, add, mul, f.neg_table, f.inv_table)
+    elif packed:
+        per_member = _packed_quotient_point_counts(fam)
     else:
         per_member = _quotient_point_counts(fam)
     best, best_i, attaining = 0, 0, set()
@@ -362,6 +437,8 @@ def count_L_aad(fam: Family) -> tuple[int, int, set]:
         if top > best:
             best, best_i = top, i
             attaining = {key for key, cnt in counts.items() if cnt == top}
+    if packed:
+        attaining = {tuple(key.to_bytes(8, sys.byteorder)[:d]) for key in attaining}
     return best, best_i, attaining
 
 
@@ -374,7 +451,9 @@ def compute_L_aad(fam: Family) -> tuple[int, tuple[int, tuple[int, ...]]]:
     points of those spans finds the quotient point that the most members
     reach.  For k >= 2 each S_j's residues are brought to RREF, whose
     leading-1 combinations are the points' normalized forms, and a
-    collections.Counter tallies them; for k = 1 one batched pass forms
+    collections.Counter tallies them: for q <= 256 and n - k <= 8 built
+    as bytes columns and packed one int per point, otherwise as tuples
+    (see count_L_aad).  For k = 1 one batched pass forms
     each line's residue from table rows, scales it to a leading 1 and
     tallies the keys with one Counter per member.  For k = 1 the point of
     S_j over S_i is the plane S_i + S_j, whose count is the same from

@@ -367,6 +367,17 @@ def test_search_greedy_command(capsys):
     assert res["size"] >= 1
 
 
+@pytest.mark.parametrize("option", [["--node-budget", "1"], ["--no-symmetry-break"]])
+def test_search_greedy_rejects_exhaustive_options(capsys, option):
+    # greedy search used to ignore both options and emit its usual family
+    code, out, err = run_cli(
+        capsys, "search", "--n", "5", "--k", "1", "--L", "2", "--q", "3",
+        "--mode", "greedy", "--seed", "1", *option,
+    )
+    assert code == 2 and out == ""
+    assert f"{option[0]} applies only to exhaustive search, not greedy" in err
+
+
 def test_batch_command_from_search_family(capsys, tmp_path):
     fam_path = tmp_path / "searched.json"
     code, _, _ = run_cli(

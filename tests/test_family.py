@@ -2,6 +2,8 @@ import functools
 import itertools
 import operator
 import random
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
@@ -9,9 +11,12 @@ from hypothesis import Phase, assume, given, settings, strategies as st
 from subspace_forge.gf import SizeGuardError, field_from_order, make_field
 from subspace_forge.matgf import rank_of_stack
 from subspace_forge.subspace import Subspace, all_vectors, enumerate_subspaces
+from subspace_forge import family as family_mod
 from subspace_forge.family import (
     _leading_one_combinations,
     _lex_smallest_outside,
+    _packed_quotient_point_counts,
+    _quotient_point_counts,
     Family,
     NotAPartialSpread,
     VerificationReport,
@@ -65,7 +70,7 @@ def exhaustive_L_as_oracle(fam):
     return best
 
 
-FIELDS = {q: field_from_order(q) for q in (2, 3, 4, 5, 7, 8, 9)}
+FIELDS = {q: field_from_order(q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 32)}
 
 # Families come from a drawn seed, which has no simpler neighbour, and each
 # shrink step reruns an exhaustive oracle: report the first failure as found.
@@ -83,8 +88,13 @@ AS_GRID = [(k, n, q) for k, n, q in AAD_GRID if k <= 2]
 NON_SPREAD_GRID = [(k, n, q) for k, n, q in AAD_GRID if k >= 2]
 # with extension fields, where leads other than 1 have inverses other than
 # themselves, for the comparison with the point-by-point reference count
-REFERENCE_GRID = AAD_GRID + [(1, 3, 8), (1, 4, 4), (2, 5, 4), (2, 5, 8), (2, 5, 9), (3, 7, 4)]
+REFERENCE_GRID = AAD_GRID + [
+    (1, 3, 8), (1, 4, 4), (2, 5, 4), (2, 5, 8), (2, 5, 9), (3, 7, 4), (2, 5, 16), (3, 7, 16), (2, 5, 32),
+]
 REFERENCE_NON_SPREAD_GRID = [(k, n, q) for k, n, q in REFERENCE_GRID if k >= 2]
+# k >= 2 points for the byte path of the AAD count, which packs a point's
+# n - k coordinates a byte each
+PACKED_GRID = [(k, 2 * k + 1, q) for k in (2, 3) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 32)]
 # k = 1 points for the early-stopping AS count
 LINE_GRID = [
     (1, 3, 2), (1, 4, 2), (1, 5, 2), (1, 3, 3), (1, 4, 3), (1, 3, 4),
@@ -306,6 +316,74 @@ def test_count_L_aad_is_the_value_of_compute_L_aad(fam):
         assert got.value.pair == exc.pair
         return
     assert count_L_aad(fam)[:2] == (L, i)
+
+
+def _member_tallies(per_member):
+    """The tallies a per-member count yields, and the pair its
+    NotAPartialSpread names (None when the count ends)."""
+    tallies = []
+    try:
+        for counts in per_member:
+            tallies.append(counts)
+    except NotAPartialSpread as exc:
+        return tallies, exc.pair
+    return tallies, None
+
+
+@settings(max_examples=120, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.one_of(families(PACKED_GRID), families(PACKED_GRID, spread=False)))
+def test_packed_counts_match_quotient_point_counts(fam):
+    # member by member, the byte path tallies the general path's points,
+    # and a non-spread raises at the same pair
+    d = fam.n - fam.k
+    packed, pair = _member_tallies(_packed_quotient_point_counts(fam))
+    unpacked = [
+        Counter({tuple(key.to_bytes(8, sys.byteorder)[:d]): cnt for key, cnt in counts.items()})
+        for counts in packed
+    ]
+    assert (unpacked, pair) == _member_tallies(_quotient_point_counts(fam))
+
+
+def _random_spread(field, n, k, size, seed):
+    rng = random.Random(seed)
+    members = []
+    while len(members) < size:
+        rows = [[rng.randrange(field.q) for _ in range(n)] for _ in range(k)]
+        S = Subspace.from_generators(field, n, rows)
+        if S.k == k and all(S.trivially_intersects(T) for T in members):
+            members.append(S)
+    return Family(field, n, k, tuple(members))
+
+
+def _refuse(fam):
+    raise AssertionError("the count took the other path")
+
+
+@pytest.mark.parametrize(
+    "n, k, q, other_path",
+    [
+        # q <= 256 and n - k <= 8: the byte path
+        (5, 2, 256, "_quotient_point_counts"),
+        # a code above 255 does not fit a byte
+        (5, 2, 257, "_packed_quotient_point_counts"),
+        # nine coordinates do not fit one 8-byte word
+        (11, 2, 2, "_packed_quotient_point_counts"),
+    ],
+)
+def test_count_path_at_the_byte_limits(monkeypatch, n, k, q, other_path):
+    fam = _random_spread(field_from_order(q), n, k, 4, seed=q + n)
+    expected = _reference_L_aad(fam)
+    monkeypatch.setattr(family_mod, other_path, _refuse)
+    assert compute_L_aad(fam) == expected
+
+
+def test_rs_7_3_23_counts_on_the_byte_path(monkeypatch):
+    from subspace_forge.constructions import build_rs_family
+
+    fam = build_rs_family(7, 3, field_from_order(23))
+    monkeypatch.setattr(family_mod, "_quotient_point_counts", _refuse)
+    L, i, _ = count_L_aad(fam)
+    assert (L, i) == (6, 0)
 
 
 @functools.cache

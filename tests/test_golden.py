@@ -264,6 +264,29 @@ RUNS = [
         ["search", "--mode", "greedy", "--n", "7", "--k", "3", "--L", "2", "--q", "2", "--seed", "1"],
         "52e3b6599d679e2b915f80dfe8db307eae4fc1ee19c3c37ac32ee772dd47a3fc",
     ),
+    # k >= 2 AAD counts over GF(32) and GF(64): they pin the byte path of
+    # the count.  The digests were taken when every point was tallied as
+    # a tuple.
+    (
+        "construct-rs-7-3-32",
+        ["construct", "rs", "--n", "7", "--k", "3", "--q", "32"],
+        "542de9c8fd0f0fef5233f0b775753ee30dabff9ffb8e6a0765a6a0bf76590e49",
+    ),
+    (
+        "verify-rs-7-3-32-aad",
+        ["verify", "--family", "@construct-rs-7-3-32", "--properties", "spread,aad,bound"],
+        "f3b9eefcc47ff98cf3cf59085c489d994d100267322defc1149d3062ac847504",
+    ),
+    (
+        "construct-rs-5-2-64",
+        ["construct", "rs", "--n", "5", "--k", "2", "--q", "64"],
+        "70bfc7411499ec497c08941d6bbb4ff82bf3471b0ce63c71c3991cb355fdd421",
+    ),
+    (
+        "verify-rs-5-2-64-aad",
+        ["verify", "--family", "@construct-rs-5-2-64", "--properties", "spread,aad,bound"],
+        "678a0d712c444d2f3e924d9e5d19870a0d1043757dea36a7345278345867a2a5",
+    ),
 ]
 
 
