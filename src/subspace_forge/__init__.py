@@ -41,7 +41,7 @@ from .constructions import (
     rs_codewords,
     rs_guaranteed_L,
 )
-from .search import SearchConfig, SearchResult, exhaustive_max_family, greedy_max_family
+from .search import SearchResult, exhaustive_max_family, greedy_max_family
 from .batch import BatchCode, RecoveryPlan, batch_s, verify_batch
 
 __all__ = [
@@ -80,7 +80,6 @@ __all__ = [
     "bounds_table",
     "BoundsTable",
     "growth_diagnostic",
-    "SearchConfig",
     "SearchResult",
     "exhaustive_max_family",
     "greedy_max_family",

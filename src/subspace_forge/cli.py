@@ -12,10 +12,10 @@ SUBSPACE_FORGE_GUARD (an integer) overrides both the field guard, which
 bounds the q^2 operation-table entries that building GF(q) costs, and
 the enumeration guard, which bounds the (k+1)-subspaces of AS
 verification, the coset table entries of a batch code, the request
-multisets of exhaustive batch and the k-subspace candidates of greedy
-search.  Every field is checked against the field guard before it is
-built: a family file's (p, m) before Field.from_json, and --q before
-field_from_order factors it.
+multisets of exhaustive batch, the k-subspace candidates of greedy
+search and the members of construct rs.  Every field is checked against
+the field guard before it is built: a family file's (p, m) before
+Field.from_json, and --q before field_from_order factors it.
 """
 
 from __future__ import annotations
@@ -38,11 +38,13 @@ from .constructions import (
     build_code_based_family,
     build_random_family,
     build_rs_family,
+    check_parameters,
     growth_diagnostic,
+    make_rs_code,
     vandermonde_matrix,
 )
 from .batch import BatchCode, batch_s, verify_batch
-from .search import DEFAULT_NODE_BUDGET, SearchConfig, exhaustive_max_family, greedy_max_family
+from .search import DEFAULT_NODE_BUDGET, exhaustive_max_family, greedy_max_family
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
@@ -189,6 +191,10 @@ def _cmd_construct(args, field_guard: int, as_guard: int) -> dict:
         if args.q is None:
             raise ValueError("--q is required for kind rs")
         field = field_from_order(args.q, field_guard)
+        make_rs_code(field, args.n, args.k)  # parameter errors exit 2 before the guard
+        members = field.q ** (args.n - 2 * args.k)
+        if members > as_guard:
+            raise SizeGuardError(f"construct rs needs {members} members, over the guard {as_guard}")
         fam = build_rs_family(args.n, args.k, field)
         return {"family": fam.to_json(), "diagnostics": {"members": len(fam)}}
     if args.kind == "random":
@@ -231,6 +237,19 @@ def _cmd_verify(args, field_guard: int, as_guard: int) -> dict:
     }
 
 
+def _cmd_bounds(args, field_guard: int) -> dict:
+    field_from_order(args.q, field_guard)  # a q that is no prime power exits 2
+    # the table forms about L q^(n-k), and q^((n-2k)(L+1)) for the random
+    # sample size: refuse, before forming any power, parameters that make
+    # one longer than Python prints (0 is no limit; Python < 3.10.7 has none)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    top = limit / math.log10(args.q)  # q^top has `limit` digits
+    # compare ints with floats, which is exact, and add none to a float
+    if args.n - args.k >= top - math.log(max(args.L, 1), args.q) or (args.n - 2 * args.k) * (args.L + 1) >= top:
+        raise ValueError(f"these bounds need powers of q over Python's limit of {limit} digits")
+    return bounds_table(args.n, args.k, args.L, args.q).to_json()
+
+
 def _cmd_search(args, field_guard: int, enum_guard: int) -> dict:
     if args.mode == "greedy":
         # greedy search runs no branch-and-bound, so it would ignore them
@@ -239,25 +258,18 @@ def _cmd_search(args, field_guard: int, enum_guard: int) -> dict:
         if args.no_symmetry_break:
             raise ValueError("--no-symmetry-break applies only to exhaustive search, not greedy")
     field = field_from_order(args.q, field_guard)
-    cfg = SearchConfig(
-        field,
-        args.n,
-        args.k,
-        args.L,
-        mode=args.mode,
-        node_budget=DEFAULT_NODE_BUDGET if args.node_budget is None else args.node_budget,
-        symmetry_break=not args.no_symmetry_break,
-    )
-    if args.mode == "greedy":
-        # greedy search holds every k-subspace in memory
-        total = gaussian_binomial(args.n, args.k, field.q)
-        if total > enum_guard:
-            raise SizeGuardError(
-                f"greedy search needs {total} k-subspaces, over the guard {enum_guard}"
-            )
-        fam = greedy_max_family(cfg, args.seed)
-        return {"mode": "greedy", "size": len(fam), "family": fam.to_json()}
-    return exhaustive_max_family(cfg).to_json()
+    if args.mode == "exhaustive":
+        budget = DEFAULT_NODE_BUDGET if args.node_budget is None else args.node_budget
+        return exhaustive_max_family(
+            field, args.n, args.k, args.L, budget, symmetry_break=not args.no_symmetry_break
+        ).to_json()
+    check_parameters(args.n, args.k, args.L)  # parameter errors exit 2 before the guard
+    # greedy search holds every k-subspace in memory
+    total = gaussian_binomial(args.n, args.k, field.q)
+    if total > enum_guard:
+        raise SizeGuardError(f"greedy search needs {total} k-subspaces, over the guard {enum_guard}")
+    fam = greedy_max_family(field, args.n, args.k, args.L, args.seed)
+    return {"mode": "greedy", "size": len(fam), "family": fam.to_json()}
 
 
 def _cmd_batch(args, field_guard: int, enum_guard: int) -> dict:
@@ -306,7 +318,7 @@ def main(argv=None) -> int:
             seed = None
             command = "verify"
         elif args.command == "bounds":
-            result = bounds_table(args.n, args.k, args.L, args.q).to_json()
+            result = _cmd_bounds(args, field_guard)
             seed = None
             command = "bounds"
         elif args.command == "search":

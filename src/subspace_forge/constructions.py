@@ -30,14 +30,19 @@ from .family import Family, check_as_guard, compute_L_as, count_L_aad
 # -- bounds -------------------------------------------------------------
 
 
-def max_family_size_bound(n: int, k: int, L: int, q: int) -> int:
-    """Largest family size compatible with AAD parameter L:
-    floor(1 + L (q^{n-k} - 1) / (q^k - 1)).
-    """
+def check_parameters(n: int, k: int, L: int) -> None:
+    """Raise ValueError unless 2k < n and L >= 0."""
     if 2 * k >= n:
         raise ValueError(f"need 2k < n, got k={k}, n={n}")
     if L < 0:
         raise ValueError("L must be >= 0")
+
+
+def max_family_size_bound(n: int, k: int, L: int, q: int) -> int:
+    """Largest family size compatible with AAD parameter L:
+    floor(1 + L (q^{n-k} - 1) / (q^k - 1)).
+    """
+    check_parameters(n, k, L)
     return 1 + (L * (q ** (n - k) - 1)) // (q**k - 1)
 
 
@@ -45,10 +50,7 @@ def max_family_size_bound_no_spread(n: int, k: int, L: int, q: int) -> int:
     """Variant without the partial-spread requirement:
     floor(L (q^{n-k} - 1) / (q^k - 1) + L + 1).
     """
-    if 2 * k >= n:
-        raise ValueError(f"need 2k < n, got k={k}, n={n}")
-    if L < 0:
-        raise ValueError("L must be >= 0")
+    check_parameters(n, k, L)
     return (L * (q ** (n - k) - 1)) // (q**k - 1) + L + 1
 
 
@@ -78,12 +80,16 @@ def _integer_root(x: int, r: int) -> int:
         raise ValueError("negative radicand")
     if x in (0, 1) or r == 1:
         return x
-    guess = int(round(x ** (1.0 / r)))
-    while guess > 0 and guess**r > x:
-        guess -= 1
-    while (guess + 1) ** r <= x:
-        guess += 1
-    return guess
+    # lo^r <= x < hi^r, from the bit length of x; then bisect
+    lo = 1 << ((x.bit_length() - 1) // r)
+    hi = lo << 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**r <= x:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def random_sample_size(n: int, k: int, L: int, q: int) -> int:

@@ -1,11 +1,12 @@
 """Exhaustive and greedy search for maximal AAD families at tiny parameters.
 
 The exhaustive search is a depth-first branch-and-bound over the
-canonical subspace order: a partial family is extended only while it
-stays a partial spread with exact AAD parameter at most L, branches
-that cannot beat the incumbent are cut, and the closed-form size bound
-ends the search early when attained.  Optimality is certified when the
-search completes within the node budget (or hits the bound).
+canonical subspace order, one loop over an explicit stack: a partial
+family is extended only while it stays a partial spread with exact AAD
+parameter at most L, branches that cannot beat the incumbent are cut,
+and the closed-form size bound ends the search early when attained.
+Optimality is certified when the search completes within the node
+budget (or hits the bound).  The greedy search takes no budget.
 
 Both searches test each candidate once, with _feasible, on the pairs it
 adds only: for k = 1 one tally of the chosen lines modulo the
@@ -25,38 +26,11 @@ from itertools import repeat
 
 from .gf import Field, SizeGuardError
 from .family import Family, _free_columns, _line_point_counts, _quotient_points
-from .constructions import max_family_size_bound
+from .constructions import check_parameters, max_family_size_bound
 from .subspace import Subspace, enumerate_subspaces, gaussian_binomial
 
 EXHAUSTIVE_SPACE_LIMIT = 10_000
 DEFAULT_NODE_BUDGET = 10_000_000
-
-
-@dataclass
-class SearchConfig:
-    field: Field
-    n: int
-    k: int
-    L: int
-    mode: str = "exhaustive"
-    node_budget: int = DEFAULT_NODE_BUDGET
-    symmetry_break: bool = True
-
-    def __post_init__(self):
-        if self.mode not in ("exhaustive", "greedy"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if 2 * self.k >= self.n:
-            raise ValueError(f"need 2k < n, got k={self.k}, n={self.n}")
-        if self.L < 0:
-            raise ValueError("L must be >= 0")
-        if self.node_budget < 1:
-            raise ValueError(f"node budget must be >= 1, got {self.node_budget}")
-        if self.mode == "exhaustive":
-            total = gaussian_binomial(self.n, self.k, self.field.q)
-            if total > EXHAUSTIVE_SPACE_LIMIT:
-                raise SizeGuardError(
-                    f"exhaustive mode needs the k-subspace count <= {EXHAUSTIVE_SPACE_LIMIT}, got {total}"
-                )
 
 
 @dataclass
@@ -66,20 +40,21 @@ class SearchResult:
     optimality_proven: bool
     nodes: int
     bound: int
-    config: SearchConfig
+    L: int
+    symmetry_break: bool
 
     def to_json(self) -> dict:
         return {
-            "n": self.config.n,
-            "k": self.config.k,
-            "L": self.config.L,
-            "q": self.config.field.q,
-            "mode": self.config.mode,
+            "n": self.family.n,
+            "k": self.family.k,
+            "L": self.L,
+            "q": self.family.field.q,
+            "mode": "exhaustive",
             "optimum": self.size,
             "bound": self.bound,
             "proven": self.optimality_proven,
             "nodes": self.nodes,
-            "symmetry_break": self.config.symmetry_break,
+            "symmetry_break": self.symmetry_break,
             "provenance": "exhaustive search ground truth (artifact-generated)",
             "family": self.family.to_json(),
         }
@@ -99,8 +74,8 @@ class _Chosen:
     falls to 0.  For k = 1 only the members are kept.
     """
 
-    def __init__(self, cfg: SearchConfig):
-        self.cfg = cfg
+    def __init__(self, field: Field, k: int, L: int):
+        self.field, self.k, self.L = field, k, L
         self.members: list[Subspace] = []
         self.tallies: list[tuple[list, operator.itemgetter, Counter]] = []
 
@@ -112,7 +87,7 @@ class _Chosen:
         return own
 
     def push(self, cand: Subspace) -> None:
-        if self.cfg.k >= 2:
+        if self.k >= 2:
             rows = cand.basis.row_list()
             project = operator.itemgetter(*_free_columns(cand))
             for S, (_, S_project, counts) in zip(self.members, self.tallies):
@@ -122,7 +97,7 @@ class _Chosen:
 
     def pop(self) -> None:
         cand = self.members.pop()
-        if self.cfg.k >= 2:
+        if self.k >= 2:
             self.tallies.pop()
             rows = cand.basis.row_list()
             for S, (_, project, counts) in zip(self.members, self.tallies):
@@ -151,94 +126,87 @@ def _feasible(chosen: _Chosen, cand: Subspace) -> bool:
     already has count L, and no point over cand is covered by more than
     L chosen members: O(m) RREFs of k rows, and no Family is built.
     """
-    cfg = chosen.cfg
-    if cfg.k == 1:
-        f = cfg.field
+    if chosen.k == 1:
+        f = chosen.field
         tally = _line_point_counts([cand, *chosen.members], f.add_table, f.mul_table, f.neg_table, f.inv_table)
-        return max(next(tally).values(), default=0) <= cfg.L
+        return max(next(tally).values(), default=0) <= chosen.L
     rows = cand.basis.row_list()
     for S, (_, project, counts) in zip(chosen.members, chosen.tallies):
         points = _quotient_points(S, project, rows)
-        if points is None or max(map(counts.get, points, repeat(0))) >= cfg.L:
+        if points is None or max(map(counts.get, points, repeat(0))) >= chosen.L:
             return False
     own = chosen.own_tally(cand, operator.itemgetter(*_free_columns(cand)))
-    return max(own.values(), default=0) <= cfg.L
+    return max(own.values(), default=0) <= chosen.L
 
 
-def exhaustive_max_family(cfg: SearchConfig) -> SearchResult:
+def exhaustive_max_family(
+    field: Field, n: int, k: int, L: int, node_budget: int = DEFAULT_NODE_BUDGET, symmetry_break: bool = True
+) -> SearchResult:
     """Maximum family size by branch-and-bound; proof flag set when the
     search finished within the node budget (or met the closed-form bound).
-    """
-    if cfg.mode != "exhaustive":
-        raise ValueError("config mode must be 'exhaustive'")
-    candidates = list(enumerate_subspaces(cfg.field, cfg.n, cfg.k))
-    bound = max_family_size_bound(cfg.n, cfg.k, cfg.L, cfg.field.q)
-    total = len(candidates)
 
+    One loop, shaped like BatchCode.plan_recovery: `picks` holds the
+    candidate index of each member the loop pushed, and a backtrack pops
+    the last member and resumes after its index.
+    """
+    bound = max_family_size_bound(n, k, L, field.q)  # checks 2k < n and L >= 0
+    if node_budget < 1:
+        raise ValueError(f"node budget must be >= 1, got {node_budget}")
+    total = gaussian_binomial(n, k, field.q)
+    if total > EXHAUSTIVE_SPACE_LIMIT:
+        raise SizeGuardError(f"exhaustive mode needs the k-subspace count <= {EXHAUSTIVE_SPACE_LIMIT}, got {total}")
+    candidates = list(enumerate_subspaces(field, n, k))
+
+    chosen = _Chosen(field, k, L)
+    members = chosen.members
     best: list[Subspace] = []
     nodes = 0
-    budget_hit = False
-    bound_hit = False
-
-    chosen = _Chosen(cfg)
-    members = chosen.members
-
-    def dfs(start: int):
-        nonlocal best, nodes, budget_hit, bound_hit
-        if budget_hit or bound_hit:
-            return
-        if len(members) > len(best):
-            best = members[:]
-            if len(best) >= bound:
-                bound_hit = True
-                return
-        for t in range(start, total):
-            # not enough candidates left to beat the incumbent
-            if len(members) + (total - t) <= len(best):
-                return
-            nodes += 1
-            if nodes > cfg.node_budget:
-                budget_hit = True
-                return
-            if _feasible(chosen, candidates[t]):
-                chosen.push(candidates[t])
-                dfs(t + 1)
-                chosen.pop()
-                if budget_hit or bound_hit:
-                    return
-
-    if cfg.symmetry_break:
+    if symmetry_break:
         # Invertible maps act transitively on k-subspaces and preserve
         # every family property, so some maximum family contains the
         # canonically smallest subspace.
         nodes += 1
         chosen.push(candidates[0])
-        dfs(1)
-    else:
-        dfs(0)
-    # dfs holds itself, and through it the candidates, in its closure: a
-    # cycle that only a full collection frees unless the name is cleared
-    del dfs
+    picks: list[int] = []
+    t = len(members)  # the next candidate to test
+    while True:
+        if len(members) > len(best):
+            best = members[:]
+            if len(best) >= bound:
+                break
+        # not enough candidates left to beat the incumbent
+        if len(members) + (total - t) <= len(best):
+            if not picks:
+                break
+            chosen.pop()
+            t = picks.pop() + 1
+            continue
+        nodes += 1
+        if nodes > node_budget:
+            break
+        if _feasible(chosen, candidates[t]):
+            chosen.push(candidates[t])
+            picks.append(t)
+        t += 1
 
-    proven = bound_hit or not budget_hit
-    fam = Family(cfg.field, cfg.n, cfg.k, tuple(best))
     return SearchResult(
         size=len(best),
-        family=fam,
-        optimality_proven=proven,
+        family=Family(field, n, k, tuple(best)),
+        optimality_proven=nodes <= node_budget,  # false only after the budget stop
         nodes=nodes,
         bound=bound,
-        config=cfg,
+        L=L,
+        symmetry_break=symmetry_break,
     )
 
 
-def greedy_max_family(cfg: SearchConfig, seed: int) -> Family:
+def greedy_max_family(field: Field, n: int, k: int, L: int, seed: int) -> Family:
     """Randomized greedy insertion in a seed-shuffled canonical order."""
-    candidates = list(enumerate_subspaces(cfg.field, cfg.n, cfg.k))
-    rng = random.Random(seed)
-    rng.shuffle(candidates)
-    chosen = _Chosen(cfg)
+    check_parameters(n, k, L)
+    candidates = list(enumerate_subspaces(field, n, k))
+    random.Random(seed).shuffle(candidates)
+    chosen = _Chosen(field, k, L)
     for cand in candidates:
         if _feasible(chosen, cand):
             chosen.push(cand)
-    return Family(cfg.field, cfg.n, cfg.k, tuple(chosen.members))
+    return Family(field, n, k, tuple(chosen.members))

@@ -37,7 +37,7 @@ from subspace_forge.constructions import (
     rs_guaranteed_L,
     vandermonde_matrix,
 )
-from subspace_forge.search import SearchConfig, exhaustive_max_family, greedy_max_family
+from subspace_forge.search import exhaustive_max_family, greedy_max_family
 from subspace_forge.batch import BatchCode, batch_s, verify_batch
 
 
@@ -102,7 +102,7 @@ def code_based():
 @pytest.fixture(scope="module")
 def search_q2():
     t0 = time.perf_counter()
-    res = exhaustive_max_family(SearchConfig(make_field(2), 3, 1, 1))
+    res = exhaustive_max_family(make_field(2), 3, 1, 1)
     dt = time.perf_counter() - t0
     return {"result": res, "seconds": dt}
 
@@ -177,7 +177,7 @@ def test_criterion_05_size_bound_compliance(rs_k1, rs_k2, rs_k3, code_based, sea
         families.append((r["family"], r["L"]))
     searched = search_q2["result"].family
     families.append((searched, compute_L_aad(searched)[0]))
-    greedy = greedy_max_family(SearchConfig(make_field(3), 3, 1, 1, mode="greedy"), seed=5)
+    greedy = greedy_max_family(make_field(3), 3, 1, 1, seed=5)
     families.append((greedy, compute_L_aad(greedy)[0]))
     rnd = random_run["first"].family
     families.append((rnd, compute_L_aad(rnd)[0]))
@@ -201,7 +201,7 @@ def test_criterion_06_relation_suite(rs_k1, four_line_family):
     points[(3, 2)] = four_line_family
     points[(3, 3)] = build_rs_family(3, 1, make_field(3))
     points[(3, 5)] = rs_k1[(3, 5)]["family"]
-    points[(4, 3)] = greedy_max_family(SearchConfig(make_field(3), 4, 1, 2, mode="greedy"), seed=11)
+    points[(4, 3)] = greedy_max_family(make_field(3), 4, 1, 2, seed=11)
 
     ok = True
     details = []

@@ -43,6 +43,39 @@ def test_construct_rs_small_q_exits_2(capsys):
     assert "q < nk" in err
 
 
+def test_construct_rs_over_member_guard_exits_4_promptly(capsys):
+    # 13^10 members: it used to run on, building every one
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "construct", "rs", "--n", "12", "--k", "1", "--q", "13")
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 4 and out == ""
+    assert "137858491849 members" in err and "guard 200000" in err
+
+
+def test_guard_env_limits_rs_members(capsys, monkeypatch):
+    monkeypatch.setenv("SUBSPACE_FORGE_GUARD", "50")
+    code, out, err = run_cli(capsys, "construct", "rs", "--n", "5", "--k", "1", "--q", "7")
+    assert code == 4 and out == ""
+    assert "343" in err and "guard 50" in err
+    code, out, _ = run_cli(capsys, "construct", "rs", "--n", "4", "--k", "1", "--q", "7")
+    assert code == 0
+    assert result_of(out)["diagnostics"]["members"] == 49
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "4", "--k", "2", "--q", "7"], "need 2k < n"),
+        (["--n", "12", "--k", "1", "--q", "7"], "q < nk"),
+    ],
+)
+def test_construct_rs_parameter_errors_beat_the_member_guard(capsys, monkeypatch, argv, message):
+    monkeypatch.setenv("SUBSPACE_FORGE_GUARD", "50")
+    code, _, err = run_cli(capsys, "construct", "rs", *argv)
+    assert code == 2
+    assert message in err
+
+
 def test_construct_random_reproducible(capsys):
     args = ["construct", "random", "--n", "5", "--k", "1", "--L", "7", "--q", "5", "--seed", "1"]
     code1, out1, _ = run_cli(capsys, *args)
@@ -337,6 +370,36 @@ def test_bounds_bad_params_exit_2(capsys):
     assert code == 2
 
 
+def test_bounds_q_not_a_prime_power_exits_2(capsys):
+    # it used to print a table for GF(6), which does not exist
+    code, out, err = run_cli(capsys, "bounds", "--n", "3", "--k", "1", "--L", "1", "--q", "6")
+    assert code == 2 and out == ""
+    assert "6 is not a prime power" in err
+
+
+@pytest.mark.parametrize(
+    "n, L",
+    [
+        # 2^19999 has 6,021 digits: printing it used to raise past main
+        (20000, 1),
+        # the random sample size took the 400th root of 2^1195 in floats
+        (5, 400),
+        # and formed 2^(3 (L + 1) - 8) exactly before that
+        (5, 10**4000),
+    ],
+)
+def test_bounds_that_outgrow_python_ints_exit_promptly(capsys, n, L):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "bounds", "--n", str(n), "--k", "1", "--L", str(L), "--q", "2")
+    assert time.perf_counter() - t0 < 2.0
+    if L == 400:
+        assert code == 0
+        assert result_of(out)["random_sample_size"] == 7
+    else:
+        assert code == 2 and out == ""
+        assert "over Python's limit of" in err
+
+
 def test_search_command(capsys):
     code, out, _ = run_cli(capsys, "search", "--n", "3", "--k", "1", "--L", "1", "--q", "2")
     assert code == 0
@@ -376,6 +439,20 @@ def test_search_greedy_rejects_exhaustive_options(capsys, option):
     )
     assert code == 2 and out == ""
     assert f"{option[0]} applies only to exhaustive search, not greedy" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "4", "--k", "2", "--L", "1", "--q", "1024"], "need 2k < n, got k=2, n=4"),
+        (["--n", "5", "--k", "1", "--L", "-1", "--q", "32"], "L must be >= 0"),
+    ],
+)
+def test_search_greedy_parameter_errors_beat_the_greedy_guard(capsys, argv, message):
+    # both spaces hold more k-subspaces than the greedy guard admits
+    code, out, err = run_cli(capsys, "search", "--mode", "greedy", *argv)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_batch_command_from_search_family(capsys, tmp_path):

@@ -254,6 +254,19 @@ RUNS = [
         ["search", "--n", "6", "--k", "2", "--L", "2", "--q", "2", "--node-budget", "20000"],
         "182c9d4ab3f2ef02b1c3310fa1533c48dee2521b90910b82709d25c04994ba38",
     ),
+    # The loop without symmetry breaking, pinned by its node count: 1,086
+    # nodes to prove the optimum 4, and 5,001 nodes to spend a budget at
+    # size 9.  The digests were taken when the search was a recursive dfs.
+    (
+        "search-exhaustive-3-1-1-3-no-symmetry-break",
+        ["search", "--n", "3", "--k", "1", "--L", "1", "--q", "3", "--no-symmetry-break"],
+        "1efa76977ec86202c5f6be32e5eece29406d7500e846ac100b43bee1df8cf993",
+    ),
+    (
+        "search-exhaustive-6-2-2-2-budget-no-symmetry-break",
+        ["search", "--n", "6", "--k", "2", "--L", "2", "--q", "2", "--node-budget", "5000", "--no-symmetry-break"],
+        "badfaf891b9328bbc05af4222a844ddf559e0148fafb20a267a4aa3db961ba63",
+    ),
     (
         "search-greedy-6-2-2-2",
         ["search", "--mode", "greedy", "--n", "6", "--k", "2", "--L", "2", "--q", "2", "--seed", "1"],

@@ -17,18 +17,11 @@ from subspace_forge.family import (
 )
 from subspace_forge.constructions import max_family_size_bound
 from subspace_forge.subspace import Subspace, enumerate_subspaces
-from subspace_forge.search import (
-    SearchConfig,
-    _Chosen,
-    _feasible,
-    exhaustive_max_family,
-    greedy_max_family,
-)
+from subspace_forge.search import _Chosen, _feasible, exhaustive_max_family, greedy_max_family
 
 
 def test_exhaustive_optimum_q2(f2):
-    cfg = SearchConfig(f2, 3, 1, 1)
-    res = exhaustive_max_family(cfg)
+    res = exhaustive_max_family(f2, 3, 1, 1)
     assert res.size == 4
     assert res.optimality_proven
     assert res.bound == max_family_size_bound(3, 1, 1, 2) == 4
@@ -39,14 +32,14 @@ def test_exhaustive_optimum_q2(f2):
 
 
 def test_exhaustive_L0_forces_singleton(f2):
-    res = exhaustive_max_family(SearchConfig(f2, 3, 1, 0))
+    res = exhaustive_max_family(f2, 3, 1, 0)
     assert res.size == 1
     assert res.optimality_proven
     assert res.bound == 1
 
 
 def test_exhaustive_optimum_q3(f3):
-    res = exhaustive_max_family(SearchConfig(f3, 3, 1, 1))
+    res = exhaustive_max_family(f3, 3, 1, 1)
     # artifact-generated ground truth: optimum 4, strictly below the bound 5
     assert res.size == 4
     assert res.optimality_proven
@@ -56,14 +49,14 @@ def test_exhaustive_optimum_q3(f3):
 
 def test_symmetry_break_preserves_optimum(f2, f3):
     for field in (f2, f3):
-        on = exhaustive_max_family(SearchConfig(field, 3, 1, 1, symmetry_break=True))
-        off = exhaustive_max_family(SearchConfig(field, 3, 1, 1, symmetry_break=False))
+        on = exhaustive_max_family(field, 3, 1, 1, symmetry_break=True)
+        off = exhaustive_max_family(field, 3, 1, 1, symmetry_break=False)
         assert on.size == off.size
         assert on.optimality_proven and off.optimality_proven
 
 
 def test_incumbent_always_feasible(f2):
-    res = exhaustive_max_family(SearchConfig(f2, 4, 1, 1))
+    res = exhaustive_max_family(f2, 4, 1, 1)
     fam = res.family
     assert check_partial_spread(fam)[0]
     assert compute_L_aad(fam)[0] <= 1
@@ -71,7 +64,7 @@ def test_incumbent_always_feasible(f2):
 
 
 def test_budget_exhaustion_returns_incumbent(f3):
-    res = exhaustive_max_family(SearchConfig(f3, 3, 1, 1, node_budget=3))
+    res = exhaustive_max_family(f3, 3, 1, 1, node_budget=3)
     assert not res.optimality_proven
     assert res.size >= 1
     assert check_partial_spread(res.family)[0]
@@ -80,39 +73,47 @@ def test_budget_exhaustion_returns_incumbent(f3):
 def test_exhaustive_space_limit():
     f25 = make_field(5, 2)
     with pytest.raises(SizeGuardError):
-        SearchConfig(f25, 4, 1, 1)  # 16276 lines > 10^4
+        exhaustive_max_family(f25, 4, 1, 1)  # 16276 lines > 10^4
 
 
-def test_config_validation(f2):
+def test_parameter_validation(f2):
     with pytest.raises(ValueError):
-        SearchConfig(f2, 4, 2, 1)  # 2k = n
+        exhaustive_max_family(f2, 4, 2, 1)  # 2k = n
     with pytest.raises(ValueError):
-        SearchConfig(f2, 3, 1, 1, mode="magic")
+        exhaustive_max_family(f2, 3, 1, -1)
     with pytest.raises(ValueError):
-        SearchConfig(f2, 3, 1, -1)
+        exhaustive_max_family(f2, 3, 1, 1, node_budget=0)
     with pytest.raises(ValueError):
-        SearchConfig(f2, 3, 1, 1, node_budget=0)
+        greedy_max_family(f2, 4, 2, 1, seed=0)  # 2k = n
+    with pytest.raises(ValueError):
+        greedy_max_family(f2, 3, 1, -1, seed=0)
+
+
+def test_greedy_takes_no_exhaustive_options(f2):
+    # greedy search runs no branch-and-bound, so it has nothing to read them
+    for option in ({"node_budget": 1}, {"symmetry_break": False}):
+        with pytest.raises(TypeError):
+            greedy_max_family(f2, 3, 1, 1, seed=0, **option)
 
 
 def test_greedy_feasible_and_reproducible(f2):
-    cfg = SearchConfig(f2, 3, 1, 1, mode="greedy")
-    fam = greedy_max_family(cfg, seed=5)
+    fam = greedy_max_family(f2, 3, 1, 1, seed=5)
     assert check_partial_spread(fam)[0]
     assert compute_L_aad(fam)[0] <= 1
-    fam2 = greedy_max_family(cfg, seed=5)
+    fam2 = greedy_max_family(f2, 3, 1, 1, seed=5)
     assert fam.to_json() == fam2.to_json()
 
 
 def test_greedy_never_beats_exhaustive(f2, f3):
     for field in (f2, f3):
-        opt = exhaustive_max_family(SearchConfig(field, 3, 1, 1)).size
+        opt = exhaustive_max_family(field, 3, 1, 1).size
         for seed in range(5):
-            g = greedy_max_family(SearchConfig(field, 3, 1, 1, mode="greedy"), seed)
+            g = greedy_max_family(field, 3, 1, 1, seed)
             assert len(g) <= opt
 
 
 def test_certificate_json(f2):
-    res = exhaustive_max_family(SearchConfig(f2, 3, 1, 1))
+    res = exhaustive_max_family(f2, 3, 1, 1)
     cert = res.to_json()
     assert cert["optimum"] == 4
     assert cert["bound"] == 4
@@ -127,8 +128,8 @@ def test_search_needs_no_spread_scan(f2, monkeypatch):
     # _feasible keeps every family a partial spread, so the verifier's own
     # loop never meets a fault and the pairwise scan is never needed
     def run():
-        exhaustive = exhaustive_max_family(SearchConfig(f2, 4, 1, 1)).to_json()
-        greedy = greedy_max_family(SearchConfig(f2, 4, 1, 1, mode="greedy"), seed=3)
+        exhaustive = exhaustive_max_family(f2, 4, 1, 1).to_json()
+        greedy = greedy_max_family(f2, 4, 1, 1, seed=3)
         return exhaustive, greedy.to_json()
 
     expected = run()
@@ -145,9 +146,9 @@ def test_exhaustive_search_leaves_no_cyclic_garbage(f2):
     # next full collection: exhaustive k = 2 with and without a budget
     # hit, and greedy k = 2
     runs = [
-        lambda: exhaustive_max_family(SearchConfig(f2, 5, 2, 1)),
-        lambda: exhaustive_max_family(SearchConfig(f2, 5, 2, 3, node_budget=2000)),
-        lambda: greedy_max_family(SearchConfig(f2, 6, 2, 2, mode="greedy"), seed=1),
+        lambda: exhaustive_max_family(f2, 5, 2, 1),
+        lambda: exhaustive_max_family(f2, 5, 2, 3, node_budget=2000),
+        lambda: greedy_max_family(f2, 6, 2, 2, seed=1),
     ]
     gc.collect()
     gc.disable()
@@ -171,24 +172,24 @@ def test_feasible_is_called_once_per_node_after_the_first(f2, monkeypatch):
         return feasible(*args)
 
     monkeypatch.setattr(search, "_feasible", counted)
-    res = exhaustive_max_family(SearchConfig(f2, 5, 2, 1))
+    res = exhaustive_max_family(f2, 5, 2, 1)
     assert res.nodes == 8092 and res.optimality_proven
     assert calls == res.nodes - 1
 
 
-def _limited_count_feasible(cfg, members):
+def _limited_count_feasible(field, n, k, L, members):
     """The old test of a candidate: the AAD count of the new family, at
     most L, where a family that is not a partial spread fails."""
-    fam = Family(cfg.field, cfg.n, cfg.k, tuple(members))
+    fam = Family(field, n, k, tuple(members))
     try:
-        return count_L_aad(fam)[0] <= cfg.L
+        return count_L_aad(fam)[0] <= L
     except NotAPartialSpread:
         return False
 
 
-def _chosen(cfg, members):
+def _chosen(field, k, L, members):
     """Search state built fresh by pushing members in order."""
-    chosen = _Chosen(cfg)
+    chosen = _Chosen(field, k, L)
     for S in members:
         chosen.push(S)
     return chosen
@@ -199,14 +200,14 @@ def _tallies(chosen):
     return [dict(counts) for _, _, counts in chosen.tallies]
 
 
-def _draw(rng, cfg):
+def _draw(rng, field, n, k):
     """A uniform-ish random k-subspace of GF(q)^n."""
-    q = cfg.field.q
+    q = field.q
     while True:
-        rows = [[rng.randrange(q) for _ in range(cfg.n)] for _ in range(cfg.k)]
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
         if any(map(any, rows)):
-            S = Subspace.from_generators(cfg.field, cfg.n, rows)
-            if S.k == cfg.k:
+            S = Subspace.from_generators(field, n, rows)
+            if S.k == k:
                 return S
 
 
@@ -229,31 +230,31 @@ def test_k1_feasible_tests_the_planes_through_the_candidate(space, L, tries, see
     # chosen is grown feasible by the old test, as both searches grow it;
     # then every candidate outside it gets the same answer from both tests
     n, q = space
-    cfg = SearchConfig(field_from_order(q), n, 1, L)
+    field = field_from_order(q)
     points = _lines(n, q)
     order = random.Random(seed).sample(points, len(points))
     chosen = []
     for cand in order[:tries]:
-        if _limited_count_feasible(cfg, chosen + [cand]):
+        if _limited_count_feasible(field, n, 1, L, chosen + [cand]):
             chosen.append(cand)
-    state = _chosen(cfg, chosen)
+    state = _chosen(field, 1, L, chosen)
     for cand in order[tries : tries + 12]:
-        assert _feasible(state, cand) == _limited_count_feasible(cfg, chosen + [cand])
+        assert _feasible(state, cand) == _limited_count_feasible(field, n, 1, L, chosen + [cand])
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(PLANE_SEARCH_GRID), st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_k2_feasible_is_the_limited_count(space, L, seed):
     n, q = space
-    cfg = SearchConfig(field_from_order(q), n, 2, L, mode="greedy")
+    field = field_from_order(q)
     rng = random.Random(seed)
     chosen = []
     for _ in range(12):
-        cand = _draw(rng, cfg)
+        cand = _draw(rng, field, n, 2)
         if any(cand.key() == S.key() for S in chosen):
             continue
-        expected = _limited_count_feasible(cfg, chosen + [cand])
-        assert _feasible(_chosen(cfg, chosen), cand) == expected
+        expected = _limited_count_feasible(field, n, 2, L, chosen + [cand])
+        assert _feasible(_chosen(field, 2, L, chosen), cand) == expected
         if expected:
             chosen.append(cand)
 
@@ -266,22 +267,22 @@ def test_tallies_follow_tests_pushes_and_pops(space, L, seed):
     # equal to the AAD count's, and every pop leaves the state a fresh
     # build from the remaining members would have
     n, k, q = space
-    cfg = SearchConfig(field_from_order(q), n, k, L, mode="greedy")
+    field = field_from_order(q)
     rng = random.Random(seed)
-    chosen = _Chosen(cfg)
+    chosen = _Chosen(field, k, L)
     for _ in range(30):
         if chosen.members and rng.random() < 0.3:
             chosen.pop()
-            fresh = _chosen(cfg, chosen.members)
+            fresh = _chosen(field, k, L, chosen.members)
             assert chosen.members == fresh.members
             assert _tallies(chosen) == _tallies(fresh)
             continue
-        cand = _draw(rng, cfg)
+        cand = _draw(rng, field, n, k)
         if any(cand.key() == S.key() for S in chosen.members):
             continue
         ok = _feasible(chosen, cand)
-        assert ok == _limited_count_feasible(cfg, chosen.members + [cand])
+        assert ok == _limited_count_feasible(field, n, k, L, chosen.members + [cand])
         if ok and rng.random() < 0.8:
             chosen.push(cand)
-            fam = Family(cfg.field, n, k, tuple(chosen.members))
+            fam = Family(field, n, k, tuple(chosen.members))
             assert _tallies(chosen) == list(map(dict, _quotient_point_counts(fam)))
