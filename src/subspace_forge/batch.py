@@ -11,10 +11,12 @@ simultaneous requests.
 A BatchCode builds two coset tables per member once, from the field's
 addition table: the coset rank of every point, and the points of every
 coset.  Encoding and the recovery candidates read these tables, so no
-request reduces a vector or enumerates a subspace.  A recovery plan
-builds each candidate only when its backtracking first tests it, in the
-order of `recovery_sets_for`; most plans stop at the direct read or the
-first parity that fits.
+request reduces a vector or enumerates a subspace.  One backtracking
+loop, `BatchCode._assign`, serves both recovery plans and verification;
+it builds each candidate only when it first tests it, in the order of
+`recovery_sets_for`, and verification builds no plan objects.
+Exhaustive verification checks one multiset per translation class (see
+`verify_batch`).
 """
 
 from __future__ import annotations
@@ -179,13 +181,13 @@ class BatchCode:
             bit ^= y[p]
         return bit
 
-    def plan_recovery(self, requests) -> RecoveryPlan | None:
-        """Pairwise disjoint recovery sets for a multiset of information
-        indices, one per request, or None if no assignment exists.
-        Depth-first backtracking over each request's candidate list, in
-        sorted request order and candidate order.  A candidate is built
-        when the search first tests it; requests for the same index share
-        one list of the candidates built so far."""
+    def _assign(self, requests):
+        """Depth-first backtracking over each request's candidate list, in
+        sorted request order and candidate order.  Returns the sorted
+        requests, their candidate lists and the candidate picked for each,
+        or None if no pairwise disjoint assignment exists.  A candidate is
+        built when the search first tests it; requests for the same index
+        share one list of the candidates built so far."""
         requests = sorted(requests)
         for idx in requests:
             if not 0 <= idx < self.K:
@@ -215,10 +217,19 @@ class BatchCode:
                 j += 1
             else:
                 return None
+        return requests, lists, picks
+
+    def plan_recovery(self, requests) -> RecoveryPlan | None:
+        """Pairwise disjoint recovery sets for a multiset of information
+        indices, one per request in sorted order, or None if no assignment
+        exists."""
+        found = self._assign(requests)
+        if found is None:
+            return None
         return RecoveryPlan(
             tuple(
                 RecoveryEntry(idx, cands[j], "direct" if j == 0 else "parity_xor")
-                for idx, cands, j in zip(requests, lists, picks)
+                for idx, cands, j in zip(*found)
             )
         )
 
@@ -241,11 +252,24 @@ def verify_batch(
     information bits admits pairwise disjoint recovery sets.
 
     Returns (True, None) or (False, counterexample multiset).
+
+    Exhaustive mode checks only the multisets that contain 0:
+    - Translating by a point t maps the direct read of idx to that of
+      idx + t, and member a's coset through idx, with its parity, onto
+      member a's coset through idx + t.  Both maps are bijections on
+      positions, so a multiset M can be served exactly when M + t can.
+    - Every multiset has a translate that contains point 0, which is
+      index 0 because code 0 is the field zero.
+    - The multisets whose least element is 0 are the first part of the
+      lexicographic sweep of all multisets, in the same order.  So the
+      verdict and the first counterexample are those of the full sweep.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
     if mode == "exhaustive":
-        requests_iter = itertools.combinations_with_replacement(range(code.K), s)
+        requests_iter = (
+            (0,) + rest for rest in itertools.combinations_with_replacement(range(code.K), s - 1)
+        )
     elif mode == "sampled":
         rng = random.Random(seed)
         requests_iter = (
@@ -254,6 +278,6 @@ def verify_batch(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     for multiset in requests_iter:
-        if code.plan_recovery(multiset) is None:
-            return False, tuple(multiset)
+        if code._assign(multiset) is None:
+            return False, multiset
     return True, None

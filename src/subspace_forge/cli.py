@@ -201,6 +201,7 @@ def _cmd_construct(args, field_guard: int, as_guard: int) -> dict:
         if args.q is None or args.L is None:
             raise ValueError("--q and --L are required for kind random")
         field = field_from_order(args.q, field_guard)
+        _check_powers(args.n, args.k, args.L, args.q)
         res = build_random_family(
             args.n, args.k, args.L, field, args.seed, max_rounds=args.max_rounds, as_enum_guard=as_guard
         )
@@ -237,16 +238,22 @@ def _cmd_verify(args, field_guard: int, as_guard: int) -> dict:
     }
 
 
+def _check_powers(n: int, k: int, L: int, q: int) -> None:
+    """Refuse bad parameters, and, before any power is formed, parameters
+    whose powers of q outgrow what Python prints: the bounds table forms
+    about L q^(n-k), and the random sample size q^((n-2k)(L+1))."""
+    check_parameters(n, k, L)
+    # 0 is no limit; Python < 3.10.7 has none
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    top = limit / math.log10(q)  # q^top has `limit` digits
+    # compare ints with floats, which is exact, and add none to a float
+    if n - k >= top - math.log(max(L, 1), q) or (n - 2 * k) * (L + 1) >= top:
+        raise ValueError(f"these parameters need powers of q over Python's limit of {limit} digits")
+
+
 def _cmd_bounds(args, field_guard: int) -> dict:
     field_from_order(args.q, field_guard)  # a q that is no prime power exits 2
-    # the table forms about L q^(n-k), and q^((n-2k)(L+1)) for the random
-    # sample size: refuse, before forming any power, parameters that make
-    # one longer than Python prints (0 is no limit; Python < 3.10.7 has none)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-    top = limit / math.log10(args.q)  # q^top has `limit` digits
-    # compare ints with floats, which is exact, and add none to a float
-    if args.n - args.k >= top - math.log(max(args.L, 1), args.q) or (args.n - 2 * args.k) * (args.L + 1) >= top:
-        raise ValueError(f"these bounds need powers of q over Python's limit of {limit} digits")
+    _check_powers(args.n, args.k, args.L, args.q)
     return bounds_table(args.n, args.k, args.L, args.q).to_json()
 
 
@@ -283,7 +290,8 @@ def _cmd_batch(args, field_guard: int, enum_guard: int) -> dict:
     code = BatchCode(fam)
     s = args.s if args.s is not None else batch_s(len(fam), code.L_aad)
     if args.mode == "exhaustive" and s >= 1:
-        total = math.comb(code.K + s - 1, s)
+        # one multiset per translation class: 0 plus s - 1 requests
+        total = math.comb(code.K + s - 2, s - 1)
         if total > enum_guard:
             raise SizeGuardError(
                 f"exhaustive batch needs {total} request multisets, over the guard {enum_guard}"

@@ -30,8 +30,10 @@ from .family import Family, check_as_guard, compute_L_as, count_L_aad
 # -- bounds -------------------------------------------------------------
 
 
-def check_parameters(n: int, k: int, L: int) -> None:
-    """Raise ValueError unless 2k < n and L >= 0."""
+def check_parameters(n: int, k: int, L: int = 0) -> None:
+    """Raise ValueError unless k >= 1, 2k < n and L >= 0."""
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
     if 2 * k >= n:
         raise ValueError(f"need 2k < n, got k={k}, n={n}")
     if L < 0:
@@ -182,8 +184,7 @@ class RSCodeSpec:
 
 
 def make_rs_code(field: Field, n: int, k: int) -> RSCodeSpec:
-    if 2 * k >= n:
-        raise ValueError(f"need 2k < n, got k={k}, n={n}")
+    check_parameters(n, k)
     if field.q < n * k:
         raise ValueError(f"q < nk (q={field.q}, n={n}, k={k})")
     length = n - k - 1
@@ -348,8 +349,7 @@ def build_random_family(
     until the exact AS parameter is at most L or max_rounds runs out
     (best-effort, flagged in the diagnostics).  Deterministic per seed.
     """
-    if 2 * k >= n:
-        raise ValueError(f"need 2k < n, got k={k}, n={n}")
+    check_parameters(n, k, L)
     if L < 1:
         raise ValueError("L must be >= 1")
     M = random_sample_size(n, k, L, field.q)

@@ -18,6 +18,7 @@ their tiny parameters, not values from the literature.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from collections import Counter
@@ -154,7 +155,9 @@ def exhaustive_max_family(
         raise ValueError(f"node budget must be >= 1, got {node_budget}")
     total = gaussian_binomial(n, k, field.q)
     if total > EXHAUSTIVE_SPACE_LIMIT:
-        raise SizeGuardError(f"exhaustive mode needs the k-subspace count <= {EXHAUSTIVE_SPACE_LIMIT}, got {total}")
+        # name a long count by its size: Python prints no int of over 4300 digits
+        got = total if total < 10**100 else f"about 10^{math.log10(total):.0f}"
+        raise SizeGuardError(f"exhaustive mode needs the k-subspace count <= {EXHAUSTIVE_SPACE_LIMIT}, got {got}")
     candidates = list(enumerate_subspaces(field, n, k))
 
     chosen = _Chosen(field, k, L)

@@ -1,10 +1,12 @@
 import gc
 import itertools
+import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, strategies as st
 
+from subspace_forge import batch
 from subspace_forge.batch import BatchCode, RecoveryEntry, RecoveryPlan, batch_s, verify_batch
 from subspace_forge.constructions import build_rs_family
 from subspace_forge.gf import make_field
@@ -324,3 +326,86 @@ def test_plans_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive verification by translation classes against the full sweep
+# ---------------------------------------------------------------------------
+
+
+def full_sweep(code, s):
+    """Every multiset of s requests in lexicographic order, each planned."""
+    for multiset in itertools.combinations_with_replacement(range(code.K), s):
+        if code.plan_recovery(multiset) is None:
+            return False, multiset
+    return True, None
+
+
+def translate(code, requests, t):
+    """The requests moved by point t, through field addition of coordinates."""
+    f = code.family.field
+    shift = index_point(code, t)
+    return [point_index(code, tuple(f.add(x, y) for x, y in zip(index_point(code, idx), shift))) for idx in requests]
+
+
+# k = 1 spreads whose full sweeps stay small
+K1_GRID = [(1, 3, 2), (1, 3, 3), (1, 4, 2)]
+FULL_SWEEP_LIMIT = 6435  # C(15, 8): every s up to |F| + 2 over GF(2)^3
+
+
+def test_exhaustive_matches_full_sweep_on_fixed_codes(edge_code):
+    code = edge_code
+    for s in range(1, len(code.family) + 3):
+        assert verify_batch(code, s, "exhaustive") == full_sweep(code, s)
+
+
+@DIFFERENTIAL
+@given(families(K1_GRID), st.data())
+def test_exhaustive_matches_full_sweep(fam, data):
+    code = BatchCode(fam)
+    s = data.draw(st.integers(1, len(fam) + 2))
+    # past |F| + 1 requests the full sweep stops at its first multiset
+    assume(s == len(fam) + 2 or math.comb(code.K + s - 1, s) <= FULL_SWEEP_LIMIT)
+    assert verify_batch(code, s, "exhaustive") == full_sweep(code, s)
+
+
+@DIFFERENTIAL
+@given(families(BATCH_GRID), st.data())
+def test_translation_preserves_servability(fam, data):
+    code = BatchCode(fam)
+    # a small pool makes repeated indices, and so failures, common
+    pool = data.draw(st.lists(st.integers(0, code.K - 1), min_size=1, max_size=3))
+    requests = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=len(fam) + 2))
+    t = data.draw(st.integers(0, code.K - 1))
+    moved = translate(code, requests, t)
+    assert (code.plan_recovery(requests) is None) == (code.plan_recovery(moved) is None)
+
+
+def test_exhaustive_checks_one_multiset_per_translation_class(code, monkeypatch):
+    checked = []
+    assign = BatchCode._assign
+
+    def counted(self, requests):
+        checked.append(requests)
+        return assign(self, requests)
+
+    monkeypatch.setattr(BatchCode, "_assign", counted)
+    assert verify_batch(code, 4, "exhaustive") == (True, None)
+    # C(10, 3) multisets 0 + rest, in lexicographic order, against C(11, 4) = 330
+    assert checked == [(0,) + rest for rest in itertools.combinations_with_replacement(range(8), 3)]
+    assert len(checked) == 120
+
+
+def test_verify_batch_builds_no_plans(edge_code, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("verification built a plan object")
+
+    monkeypatch.setattr(batch, "RecoveryPlan", refuse)
+    monkeypatch.setattr(batch, "RecoveryEntry", refuse)
+    code = edge_code
+    s = len(code.family)
+    assert verify_batch(code, s, "exhaustive") == (True, None)
+    assert verify_batch(code, s, "sampled", trials=50, seed=1) == (True, None)
+    assert verify_batch(code, s + 2, "exhaustive") == (False, (0,) * (s + 2))
+    with pytest.raises(AssertionError):
+        code.plan_recovery([0])

@@ -67,6 +67,8 @@ def test_guard_env_limits_rs_members(capsys, monkeypatch):
     [
         (["--n", "4", "--k", "2", "--q", "7"], "need 2k < n"),
         (["--n", "12", "--k", "1", "--q", "7"], "q < nk"),
+        # k = 0 used to exit 1 on an AssertionError
+        (["--n", "3", "--k", "0", "--q", "5"], "need k >= 1, got k=0"),
     ],
 )
 def test_construct_rs_parameter_errors_beat_the_member_guard(capsys, monkeypatch, argv, message):
@@ -74,6 +76,17 @@ def test_construct_rs_parameter_errors_beat_the_member_guard(capsys, monkeypatch
     code, _, err = run_cli(capsys, "construct", "rs", *argv)
     assert code == 2
     assert message in err
+
+
+def test_construct_random_with_huge_L_exits_2_promptly(capsys):
+    # the sample size used to form 5^(3 (L + 1) - 8) exactly
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "construct", "random", "--n", "5", "--k", "1", "--L", "100000000", "--q", "5", "--seed", "1"
+    )
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2 and out == ""
+    assert "over Python's limit of" in err
 
 
 def test_construct_random_reproducible(capsys):
@@ -280,6 +293,15 @@ def test_exhaustive_search_over_space_limit_exits_4(capsys):
     assert "11011" in err and "10000" in err
 
 
+def test_exhaustive_search_limit_names_a_count_too_long_to_print(capsys):
+    # 2^20000 - 1 lines: formatting the count used to exit 2 on Python's digit limit
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "search", "--n", "20000", "--k", "1", "--L", "1", "--q", "2")
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 4 and out == ""
+    assert "k-subspace count <= 10000, got about 10^6021" in err
+
+
 def test_guard_env_limits_family_field(capsys, monkeypatch, tmp_path, four_line_family):
     path = tmp_path / "fam.json"
     path.write_text(json.dumps(four_line_family.to_json()))
@@ -304,18 +326,30 @@ def test_exhaustive_batch_over_guard_exits_4_promptly(capsys, tmp_path):
     code, _, err = run_cli(capsys, "batch", "--family", str(path))
     assert time.perf_counter() - t0 < 2
     assert code == 4
-    # C(349, 7) multisets of s = 7 requests over K = 343 information bits
-    assert "117774526188844" in err and "guard 200000" in err
+    # C(348, 6) multisets: 0 plus s - 1 = 6 requests over K = 343 information bits
+    assert "2362239780292 request multisets" in err and "guard 200000" in err
+
+
+def test_exhaustive_batch_checks_one_multiset_per_translation_class(capsys, tmp_path):
+    # C(66, 3) = 45760 multisets are under the guard; all C(67, 4) = 766480 were not
+    path = tmp_path / "rs.json"
+    code, _, _ = run_cli(capsys, "construct", "rs", "--n", "3", "--k", "1", "--q", "4", "--out", str(path))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "batch", "--family", str(path))
+    assert code == 0
+    res = result_of(out)
+    assert (res["K"], res["s"]) == (64, 4)
+    assert res["verified"] is True and res["counterexample"] is None
 
 
 def test_guard_env_limits_batch_multisets(capsys, monkeypatch, tmp_path, four_line_family):
     path = tmp_path / "fam.json"
     path.write_text(json.dumps(four_line_family.to_json()))
     monkeypatch.setenv("SUBSPACE_FORGE_GUARD", "100")
-    # C(11, 4) = 330 multisets of s = 4 requests over K = 8 bits
+    # C(10, 3) = 120 multisets: 0 plus s - 1 = 3 requests over K = 8 bits
     code, _, err = run_cli(capsys, "batch", "--family", str(path))
     assert code == 4
-    assert "330" in err and "guard 100" in err
+    assert "120" in err and "guard 100" in err
     code, _, _ = run_cli(capsys, "batch", "--family", str(path), "--mode", "sampled")
     assert code == 0
 
@@ -368,6 +402,13 @@ def test_bounds_command(capsys):
 def test_bounds_bad_params_exit_2(capsys):
     code, _, _ = run_cli(capsys, "bounds", "--n", "4", "--k", "2", "--L", "1", "--q", "3")
     assert code == 2
+
+
+def test_bounds_k_below_1_exits_2(capsys):
+    # it used to print a table of float bounds
+    code, out, err = run_cli(capsys, "bounds", "--n", "3", "--k", "-1", "--L", "1", "--q", "2")
+    assert code == 2 and out == ""
+    assert "need k >= 1, got k=-1" in err
 
 
 def test_bounds_q_not_a_prime_power_exits_2(capsys):
