@@ -29,7 +29,7 @@ import sys
 import time
 
 from . import __version__
-from .gf import DEFAULT_SIZE_GUARD, SizeGuardError, check_order_guard, field_from_order
+from .gf import DEFAULT_SIZE_GUARD, SizeGuardError, _json_int, check_order_guard, field_from_order
 from .matgf import MatrixGF
 from .family import DEFAULT_AS_ENUM_GUARD, Family, build_report
 from .subspace import gaussian_binomial
@@ -90,7 +90,7 @@ def _load_family(path: str, field_guard: int) -> Family:
         raise InputParseError(f"{path} does not contain a family object")
     try:
         # before Field.from_json, which builds q x q tables
-        check_order_guard(int(obj["field"]["p"]), int(obj["field"]["m"]), field_guard)
+        check_order_guard(_json_int(obj["field"]["p"]), _json_int(obj["field"]["m"]), field_guard)
         return Family.from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputParseError(f"malformed family in {path}: {exc}") from exc

@@ -23,12 +23,13 @@ AAD count brings each residue basis to RREF first, so its combinations
 are already normalized and collections.Counter tallies them in C; only
 the member that names the witness is walked again point by point, and
 count_L_aad, for callers that read only the value, walks none.  For
-k >= 2, q <= 256 and n - k <= 8 the combinations are built as bytes
-columns and each point is keyed by one int that packs its coordinates a
-byte each; above either limit the keys are tuples of codes.  For
 k = 1 the quotient point of S_j over S_i is the plane S_i + S_j, and
 L_aad is the most family lines on one plane, minus one: the count
-visits each unordered pair i < j once, at its first member.
+visits each unordered pair i < j once, at its first member.  Where codes
+and points fit a byte path, q <= 256 for k >= 2 or q <= 128 for k = 1,
+and n - k <= 8, the points are built as bytes columns and each is keyed
+by one int that packs its coordinates a byte each; elsewhere the keys
+are tuples of codes.
 
 The partial-spread check is the precondition of both verifiers.  Each
 finds a non-spread family in its own loop and raises NotAPartialSpread
@@ -46,11 +47,12 @@ from __future__ import annotations
 
 import operator
 import sys
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from itertools import repeat
 
-from .gf import Field, SizeGuardError
+from .gf import Field, SizeGuardError, _json_int
 from .matgf import _rref_rows
 from .subspace import Subspace, all_vectors, enumerate_subspaces, gaussian_binomial
 
@@ -96,7 +98,7 @@ class Family:
     def from_json(cls, obj: dict) -> "Family":
         fld = Field.from_json(obj["field"])
         members = tuple(Subspace.from_json(fld, s) for s in obj["members"])
-        return cls(fld, int(obj["n"]), int(obj["k"]), members)
+        return cls(fld, _json_int(obj["n"]), _json_int(obj["k"]), members)
 
 
 @dataclass
@@ -276,9 +278,12 @@ def _quotient_points(S: Subspace, project, rows):
 def _packed_quotient_point_counts(fam: Family):
     """The byte path of _quotient_point_counts, for k >= 2, q <= 256 and
     n - k <= 8: yields, for each member S_i in order, a Counter of the
-    same quotient points, each keyed by one int that packs its n - k
-    coordinates a byte each, in native byte order (key.to_bytes(8,
-    sys.byteorder)[:n - k] gives them back).
+    same quotient points, each keyed by one int that packs its d = n - k
+    coordinates a byte each: coordinate t is byte d - 1 - t in native
+    byte order, so key.to_bytes(8, sys.byteorder)[d - 1 :: -1] gives them
+    back.  The low byte, which picks a key's dict slot on a little-endian
+    host, is then the last coordinate rather than the first, which is
+    mostly the leading 1.
 
     Each pair's residues are reduced, projected and brought to RREF as in
     _quotient_points, and NotAPartialSpread((i, j)) is raised at the same
@@ -296,8 +301,7 @@ def _packed_quotient_point_counts(fam: Family):
     f = fam.field
     k, d = fam.k, fam.n - fam.k
     points_per_pair = (f.q**k - 1) // (f.q - 1)
-    pad = bytes(256 - f.q)
-    add_rows = [bytes(row) + pad for row in f.add_table]
+    add_rows = _padded_add_rows(f)
     mul_rows = [bytes(row) for row in f.mul_table]
     translate = bytes.translate
     member_rows = [T.basis.row_list() for T in fam.members]
@@ -325,7 +329,73 @@ def _packed_quotient_point_counts(fam: Family):
                     ]
         packed = bytearray(8 * len(lasts) * points_per_pair)
         for t, (col, layer) in enumerate(zip(zip(*lasts), zip(*layers))):
-            packed[t::8] = bytes(col) + b"".join(layer)
+            packed[d - 1 - t :: 8] = bytes(col) + b"".join(layer)
+        yield Counter(memoryview(packed).cast("Q"))
+
+
+def _padded_add_rows(f: Field) -> list[bytes]:
+    """The rows of f's add table as bytes.translate tables: row a maps
+    code x < q to a + x."""
+    pad = bytes(256 - f.q)
+    return [bytes(row) + pad for row in f.add_table]
+
+
+def _packed_line_point_counts(fam: Family):
+    """The byte path of _line_point_counts, for q <= 128 and n <= 9: the
+    same Counters, keyed as in _packed_quotient_point_counts.
+
+    Line S_i = <b> with pivot c takes the later lines <x> in groups of
+    equal x[c] = a, built once per pivot column as ascending indices and
+    one bytes column per coordinate; residue column t of a group,
+    x[t] - a*b[t], is one translate by a padded add row.  Residues are
+    scaled to a leading 1 in the byte lanes of ints: the lead's log is
+    picked lane by lane in free column order, each lane of
+    log_t + (q-1) - lead lies in [1, 2q-3], so no lane borrows or
+    carries, and the doubled exp table, whose entry 0 takes the masked
+    zero lanes, maps the lanes back to codes.
+    """
+    f, n = fam.field, fam.n
+    q, mul, neg = f.q, f.mul_table, f.neg_table
+    add_rows = _padded_add_rows(f)
+    exp = [1]
+    while len(exp) < q - 1:
+        exp.append(mul[exp[-1]][f.gamma])
+    log = bytearray(256)
+    for e, x in enumerate(exp):
+        log[x] = e
+    nonzero = bytes(1) + b"\xff" * (q - 1) + bytes(256 - q)
+    exp2 = bytes([0, *exp[1:], *exp]) + bytes(256 - 2 * (q - 1))
+    entries = [T.basis.entries for T in fam.members]
+    groups = {}
+    for c in {T.pivots[0] for T in fam.members}:
+        by_value = [[] for _ in range(q)]
+        for j, x in enumerate(entries):
+            by_value[x[c]].append(j)
+        groups[c] = [
+            (a, js, [bytes(col) for col in zip(*map(entries.__getitem__, js))])
+            for a, js in enumerate(by_value)
+            if js
+        ]
+    for i, (S, b) in enumerate(zip(fam.members, entries)):
+        free = _free_columns(S)
+        residues = [[] for _ in free]
+        for a, js, cols in groups[S.pivots[0]]:
+            s = bisect_right(js, i)
+            if s < len(js):
+                for out, t in zip(residues, free):
+                    out.append(cols[t][s:].translate(add_rows[neg[mul[a][b[t]]]]))
+        size = len(entries) - 1 - i
+        lanes, lead, found = [], 0, 0
+        for col in map(b"".join, residues):
+            lg = int.from_bytes(col.translate(log), "little")
+            nz = int.from_bytes(col.translate(nonzero), "little")
+            lead |= lg & nz & ~found
+            found |= nz
+            lanes.append((lg, nz))
+        shift = int.from_bytes(bytes([q - 1]) * size, "little") - lead
+        packed = bytearray(8 * size)
+        for t, (lg, nz) in enumerate(lanes):
+            packed[n - 2 - t :: 8] = ((lg + shift) & nz).to_bytes(size, "little").translate(exp2)
         yield Counter(memoryview(packed).cast("Q"))
 
 
@@ -354,6 +424,11 @@ def _line_point_counts(lines, add, mul, neg, inv):
     table and the row of b[t] in the mul table at -x[c], and each residue
     is scaled to a leading 1 by the row of 1/lead in the mul table.
     Distinct lines never meet, so every residue has a lead.
+
+    count_L_aad takes this pass for q > 128 or n > 9, and the tests take
+    it as _packed_line_point_counts' oracle.  search._feasible keeps it:
+    on a node's 3 to 30 lines the byte path's set-up costs more than it
+    saves.
     """
     entries = [T.basis.entries for T in lines]
     # lists, not tuples: the per-member slices then raise peak RSS less
@@ -415,17 +490,19 @@ def count_L_aad(fam: Family) -> tuple[int, int, set]:
     return certifies that the family is a partial spread.
 
     For k >= 2 with q <= 256 and n - k <= 8 the points are tallied by
-    _packed_quotient_point_counts, keyed by packed ints, and only the
-    attaining keys of S_i are turned back into tuples.  Above either
-    limit a code or a point does not fit its byte or word, and
-    _quotient_point_counts tallies tuples.
+    _packed_quotient_point_counts, and for k = 1 with q <= 128 and n <= 9
+    by _packed_line_point_counts, keyed by packed ints; only the attaining
+    keys of S_i are turned back into tuples.  Above those limits a code,
+    a log lane or a point does not fit its byte or word, and
+    _quotient_point_counts or _line_point_counts tallies tuples.
     """
     f = fam.field
-    add, mul = f.add_table, f.mul_table
     d = fam.n - fam.k
-    packed = fam.k >= 2 and f.q <= 256 and d <= 8
-    if fam.k == 1:
-        per_member = _line_point_counts(fam.members, add, mul, f.neg_table, f.inv_table)
+    packed = f.q <= (128 if fam.k == 1 else 256) and d <= 8
+    if fam.k == 1 and packed:
+        per_member = _packed_line_point_counts(fam)
+    elif fam.k == 1:
+        per_member = _line_point_counts(fam.members, f.add_table, f.mul_table, f.neg_table, f.inv_table)
     elif packed:
         per_member = _packed_quotient_point_counts(fam)
     else:
@@ -438,7 +515,7 @@ def count_L_aad(fam: Family) -> tuple[int, int, set]:
             best, best_i = top, i
             attaining = {key for key, cnt in counts.items() if cnt == top}
     if packed:
-        attaining = {tuple(key.to_bytes(8, sys.byteorder)[:d]) for key in attaining}
+        attaining = {tuple(key.to_bytes(8, sys.byteorder)[d - 1 :: -1]) for key in attaining}
     return best, best_i, attaining
 
 
@@ -453,9 +530,10 @@ def compute_L_aad(fam: Family) -> tuple[int, tuple[int, tuple[int, ...]]]:
     leading-1 combinations are the points' normalized forms, and a
     collections.Counter tallies them: for q <= 256 and n - k <= 8 built
     as bytes columns and packed one int per point, otherwise as tuples
-    (see count_L_aad).  For k = 1 one batched pass forms
-    each line's residue from table rows, scales it to a leading 1 and
-    tallies the keys with one Counter per member.  For k = 1 the point of
+    (see count_L_aad).  For k = 1 one batched pass forms the residues of
+    the later lines a column at a time, scales them to a leading 1 and
+    tallies them with one Counter per member, as packed ints for q <= 128
+    and n <= 9.  For k = 1 the point of
     S_j over S_i is the plane S_i + S_j, whose count is the same from
     each of its lines, so S_i counts only the later lines j > i, and each
     unordered pair once (_line_point_counts proves that the value and

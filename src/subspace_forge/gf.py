@@ -34,6 +34,14 @@ class SizeGuardError(RuntimeError):
     """A requested computation exceeds the configured size guard."""
 
 
+def _json_int(x) -> int:
+    """x when it is an int: JSON input is not coerced, so 2.5, true and
+    "3" raise TypeError instead of reading as 2, 1 and 3."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -318,7 +326,9 @@ class Field:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Field":
-        return cls(int(obj["p"]), int(obj["m"]), tuple(obj["modulus"]), int(obj["gamma"]))
+        return cls(
+            _json_int(obj["p"]), _json_int(obj["m"]), tuple(map(_json_int, obj["modulus"])), _json_int(obj["gamma"])
+        )
 
 
 def make_field(p: int, m: int = 1, size_guard: int | None = DEFAULT_SIZE_GUARD) -> Field:

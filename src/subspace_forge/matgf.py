@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import Field
+from .gf import Field, _json_int
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class MatrixGF:
 
     @classmethod
     def from_json(cls, field: Field, obj: dict) -> "MatrixGF":
-        return cls(field, int(obj["rows"]), int(obj["cols"]), tuple(int(e) for e in obj["entries"]))
+        return cls(field, _json_int(obj["rows"]), _json_int(obj["cols"]), tuple(map(_json_int, obj["entries"])))
 
 
 def _rref_rows(field: Field, rows: list[list[int]], ncols: int):

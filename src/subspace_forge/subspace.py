@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .gf import Field
+from .gf import Field, _json_int
 from .matgf import MatrixGF, rank_of_stack, rref
 
 
@@ -136,8 +136,8 @@ class Subspace:
 
     @classmethod
     def from_json(cls, field: Field, obj: dict) -> "Subspace":
-        basis = MatrixGF.from_rows(field, obj["basis"])
-        return cls(field, int(obj["n"]), int(obj["k"]), basis)
+        basis = MatrixGF.from_rows(field, [list(map(_json_int, row)) for row in obj["basis"]])
+        return cls(field, _json_int(obj["n"]), _json_int(obj["k"]), basis)
 
 
 def enumerate_subspaces(field: Field, n: int, k: int):

@@ -9,7 +9,7 @@ import pytest
 
 from subspace_forge.cli import main
 from subspace_forge.family import Family
-from test_golden import NON_SPREAD
+from test_golden import FOUR_LINES, NON_SPREAD
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +214,46 @@ def test_verify_invariant_breaking_family_exits_3(capsys, tmp_path, f2):
     path.write_text(json.dumps(fam))
     code, _, _ = run_cli(capsys, "verify", "--family", str(path))
     assert code == 3
+
+
+# paths of FOUR_LINES that hold an int
+FOUR_LINES_INTS = [
+    ("field", "p"), ("field", "m"), ("field", "gamma"), ("field", "modulus", 1), ("n",), ("k",),
+    ("members", 0, "n"), ("members", 0, "k"), ("members", 3, "basis", 0, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "spoil", [lambda x: x + 0.5, lambda x: True, str], ids=["float", "bool", "string"]
+)
+def test_verify_non_integer_family_value_exits_3(capsys, tmp_path, spoil):
+    # each spoiled value is one that int() reads back as the old value
+    # (2.5 as 2, true as 1, "3" as 3), so coercion would verify FOUR_LINES
+    path = tmp_path / "fam.json"
+    for *where, last in FOUR_LINES_INTS:
+        fam = json.loads(json.dumps(FOUR_LINES))
+        parent = fam
+        for key in where:
+            parent = parent[key]
+        if int(spoil(parent[last])) != parent[last]:
+            continue
+        parent[last] = spoil(parent[last])
+        path.write_text(json.dumps(fam))
+        code, out, err = run_cli(capsys, "verify", "--family", str(path))
+        assert (code, out) == (3, ""), (where, last)
+        assert "expected an integer" in err
+
+
+def test_construct_code_based_non_integer_matrix_exits_3(capsys, tmp_path):
+    path = tmp_path / "H.json"
+    for spoiled in ({"entries": [1.0] * 12}, {"rows": "3"}, {"cols": True}):
+        H = {"rows": 3, "cols": 4, "entries": [1] * 12, **spoiled}
+        path.write_text(json.dumps(H))
+        code, out, err = run_cli(
+            capsys, "construct", "code-based", "--n", "3", "--k", "1", "--q", "5", "--matrix", str(path)
+        )
+        assert (code, out) == (3, ""), spoiled
+        assert "expected an integer" in err
 
 
 def test_verify_unknown_property_exits_2(capsys, tmp_path, four_line_family):

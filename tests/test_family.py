@@ -3,6 +3,7 @@ import itertools
 import operator
 import random
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -15,6 +16,8 @@ from subspace_forge import family as family_mod
 from subspace_forge.family import (
     _leading_one_combinations,
     _lex_smallest_outside,
+    _line_point_counts,
+    _packed_line_point_counts,
     _packed_quotient_point_counts,
     _quotient_point_counts,
     Family,
@@ -70,7 +73,7 @@ def exhaustive_L_as_oracle(fam):
     return best
 
 
-FIELDS = {q: field_from_order(q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 32)}
+FIELDS = {q: field_from_order(q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 64, 81, 128)}
 
 # Families come from a drawn seed, which has no simpler neighbour, and each
 # shrink step reruns an exhaustive oracle: report the first failure as found.
@@ -330,17 +333,19 @@ def _member_tallies(per_member):
     return tallies, None
 
 
+def _unpacked(counts, d):
+    """A byte path's Counter keyed by coordinate tuples: coordinate t of
+    a point is byte d - 1 - t of its key."""
+    return Counter({tuple(key.to_bytes(8, sys.byteorder)[d - 1 :: -1]): cnt for key, cnt in counts.items()})
+
+
 @settings(max_examples=120, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(st.one_of(families(PACKED_GRID), families(PACKED_GRID, spread=False)))
 def test_packed_counts_match_quotient_point_counts(fam):
     # member by member, the byte path tallies the general path's points,
     # and a non-spread raises at the same pair
-    d = fam.n - fam.k
     packed, pair = _member_tallies(_packed_quotient_point_counts(fam))
-    unpacked = [
-        Counter({tuple(key.to_bytes(8, sys.byteorder)[:d]): cnt for key, cnt in counts.items()})
-        for counts in packed
-    ]
+    unpacked = [_unpacked(counts, fam.n - fam.k) for counts in packed]
     assert (unpacked, pair) == _member_tallies(_quotient_point_counts(fam))
 
 
@@ -355,7 +360,7 @@ def _random_spread(field, n, k, size, seed):
     return Family(field, n, k, tuple(members))
 
 
-def _refuse(fam):
+def _refuse(*args):
     raise AssertionError("the count took the other path")
 
 
@@ -368,6 +373,13 @@ def _refuse(fam):
         (5, 2, 257, "_packed_quotient_point_counts"),
         # nine coordinates do not fit one 8-byte word
         (11, 2, 2, "_packed_quotient_point_counts"),
+        # k = 1: q <= 128 and n <= 9, the byte path
+        (3, 1, 128, "_line_point_counts"),
+        (9, 1, 2, "_line_point_counts"),
+        # a lane of log_t + (q-1) - lead can reach 2q - 3 > 255, and
+        # nine coordinates do not fit one 8-byte word
+        (3, 1, 131, "_packed_line_point_counts"),
+        (10, 1, 2, "_packed_line_point_counts"),
     ],
 )
 def test_count_path_at_the_byte_limits(monkeypatch, n, k, q, other_path):
@@ -375,6 +387,17 @@ def test_count_path_at_the_byte_limits(monkeypatch, n, k, q, other_path):
     expected = _reference_L_aad(fam)
     monkeypatch.setattr(family_mod, other_path, _refuse)
     assert compute_L_aad(fam) == expected
+
+
+def test_rs_5_1_11_count_budget():
+    from subspace_forge.constructions import build_rs_family
+
+    fam = build_rs_family(5, 1, field_from_order(11))
+    t0 = time.perf_counter()
+    L, i, _ = count_L_aad(fam)
+    dt = time.perf_counter() - t0
+    assert (L, i) == (3, 0)
+    assert dt < 0.6, f"count_L_aad on RS(5,1,11) took {dt:.2f}s"
 
 
 def test_rs_7_3_23_counts_on_the_byte_path(monkeypatch):
@@ -395,18 +418,50 @@ def _points(n, q):
 DENSE_LINE_SPACES = [(4, 2), (3, 4), (3, 5), (4, 3), (3, 7), (3, 8), (3, 9)]
 
 
+@st.composite
+def dense_lines(draw):
+    n, q = draw(st.sampled_from(DENSE_LINE_SPACES))
+    size, seed = draw(st.integers(10, 40)), draw(st.integers(0, 2**32 - 1))
+    points = _points(n, q)
+    members = random.Random(seed).sample(points, min(size, len(points)))
+    return Family(FIELDS[q], n, 1, tuple(members))
+
+
 @settings(max_examples=60, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
-@given(st.sampled_from(DENSE_LINE_SPACES), st.integers(10, 40), st.integers(0, 2**32 - 1))
-def test_L_aad_matches_reference_loop_on_dense_line_families(space, size, seed):
+@given(dense_lines())
+def test_L_aad_matches_reference_loop_on_dense_line_families(fam):
     # Dense k = 1 families have many maximal planes, often with different
     # first lines: the ties on which the count's one visit per unordered
     # pair must keep the full count's witness.
-    points = _points(*space)
-    members = random.Random(seed).sample(points, min(size, len(points)))
-    fam = Family(FIELDS[space[1]], space[0], 1, tuple(members))
     expected = _reference_L_aad(fam)
     assert compute_L_aad(fam) == expected
     assert count_L_aad(fam)[0] == expected[0]
+
+
+# every field of the k = 1 byte path, q <= 128, with extension fields
+# whose logs wrap in the doubled exp table
+PACKED_LINE_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 64, 81, 128]
+
+
+@st.composite
+def few_lines(draw):
+    """One to three distinct lines of GF(q)^n, n <= 9, q <= 128."""
+    q = draw(st.sampled_from(PACKED_LINE_FIELDS))
+    n = draw(st.integers(3, 9))
+    vectors = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), min_size=1, max_size=3))
+    lines = {S.key(): S for S in (line(FIELDS[q], v) for v in vectors if any(v))}
+    assume(lines)
+    return Family(FIELDS[q], n, 1, tuple(lines.values()))
+
+
+@settings(max_examples=120, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.one_of(few_lines(), dense_lines()))
+def test_packed_line_counts_match_line_point_counts(fam):
+    # member by member, the k = 1 byte path tallies the same points of the
+    # later lines as the table pass
+    f = fam.field
+    expected = _line_point_counts(fam.members, f.add_table, f.mul_table, f.neg_table, f.inv_table)
+    assert [_unpacked(counts, fam.n - 1) for counts in _packed_line_point_counts(fam)] == list(expected)
 
 
 def test_L_aad_four_line_family(four_line_family):

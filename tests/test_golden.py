@@ -300,6 +300,39 @@ RUNS = [
         ["verify", "--family", "@construct-rs-5-2-64", "--properties", "spread,aad,bound"],
         "678a0d712c444d2f3e924d9e5d19870a0d1043757dea36a7345278345867a2a5",
     ),
+    # k = 1 AAD counts over GF(27), GF(8) and GF(128): they pin the byte
+    # path of the k = 1 count, up to its limit q = 128.  The digests were
+    # taken when every point was tallied as a tuple.
+    (
+        "construct-rs-4-1-27",
+        ["construct", "rs", "--n", "4", "--k", "1", "--q", "27"],
+        "b9d0230d7ea632b48414ad17d0a423c5a4df20e675936b1c794b0846d44de50f",
+    ),
+    (
+        "verify-rs-4-1-27-aad",
+        ["verify", "--family", "@construct-rs-4-1-27", "--properties", "spread,aad,bound"],
+        "0e44ff99255632c13e1cadb2d12b95a696bbeb3075eb60b6aca89a4842604c61",
+    ),
+    (
+        "construct-rs-5-1-8",
+        ["construct", "rs", "--n", "5", "--k", "1", "--q", "8"],
+        "90d5ab88f15f7660000da287615dc06d2308c75a679c3607ac5fec20ae410a7c",
+    ),
+    (
+        "verify-rs-5-1-8-aad",
+        ["verify", "--family", "@construct-rs-5-1-8", "--properties", "spread,aad,bound"],
+        "1a1cc2f2b99f09b04f4ac2f844d5d6b0077ddd6ad2155be24558afe8da3a4aff",
+    ),
+    (
+        "construct-rs-3-1-128",
+        ["construct", "rs", "--n", "3", "--k", "1", "--q", "128"],
+        "64580bca171cc475876ca93af6238d85fbbdc4628ffd5d74653caf8a9a85397f",
+    ),
+    (
+        "verify-rs-3-1-128-aad",
+        ["verify", "--family", "@construct-rs-3-1-128", "--properties", "aad"],
+        "f52c4efad9071630e1e7f11debb6b93cb7fc9e80e9bf80ea3e2fa11d3a9209d7",
+    ),
 ]
 
 
