@@ -6,6 +6,11 @@ records the command, parameters, seed, version, wall time and a sha256
 digest of the canonical result JSON.  Identical command + seed gives a
 byte-identical result (only the manifest wall time varies).
 
+Each subparser sets `run` to its handler, which takes (args,
+field_guard, enum_guard) and returns the result with the manifest's
+command and seed; main calls it and maps the errors to exit codes in
+one place.
+
 Exit codes: 0 report produced, 2 parameter violation, 3 malformed
 input, 4 computation aborted by a size guard.  The environment variable
 SUBSPACE_FORGE_GUARD (an integer) overrides both the field guard, which
@@ -13,9 +18,11 @@ bounds the q^2 operation-table entries that building GF(q) costs, and
 the enumeration guard, which bounds the (k+1)-subspaces of AS
 verification, the coset table entries of a batch code, the request
 multisets of exhaustive batch, the k-subspace candidates of greedy
-search and the members of construct rs.  Every field is checked against
-the field guard before it is built: a family file's (p, m) before
-Field.from_json, and --q before field_from_order factors it.
+search and the members of construct rs.  Every enumeration guard
+refuses through gf.check_guard, which names a count of 100 or more
+digits as about 10^N.  Every field is checked against the field guard
+before it is built: a family file's (p, m) before Field.from_json, and
+--q before field_from_order factors it.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import sys
 import time
 
 from . import __version__
-from .gf import DEFAULT_SIZE_GUARD, SizeGuardError, _json_int, check_order_guard, field_from_order
+from .gf import DEFAULT_SIZE_GUARD, SizeGuardError, _json_int, check_guard, check_order_guard, field_from_order
 from .matgf import MatrixGF
 from .family import DEFAULT_AS_ENUM_GUARD, Family, build_report
 from .subspace import gaussian_binomial
@@ -145,6 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="build the parity check as the rows x q Vandermonde over GF(q) (code-based kind)",
     )
+    pc.set_defaults(run=_cmd_construct)
     _add_common(pc)
 
     pv = sub.add_parser("verify", help="verify a family file and emit the report")
@@ -154,6 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="spread,aad,as,bound,relations",
         help="comma-separated subset of spread,aad,as,bound,relations",
     )
+    pv.set_defaults(run=_cmd_verify)
     _add_common(pv)
 
     pb = sub.add_parser("bounds", help="closed-form bounds for (n, k, L, q)")
@@ -161,6 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--k", type=int, required=True)
     pb.add_argument("--L", type=int, required=True)
     pb.add_argument("--q", type=int, required=True)
+    pb.set_defaults(run=_cmd_bounds)
     _add_common(pb)
 
     ps = sub.add_parser("search", help="search for a maximal family at tiny parameters")
@@ -172,6 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--node-budget", type=int, default=None, help="exhaustive mode only")
     ps.add_argument("--no-symmetry-break", action="store_true", help="exhaustive mode only")
+    ps.set_defaults(run=_cmd_search)
     _add_common(ps)
 
     pba = sub.add_parser("batch", help="build a batch code from a family and verify it")
@@ -181,33 +192,30 @@ def build_parser() -> argparse.ArgumentParser:
     pba.add_argument("--trials", type=int, default=1000)
     pba.add_argument("--seed", type=int, default=0)
     pba.add_argument("--layout", action="store_true", help="include the parity position layout")
+    pba.set_defaults(run=_cmd_batch)
     _add_common(pba)
 
     return parser
 
 
-def _cmd_construct(args, field_guard: int, as_guard: int) -> dict:
-    if args.kind == "rs":
-        if args.q is None:
-            raise ValueError("--q is required for kind rs")
-        field = field_from_order(args.q, field_guard)
-        make_rs_code(field, args.n, args.k)  # parameter errors exit 2 before the guard
-        members = field.q ** (args.n - 2 * args.k)
-        if members > as_guard:
-            raise SizeGuardError(f"construct rs needs {members} members, over the guard {as_guard}")
-        fam = build_rs_family(args.n, args.k, field)
-        return {"family": fam.to_json(), "diagnostics": {"members": len(fam)}}
+def _cmd_construct(args, field_guard: int, enum_guard: int):
     if args.kind == "random":
         if args.q is None or args.L is None:
             raise ValueError("--q and --L are required for kind random")
         field = field_from_order(args.q, field_guard)
         _check_powers(args.n, args.k, args.L, args.q)
         res = build_random_family(
-            args.n, args.k, args.L, field, args.seed, max_rounds=args.max_rounds, as_enum_guard=as_guard
+            args.n, args.k, args.L, field, args.seed, max_rounds=args.max_rounds, as_enum_guard=enum_guard
         )
-        return res.to_json()
-    # code-based
-    if args.matrix:
+        return res.to_json(), "construct random", args.seed
+    if args.kind == "rs":
+        if args.q is None:
+            raise ValueError("--q is required for kind rs")
+        field = field_from_order(args.q, field_guard)
+        make_rs_code(field, args.n, args.k)  # parameter errors exit 2 before the guard
+        check_guard("construct rs", field.q ** (args.n - 2 * args.k), "members", enum_guard)
+        fam = build_rs_family(args.n, args.k, field)
+    elif args.matrix:
         obj = _load_json_file(args.matrix)
         if args.q is None:
             raise ValueError("--q is required to interpret --matrix entries")
@@ -216,26 +224,27 @@ def _cmd_construct(args, field_guard: int, as_guard: int) -> dict:
             H = MatrixGF.from_json(field, obj)
         except (KeyError, TypeError) as exc:
             raise InputParseError(f"malformed matrix in {args.matrix}: {exc}") from exc
+        fam = build_code_based_family(H, args.k)
     elif args.vandermonde_rows:
         if args.q is None:
             raise ValueError("--q is required with --vandermonde-rows")
         field = field_from_order(args.q, field_guard)
-        H = vandermonde_matrix(field, args.vandermonde_rows)
+        fam = build_code_based_family(vandermonde_matrix(field, args.vandermonde_rows), args.k)
     else:
         raise ValueError("kind code-based needs --matrix or --vandermonde-rows")
-    fam = build_code_based_family(H, args.k)
-    return {"family": fam.to_json(), "diagnostics": {"members": len(fam)}}
+    return {"family": fam.to_json(), "diagnostics": {"members": len(fam)}}, f"construct {args.kind}", None
 
 
-def _cmd_verify(args, field_guard: int, as_guard: int) -> dict:
+def _cmd_verify(args, field_guard: int, enum_guard: int):
     fam = _load_family(args.family, field_guard)
     props = [p.strip() for p in args.properties.split(",") if p.strip()]
-    report = build_report(fam, props, as_enum_guard=as_guard)
-    return {
+    report = build_report(fam, props, as_enum_guard=enum_guard)
+    result = {
         "family_size": len(fam),
         "growth_log_q": float(growth_diagnostic(fam)),
         "report": report.to_json(),
     }
+    return result, "verify", None
 
 
 def _check_powers(n: int, k: int, L: int, q: int) -> None:
@@ -251,13 +260,13 @@ def _check_powers(n: int, k: int, L: int, q: int) -> None:
         raise ValueError(f"these parameters need powers of q over Python's limit of {limit} digits")
 
 
-def _cmd_bounds(args, field_guard: int) -> dict:
+def _cmd_bounds(args, field_guard: int, enum_guard: int):
     field_from_order(args.q, field_guard)  # a q that is no prime power exits 2
     _check_powers(args.n, args.k, args.L, args.q)
-    return bounds_table(args.n, args.k, args.L, args.q).to_json()
+    return bounds_table(args.n, args.k, args.L, args.q).to_json(), "bounds", None
 
 
-def _cmd_search(args, field_guard: int, enum_guard: int) -> dict:
+def _cmd_search(args, field_guard: int, enum_guard: int):
     if args.mode == "greedy":
         # greedy search runs no branch-and-bound, so it would ignore them
         if args.node_budget is not None:
@@ -267,35 +276,24 @@ def _cmd_search(args, field_guard: int, enum_guard: int) -> dict:
     field = field_from_order(args.q, field_guard)
     if args.mode == "exhaustive":
         budget = DEFAULT_NODE_BUDGET if args.node_budget is None else args.node_budget
-        return exhaustive_max_family(
-            field, args.n, args.k, args.L, budget, symmetry_break=not args.no_symmetry_break
-        ).to_json()
+        res = exhaustive_max_family(field, args.n, args.k, args.L, budget, symmetry_break=not args.no_symmetry_break)
+        return res.to_json(), "search", args.seed
     check_parameters(args.n, args.k, args.L)  # parameter errors exit 2 before the guard
     # greedy search holds every k-subspace in memory
-    total = gaussian_binomial(args.n, args.k, field.q)
-    if total > enum_guard:
-        raise SizeGuardError(f"greedy search needs {total} k-subspaces, over the guard {enum_guard}")
+    check_guard("greedy search", gaussian_binomial(args.n, args.k, field.q), "k-subspaces", enum_guard)
     fam = greedy_max_family(field, args.n, args.k, args.L, args.seed)
-    return {"mode": "greedy", "size": len(fam), "family": fam.to_json()}
+    return {"mode": "greedy", "size": len(fam), "family": fam.to_json()}, "search", args.seed
 
 
-def _cmd_batch(args, field_guard: int, enum_guard: int) -> dict:
+def _cmd_batch(args, field_guard: int, enum_guard: int):
     fam = _load_family(args.family, field_guard)
     # the code's coset tables hold K entries per member
-    entries = fam.field.q**fam.n * len(fam)
-    if entries > enum_guard:
-        raise SizeGuardError(
-            f"batch code needs {entries} coset table entries, over the guard {enum_guard}"
-        )
+    check_guard("batch code", fam.field.q**fam.n * len(fam), "coset table entries", enum_guard)
     code = BatchCode(fam)
     s = args.s if args.s is not None else batch_s(len(fam), code.L_aad)
     if args.mode == "exhaustive" and s >= 1:
         # one multiset per translation class: 0 plus s - 1 requests
-        total = math.comb(code.K + s - 2, s - 1)
-        if total > enum_guard:
-            raise SizeGuardError(
-                f"exhaustive batch needs {total} request multisets, over the guard {enum_guard}"
-            )
+        check_guard("exhaustive batch", math.comb(code.K + s - 2, s - 1), "request multisets", enum_guard)
     ok, counterexample = verify_batch(code, s, mode=args.mode, trials=args.trials, seed=args.seed)
     result = {
         "N": code.N,
@@ -308,49 +306,26 @@ def _cmd_batch(args, field_guard: int, enum_guard: int) -> dict:
     }
     if args.layout:
         result["layout"] = code.layout_json()
-    return result
+    return result, "batch", args.seed
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     t0 = time.time()
     try:
-        field_guard, as_guard = _guards()
-        if args.command == "construct":
-            result = _cmd_construct(args, field_guard, as_guard)
-            seed = args.seed if args.kind == "random" else None
-            command = f"construct {args.kind}"
-        elif args.command == "verify":
-            result = _cmd_verify(args, field_guard, as_guard)
-            seed = None
-            command = "verify"
-        elif args.command == "bounds":
-            result = _cmd_bounds(args, field_guard)
-            seed = None
-            command = "bounds"
-        elif args.command == "search":
-            result = _cmd_search(args, field_guard, as_guard)
-            seed = args.seed
-            command = "search"
-        else:
-            result = _cmd_batch(args, field_guard, as_guard)
-            seed = args.seed
-            command = "batch"
-    except InputParseError as exc:
+        result, command, seed = args.run(args, *_guards())
+    except (InputParseError, SizeGuardError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except SizeGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, InputParseError):
+            return EXIT_PARSE
+        if isinstance(exc, SizeGuardError):
+            return EXIT_GUARD
         return EXIT_PARAMS
 
     params = {
         k: v
         for k, v in vars(args).items()
-        if k not in {"command", "out", "pretty"} and v is not None
+        if k not in {"command", "run", "out", "pretty"} and v is not None
     }
     _emit(result, command, params, seed, args.out, args.pretty, t0)
     return EXIT_OK

@@ -15,7 +15,6 @@ Bound calculators are exact integer/rational arithmetic throughout.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -204,18 +203,9 @@ def rs_codewords(spec: RSCodeSpec) -> list[tuple[int, ...]]:
     lexicographic message order.  The generator is the canonical kernel
     basis of the parity check, so the order is reproducible.
     """
-    f = spec.field
-    G = kernel_basis(spec.parity_check)
+    G = kernel_basis(spec.parity_check)  # in RREF, so a canonical basis
     assert G.rows == spec.dimension
-    rows = G.row_list()
-    words = []
-    for msg in itertools.product(f.elements(), repeat=G.rows):
-        w = [0] * spec.length
-        for c, row in zip(msg, rows):
-            if c:
-                w = [f.add(x, f.mul(c, y)) for x, y in zip(w, row)]
-        words.append(tuple(w))
-    return words
+    return list(Subspace(spec.field, spec.length, G.rows, G).vectors())
 
 
 def twist_codeword(spec: RSCodeSpec, j: int, x) -> tuple[int, ...]:

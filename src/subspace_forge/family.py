@@ -52,7 +52,7 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from itertools import repeat
 
-from .gf import Field, SizeGuardError, _json_int
+from .gf import Field, _json_int, check_guard
 from .matgf import _rref_rows
 from .subspace import Subspace, all_vectors, enumerate_subspaces, gaussian_binomial
 
@@ -221,10 +221,6 @@ class NotAPartialSpread(ValueError):
     def __init__(self, pair: tuple[int, int]):
         super().__init__(f"family is not a partial spread (members {pair})")
         self.pair = pair
-
-
-def _not_a_spread(fam: Family) -> NotAPartialSpread:
-    return NotAPartialSpread(check_partial_spread(fam)[1])
 
 
 def _quotient_point_counts(fam: Family):
@@ -567,11 +563,7 @@ def compute_L_aad(fam: Family) -> tuple[int, tuple[int, tuple[int, ...]]]:
 def check_as_guard(n: int, k: int, q: int, enum_guard: int | None) -> None:
     """Raise SizeGuardError when the AS count on k-subspaces of GF(q)^n
     would enumerate more than enum_guard (k+1)-subspaces (None: no guard)."""
-    total = gaussian_binomial(n, k + 1, q)
-    if enum_guard is not None and total > enum_guard:
-        raise SizeGuardError(
-            f"AS verification needs {total} (k+1)-subspaces, over the guard {enum_guard}"
-        )
+    check_guard("AS verification", gaussian_binomial(n, k + 1, q), "(k+1)-subspaces", enum_guard)
 
 
 def compute_L_as(
@@ -603,7 +595,7 @@ def compute_L_as(
     for idx, S in enumerate(fam.members):
         for pt in _leading_one_combinations(S.basis.row_list(), add, mul):
             if owner.setdefault(pt, idx) != idx:
-                raise _not_a_spread(fam)
+                raise NotAPartialSpread(check_partial_spread(fam)[1])
     m = len(fam.members)
     # no V meets more than all m members
     enough = m if fam.k != 1 or L_aad is None else min(L_aad + 1, m)

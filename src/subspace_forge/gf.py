@@ -27,11 +27,23 @@ field_from_order bounds q^2, not q.
 
 from __future__ import annotations
 
+import math
+
 DEFAULT_SIZE_GUARD = 1 << 20
 
 
 class SizeGuardError(RuntimeError):
     """A requested computation exceeds the configured size guard."""
+
+
+def check_guard(work: str, count: int, units: str, guard: int | None) -> None:
+    """Raise SizeGuardError when `work` needs `count` `units`, over `guard`
+    (None disables).  A count of 100 or more digits is named about 10^N:
+    Python prints no int of over 4300 digits."""
+    if guard is None or count <= guard:
+        return
+    shown = count if count < 10**100 else f"about 10^{math.log10(count):.0f}"
+    raise SizeGuardError(f"{work} needs {shown} {units}, over the guard {guard}")
 
 
 def _json_int(x) -> int:
@@ -165,7 +177,9 @@ class Field:
             raise ValueError(f"p must be prime, got {p}")
         if m < 1:
             raise ValueError(f"extension degree must be >= 1, got {m}")
-        modulus = tuple(int(c) % p for c in modulus)
+        modulus = tuple(modulus)
+        if not all(0 <= c < p for c in modulus):
+            raise ValueError(f"modulus coefficients must lie in [0, {p}), got {list(modulus)}")
         if len(modulus) != m + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be a monic polynomial of degree m")
         if not _is_irreducible(modulus, p):

@@ -18,14 +18,13 @@ their tiny parameters, not values from the literature.
 
 from __future__ import annotations
 
-import math
 import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 
-from .gf import Field, SizeGuardError
+from .gf import Field, check_guard
 from .family import Family, _free_columns, _line_point_counts, _quotient_points
 from .constructions import check_parameters, max_family_size_bound
 from .subspace import Subspace, enumerate_subspaces, gaussian_binomial
@@ -154,10 +153,7 @@ def exhaustive_max_family(
     if node_budget < 1:
         raise ValueError(f"node budget must be >= 1, got {node_budget}")
     total = gaussian_binomial(n, k, field.q)
-    if total > EXHAUSTIVE_SPACE_LIMIT:
-        # name a long count by its size: Python prints no int of over 4300 digits
-        got = total if total < 10**100 else f"about 10^{math.log10(total):.0f}"
-        raise SizeGuardError(f"exhaustive mode needs the k-subspace count <= {EXHAUSTIVE_SPACE_LIMIT}, got {got}")
+    check_guard("exhaustive search", total, "k-subspaces", EXHAUSTIVE_SPACE_LIMIT)
     candidates = list(enumerate_subspaces(field, n, k))
 
     chosen = _Chosen(field, k, L)

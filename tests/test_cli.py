@@ -256,6 +256,17 @@ def test_construct_code_based_non_integer_matrix_exits_3(capsys, tmp_path):
         assert "expected an integer" in err
 
 
+def test_verify_modulus_outside_the_field_exits_3(capsys, tmp_path):
+    # reduced mod 2, [2, 3] would read as [0, 1], the modulus of FOUR_LINES
+    fam = json.loads(json.dumps(FOUR_LINES))
+    fam["field"]["modulus"] = [2, 3]
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(fam))
+    code, out, err = run_cli(capsys, "verify", "--family", str(path), "--properties", "aad")
+    assert (code, out) == (3, "")
+    assert "modulus coefficients must lie in [0, 2)" in err
+
+
 def test_verify_unknown_property_exits_2(capsys, tmp_path, four_line_family):
     path = tmp_path / "fam.json"
     path.write_text(json.dumps(four_line_family.to_json()))
@@ -339,7 +350,33 @@ def test_exhaustive_search_limit_names_a_count_too_long_to_print(capsys):
     code, out, err = run_cli(capsys, "search", "--n", "20000", "--k", "1", "--L", "1", "--q", "2")
     assert time.perf_counter() - t0 < 2.0
     assert code == 4 and out == ""
-    assert "k-subspace count <= 10000, got about 10^6021" in err
+    assert "exhaustive search needs about 10^6021 k-subspaces, over the guard 10000" in err
+
+
+WIDE = 15000  # one line of GF(2)^15000: its guarded counts run to thousands of digits
+
+
+@pytest.mark.parametrize(
+    "argv, needs",
+    [
+        (["verify", "--family", WIDE, "--properties", "as"], "AS verification needs about 10^9030 (k+1)-subspaces"),
+        (["batch", "--family", WIDE], "batch code needs about 10^4515 coset table entries"),
+        (["search", "--mode", "greedy", "--n", "20000", "--k", "1", "--L", "1", "--q", "2"],
+         "greedy search needs about 10^6021 k-subspaces"),
+    ],
+    ids=["verify-as", "batch", "search-greedy"],
+)
+def test_guard_names_a_count_too_long_to_print(capsys, tmp_path, argv, needs):
+    # formatting these counts used to exit 2 on Python's digit limit
+    path = tmp_path / "wide.json"
+    line = {"n": WIDE, "k": 1, "basis": [[1] + [0] * (WIDE - 1)]}
+    path.write_text(json.dumps({**FOUR_LINES, "n": WIDE, "members": [line]}))
+    argv = [str(path) if a == WIDE else a for a in argv]
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 4 and out == ""
+    assert f"{needs}, over the guard 200000" in err
 
 
 def test_guard_env_limits_family_field(capsys, monkeypatch, tmp_path, four_line_family):

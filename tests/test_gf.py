@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from subspace_forge.gf import (
     Field,
     SizeGuardError,
+    check_guard,
     field_from_order,
     is_prime,
     make_field,
@@ -90,6 +91,23 @@ def test_size_guard():
     # overridable
     f = make_field(2, 11, size_guard=None)
     assert f.q == 2**11
+
+
+def test_check_guard_admits_counts_up_to_the_guard():
+    check_guard("work", 10, "units", 10)
+    check_guard("work", 10**5000, "units", None)
+    with pytest.raises(SizeGuardError, match=r"^work needs 11 units, over the guard 10$"):
+        check_guard("work", 11, "units", 10)
+
+
+def test_check_guard_names_a_count_of_100_digits_by_its_size():
+    with pytest.raises(SizeGuardError) as exc:
+        check_guard("work", 10**100 - 1, "units", 1)
+    assert str(exc.value) == f"work needs {'9' * 100} units, over the guard 1"
+    for exponent in (100, 9000):
+        with pytest.raises(SizeGuardError) as exc:
+            check_guard("work", 10**exponent + 1, "units", 1)
+        assert str(exc.value) == f"work needs about 10^{exponent} units, over the guard 1"
 
 
 def test_make_field_deterministic():
@@ -228,6 +246,15 @@ def test_from_json_gamma_by_prime_factor_test():
     for gamma in (0, 5):
         with pytest.raises(ValueError):
             Field.from_json({**obj, "gamma": gamma})
+
+
+@pytest.mark.parametrize("modulus", [(2, 3), (-2, 1), (0, 3)])
+def test_field_rejects_modulus_coefficients_outside_gf_p(modulus):
+    # each reduces mod 2 to x, the modulus of GF(2)
+    with pytest.raises(ValueError, match=r"must lie in \[0, 2\)"):
+        Field(2, 1, modulus)
+    with pytest.raises(ValueError):
+        Field.from_json({"p": 2, "m": 1, "modulus": list(modulus), "gamma": 1})
 
 
 def test_from_json_rejects_reducible_modulus():
