@@ -10,22 +10,33 @@ simultaneous requests.
 
 A BatchCode builds two coset tables per member once, from the field's
 addition table: the coset rank of every point, and the points of every
-coset.  Encoding and the recovery candidates read these tables, so no
-request reduces a vector or enumerates a subspace.  One backtracking
-loop, `BatchCode._assign`, serves both recovery plans and verification;
-it builds each candidate only when it first tests it, in the order of
-`recovery_sets_for`, and verification builds no plan objects.
-Exhaustive verification checks one multiset per translation class (see
-`verify_batch`).
+coset.  The recovery candidates read these tables, so no request
+reduces a vector or enumerates a subspace.  The first `encode` call
+turns them into one parity word per information point, and each
+encoding XORs the words of its 1-bits.  One backtracking loop,
+`BatchCode._assign`, serves both recovery plans and verification; it
+builds each candidate only when it first tests it, in the order of
+`recovery_sets_for`, and verification builds no plan objects.  A
+multiset that repeats no index is served by its direct reads without
+entering the loop, and the loop refuses past a budget of candidate
+tests.  Exhaustive verification checks one multiset per translation
+class (see `verify_batch`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass
 
 from .family import Family, _free_columns, count_L_aad
+from .gf import check_guard
+
+# ASCII "0" and "1" to the bits 0 and 1
+_BIT_OF_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -49,6 +60,12 @@ class BatchCode:
     structure: _coset_of[a][idx] is the coset rank of information point
     idx, and _coset_points[a] lists the points coset by coset, q^k each,
     in rank order.
+
+    `encode` also keeps one parity word per information point, built on
+    its first call: an int whose |F| set bits are the point's parity
+    offsets a·q^(n−k) + _coset_of[a][idx].  The words take K·(N−K)/8
+    bytes, about 15 KB for RS(3,1,7) but about 37 MB for two lines in
+    GF(43)^3, so a code that only plans or verifies never builds them.
     """
 
     def __init__(self, family: Family):
@@ -93,6 +110,7 @@ class BatchCode:
                 points.extend(point[idx] for idx in coset)
             self._coset_of.append(coset_of)
             self._coset_points.append(points)
+        self._words: list[int] | None = None
 
     def parity_position(self, member: int, rep) -> int:
         rep = tuple(rep)
@@ -141,16 +159,23 @@ class BatchCode:
         x = list(x)
         if len(x) != self.K:
             raise ValueError(f"information length must be {self.K}, got {len(x)}")
-        if any(b not in (0, 1) for b in x):
+        if x.count(0) + x.count(1) != self.K:
             raise ValueError("information symbols must be bits")
-        y = x + [0] * (self.N - self.K)
-        ones = [idx for idx, b in enumerate(x) if b]
-        base = self.K
-        for coset_of in self._coset_of:
-            for idx in ones:
-                y[base + coset_of[idx]] ^= 1
-            base += self.cosets_per_member
-        return y
+        if self._words is None:
+            self._words = self._parity_words()
+        parity = functools.reduce(operator.xor, itertools.compress(self._words, x), 0)
+        # format writes the top bit first; reversed, parity offset 0 leads
+        digits = format(parity, f"0{self.N - self.K}b")[::-1]
+        return x + list(digits.encode().translate(_BIT_OF_DIGIT))
+
+    def _parity_words(self) -> list[int]:
+        """One int per information point with bit a·q^(n−k) + r set for
+        each member a, where r is the point's coset rank under a."""
+        words = [0] * self.K
+        for a, coset_of in enumerate(self._coset_of):
+            base = a * self.cosets_per_member
+            words = [w | 1 << (base + r) for w, r in zip(words, coset_of)]
+        return words
 
     # -- recovery ------------------------------------------------------------
 
@@ -181,21 +206,36 @@ class BatchCode:
             bit ^= y[p]
         return bit
 
-    def _assign(self, requests):
+    def _assign(self, requests, guard: int | None = None):
         """Depth-first backtracking over each request's candidate list, in
         sorted request order and candidate order.  Returns the sorted
         requests, their candidate lists and the candidate picked for each,
         or None if no pairwise disjoint assignment exists.  A candidate is
         built when the search first tests it; requests for the same index
-        share one list of the candidates built so far."""
+        share one list of the candidates built so far.
+
+        A multiset that repeats no index gets its direct reads without
+        the search.  That is the assignment the search returns: the direct
+        reads of distinct indices are pairwise disjoint, and each is the
+        first candidate the search tests for its request, so every request
+        takes candidate 0 and none backtracks.
+
+        The search can take exponentially many candidate tests to prove
+        that no assignment exists.  Past `guard` tests (None: no limit) on
+        one multiset it raises SizeGuardError.
+        """
         requests = sorted(requests)
         for idx in requests:
             if not 0 <= idx < self.K:
                 raise ValueError(f"information index out of range: {idx}")
+        if len(set(requests)) == len(requests):
+            return requests, [[self._candidate(idx, 0)] for idx in requests], [0] * len(requests)
         total = 1 + len(self.family)
         built: dict[int, list[frozenset[int]]] = {}
         lists = [built.setdefault(idx, []) for idx in requests]
 
+        limit = math.inf if guard is None else guard
+        tests = 0
         picks: list[int] = []  # the candidate chosen for each served request
         used: set[int] = set()
         j = 0  # next candidate to try for request len(picks)
@@ -204,6 +244,9 @@ class BatchCode:
             while j < total:
                 if j == len(cands):
                     cands.append(self._candidate(requests[len(picks)], j))
+                tests += 1
+                if tests > limit:
+                    check_guard("batch recovery search", tests, "candidate tests", guard)
                 if used.isdisjoint(cands[j]):
                     break
                 j += 1
@@ -247,11 +290,16 @@ def verify_batch(
     mode: str = "exhaustive",
     trials: int = 1000,
     seed: int = 0,
+    guard: int | None = None,
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Check that every (or a sampled set of) multiset(s) of s requested
     information bits admits pairwise disjoint recovery sets.
 
-    Returns (True, None) or (False, counterexample multiset).
+    Returns (True, None) or (False, counterexample multiset).  Sampled
+    mode draws `trials` multisets, at least one.  `guard` bounds the
+    candidate tests of the recovery search on each multiset (see
+    `BatchCode._assign`); over it, SizeGuardError.  A multiset that
+    repeats no index is served by its direct reads, with no search.
 
     Exhaustive mode checks only the multisets that contain 0:
     - Translating by a point t maps the direct read of idx to that of
@@ -271,13 +319,16 @@ def verify_batch(
             (0,) + rest for rest in itertools.combinations_with_replacement(range(code.K), s - 1)
         )
     elif mode == "sampled":
+        if trials < 1:
+            raise ValueError("trials must be >= 1")
         rng = random.Random(seed)
         requests_iter = (
             tuple(sorted(rng.randrange(code.K) for _ in range(s))) for _ in range(trials)
         )
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    assign = code._assign if guard is None else functools.partial(code._assign, guard=guard)
     for multiset in requests_iter:
-        if code._assign(multiset) is None:
+        if assign(multiset) is None:
             return False, multiset
     return True, None

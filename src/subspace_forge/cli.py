@@ -17,12 +17,13 @@ SUBSPACE_FORGE_GUARD (an integer) overrides both the field guard, which
 bounds the q^2 operation-table entries that building GF(q) costs, and
 the enumeration guard, which bounds the (k+1)-subspaces of AS
 verification, the coset table entries of a batch code, the request
-multisets of exhaustive batch, the k-subspace candidates of greedy
-search and the members of construct rs.  Every enumeration guard
-refuses through gf.check_guard, which names a count of 100 or more
-digits as about 10^N.  Every field is checked against the field guard
-before it is built: a family file's (p, m) before Field.from_json, and
---q before field_from_order factors it.
+multisets of exhaustive batch, the candidate tests of batch's recovery
+search on one multiset, the k-subspace candidates of greedy search and
+the members of construct rs.  Every enumeration guard refuses through
+gf.check_guard, which names a count of 100 or more digits as about
+10^N.  Every field is checked against the field guard before it is
+built: a family file's (p, m) before Field.from_json, and --q before
+field_from_order factors it.
 """
 
 from __future__ import annotations
@@ -215,23 +216,27 @@ def _cmd_construct(args, field_guard: int, enum_guard: int):
         make_rs_code(field, args.n, args.k)  # parameter errors exit 2 before the guard
         check_guard("construct rs", field.q ** (args.n - 2 * args.k), "members", enum_guard)
         fam = build_rs_family(args.n, args.k, field)
-    elif args.matrix:
-        obj = _load_json_file(args.matrix)
-        if args.q is None:
-            raise ValueError("--q is required to interpret --matrix entries")
-        field = field_from_order(args.q, field_guard)
-        try:
-            H = MatrixGF.from_json(field, obj)
-        except (KeyError, TypeError) as exc:
-            raise InputParseError(f"malformed matrix in {args.matrix}: {exc}") from exc
-        fam = build_code_based_family(H, args.k)
-    elif args.vandermonde_rows:
-        if args.q is None:
-            raise ValueError("--q is required with --vandermonde-rows")
-        field = field_from_order(args.q, field_guard)
-        fam = build_code_based_family(vandermonde_matrix(field, args.vandermonde_rows), args.k)
     else:
-        raise ValueError("kind code-based needs --matrix or --vandermonde-rows")
+        if args.matrix:
+            obj = _load_json_file(args.matrix)
+            if args.q is None:
+                raise ValueError("--q is required to interpret --matrix entries")
+            field = field_from_order(args.q, field_guard)
+            try:
+                H = MatrixGF.from_json(field, obj)
+            except (KeyError, TypeError) as exc:
+                raise InputParseError(f"malformed matrix in {args.matrix}: {exc}") from exc
+        elif args.vandermonde_rows:
+            if args.q is None:
+                raise ValueError("--q is required with --vandermonde-rows")
+            field = field_from_order(args.q, field_guard)
+            H = vandermonde_matrix(field, args.vandermonde_rows)
+        else:
+            raise ValueError("kind code-based needs --matrix or --vandermonde-rows")
+        # the family lives in GF(q)^rows, so --n must name that space
+        if H.rows != args.n:
+            raise ValueError(f"--n {args.n} differs from the parity-check matrix's {H.rows} rows")
+        fam = build_code_based_family(H, args.k)
     return {"family": fam.to_json(), "diagnostics": {"members": len(fam)}}, f"construct {args.kind}", None
 
 
@@ -294,7 +299,9 @@ def _cmd_batch(args, field_guard: int, enum_guard: int):
     if args.mode == "exhaustive" and s >= 1:
         # one multiset per translation class: 0 plus s - 1 requests
         check_guard("exhaustive batch", math.comb(code.K + s - 2, s - 1), "request multisets", enum_guard)
-    ok, counterexample = verify_batch(code, s, mode=args.mode, trials=args.trials, seed=args.seed)
+    ok, counterexample = verify_batch(
+        code, s, mode=args.mode, trials=args.trials, seed=args.seed, guard=enum_guard
+    )
     result = {
         "N": code.N,
         "K": code.K,

@@ -9,7 +9,7 @@ from hypothesis import assume, given, strategies as st
 from subspace_forge import batch
 from subspace_forge.batch import BatchCode, RecoveryEntry, RecoveryPlan, batch_s, verify_batch
 from subspace_forge.constructions import build_rs_family
-from subspace_forge.gf import make_field
+from subspace_forge.gf import SizeGuardError, make_field
 from test_family import DIFFERENTIAL, families
 
 
@@ -205,6 +205,19 @@ def test_verify_batch_validates(code):
         verify_batch(code, 0)
     with pytest.raises(ValueError):
         verify_batch(code, 2, mode="bogus")
+    for trials in (0, -5):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            verify_batch(code, 2, mode="sampled", trials=trials)
+
+
+def test_recovery_search_budget(code):
+    # six copies of one bit exceed its five candidates; proving it takes
+    # over 1,000 candidate tests, but under 3,000
+    assert verify_batch(code, 6, guard=3000) == (False, (0,) * 6)
+    with pytest.raises(SizeGuardError, match="batch recovery search needs 1001 candidate tests, over the guard 1000"):
+        verify_batch(code, 6, guard=1000)
+    # plans take no budget
+    assert code.plan_recovery([0] * 6) is None
 
 
 def test_batch_code_ternary_field():
@@ -239,8 +252,9 @@ def test_tables_match_oracle(fam, rng):
     code = BatchCode(fam)
     for idx in range(code.K):
         assert code.recovery_sets_for(idx) == oracle_recovery_sets(code, idx)
-    for _ in range(5):
-        x = [rng.randrange(2) for _ in range(code.K)]
+    # one code encodes every vector, so all but the first reuse its words
+    vectors = [[0] * code.K, [1] * code.K] + [[rng.randrange(2) for _ in range(code.K)] for _ in range(5)]
+    for x in vectors:
         assert code.encode(x) == oracle_encode(code, x)
 
 
@@ -253,6 +267,15 @@ def test_plan_matches_oracle(fam, data):
     for _ in range(3):
         requests = data.draw(st.lists(st.sampled_from(pool), min_size=0, max_size=len(fam) + 2))
         assert code.plan_recovery(requests) == oracle_plan(code, requests)
+
+
+@DIFFERENTIAL
+@given(families(BATCH_GRID), st.data())
+def test_repeat_free_plan_matches_oracle(fam, data):
+    # drawn from every index, so lists longer than any small pool occur
+    code = BatchCode(fam)
+    requests = data.draw(st.lists(st.integers(0, code.K - 1), unique=True, max_size=len(fam) + 2))
+    assert code.plan_recovery(requests) == oracle_plan(code, requests)
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from subspace_forge.batch import BatchCode
 from subspace_forge.cli import main
 from subspace_forge.family import Family
 from test_golden import FOUR_LINES, NON_SPREAD
@@ -126,6 +127,22 @@ def test_construct_code_based_matrix_file(capsys, tmp_path):
 def test_construct_code_based_needs_source(capsys):
     code, _, err = run_cli(capsys, "construct", "code-based", "--n", "3", "--k", "1", "--q", "5")
     assert code == 2
+
+
+@pytest.mark.parametrize("source", ["vandermonde", "matrix"])
+def test_construct_code_based_n_must_match_matrix_rows(capsys, tmp_path, source):
+    # the family lives in GF(q)^rows; --n 99 used to be recorded and ignored
+    if source == "matrix":
+        path = tmp_path / "H.json"
+        path.write_text(json.dumps({"rows": 3, "cols": 4, "entries": [1, 1, 1, 1, 0, 1, 2, 3, 0, 1, 4, 4]}))
+        argv = ["--q", "5", "--matrix", str(path)]
+        rows = "3"
+    else:
+        argv = ["--q", "7", "--vandermonde-rows", "4"]
+        rows = "4"
+    code, out, err = run_cli(capsys, "construct", "code-based", "--n", "99", "--k", "1", *argv)
+    assert code == 2 and out == ""
+    assert "99" in err and f"{rows} rows" in err
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +604,50 @@ def test_batch_command_from_search_family(capsys, tmp_path):
     assert res["s"] == 4
     assert res["verified"] is True
     assert res["counterexample"] is None
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_sampled_batch_needs_a_trial(capsys, tmp_path, four_line_family, trials):
+    # no trial certifies nothing; it used to report "verified": true
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(four_line_family.to_json()))
+    code, out, err = run_cli(capsys, "batch", "--family", str(path), "--mode", "sampled", "--trials", trials)
+    assert code == 2 and out == ""
+    assert "trials must be >= 1" in err
+
+
+def test_batch_recovery_search_over_guard_exits_4_promptly(tmp_path):
+    # 80 requests over RS(3,1,7) backtrack for ever; --s 60 takes 0.2 s.
+    # A subprocess with a timeout, so that an unbounded search fails the
+    # test instead of hanging the suite.
+    path = tmp_path / "rs.json"
+    assert main(["construct", "rs", "--n", "3", "--k", "1", "--q", "7", "--out", str(path)]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("SUBSPACE_FORGE_GUARD", None)
+    argv = ["batch", "--family", str(path), "--s", "80", "--mode", "sampled", "--trials", "3"]
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "subspace_forge.cli", *argv], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert time.perf_counter() - t0 < 2
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert "batch recovery search needs 200001 candidate tests, over the guard 200000" in proc.stderr
+
+
+def test_batch_command_builds_no_encode_words(capsys, monkeypatch, tmp_path):
+    def refuse(self):
+        raise AssertionError("batch built the encode words")
+
+    monkeypatch.setattr(BatchCode, "_parity_words", refuse)
+    path = tmp_path / "rs.json"
+    code, _, _ = run_cli(capsys, "construct", "rs", "--n", "3", "--k", "1", "--q", "7", "--out", str(path))
+    assert code == 0
+    for mode in ("exhaustive", "sampled"):
+        code, out, _ = run_cli(capsys, "batch", "--family", str(path), "--s", "2", "--mode", mode)
+        assert code == 0
+        assert result_of(out)["verified"] is True
 
 
 def test_batch_layout_flag(capsys, tmp_path, four_line_family):

@@ -125,6 +125,18 @@ RUNS = [
         ["batch", "--family", "@construct-rs-3-1-3", "--s", "5"],
         "207aa4c9559ca65ce7b915c71b0fe531507cdaa7cf56a2f52d1140cefaf5fffb",
     ),
+    # C(66, 3) = 45,760 multisets, 87% of them with no repeated index:
+    # the digest was taken when every multiset ran the recovery search.
+    (
+        "construct-rs-3-1-4",
+        ["construct", "rs", "--n", "3", "--k", "1", "--q", "4"],
+        "2274872fc90a2bbbb4840e28f4193c0003f4d27f9038573c3c6a33fe43b237e2",
+    ),
+    (
+        "batch-rs-3-1-4",
+        ["batch", "--family", "@construct-rs-3-1-4"],
+        "703f022b5c7454fc1835af02a98a034c97366b51ca6174b421eac522a5fcc7a3",
+    ),
     (
         "batch-rs-3-1-7-sampled",
         ["batch", "--family", "@construct-rs-3-1-7", "--mode", "sampled", "--trials", "200", "--seed", "1"],
