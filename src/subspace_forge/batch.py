@@ -18,9 +18,9 @@ encoding XORs the words of its 1-bits.  One backtracking loop,
 builds each candidate only when it first tests it, in the order of
 `recovery_sets_for`, and verification builds no plan objects.  A
 multiset that repeats no index is served by its direct reads without
-entering the loop, and the loop refuses past a budget of candidate
-tests.  Exhaustive verification checks one multiset per translation
-class (see `verify_batch`).
+entering the loop, and verification builds nothing for it; the loop
+refuses past a budget of candidate tests.  Exhaustive verification
+checks one multiset per translation class (see `verify_batch`).
 """
 
 from __future__ import annotations
@@ -299,7 +299,8 @@ def verify_batch(
     mode draws `trials` multisets, at least one.  `guard` bounds the
     candidate tests of the recovery search on each multiset (see
     `BatchCode._assign`); over it, SizeGuardError.  A multiset that
-    repeats no index is served by its direct reads, with no search.
+    repeats no index is served by its direct reads: verification builds
+    nothing for it and does not call `_assign`.
 
     Exhaustive mode checks only the multisets that contain 0:
     - Translating by a point t maps the direct read of idx to that of
@@ -314,21 +315,22 @@ def verify_batch(
     """
     if s < 1:
         raise ValueError("s must be >= 1")
+    assign = code._assign if guard is None else functools.partial(code._assign, guard=guard)
+    for multiset in _request_multisets(code.K, s, mode, trials, seed):
+        # a multiset that repeats no index is served by its direct reads,
+        # the assignment BatchCode._assign returns for it
+        if len(set(multiset)) < s and assign(multiset) is None:
+            return False, multiset
+    return True, None
+
+
+def _request_multisets(K: int, s: int, mode: str, trials: int, seed: int):
+    """The sorted request multisets that verify_batch checks, in order."""
     if mode == "exhaustive":
-        requests_iter = (
-            (0,) + rest for rest in itertools.combinations_with_replacement(range(code.K), s - 1)
-        )
-    elif mode == "sampled":
+        return ((0,) + rest for rest in itertools.combinations_with_replacement(range(K), s - 1))
+    if mode == "sampled":
         if trials < 1:
             raise ValueError("trials must be >= 1")
         rng = random.Random(seed)
-        requests_iter = (
-            tuple(sorted(rng.randrange(code.K) for _ in range(s))) for _ in range(trials)
-        )
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    assign = code._assign if guard is None else functools.partial(code._assign, guard=guard)
-    for multiset in requests_iter:
-        if assign(multiset) is None:
-            return False, multiset
-    return True, None
+        return (tuple(sorted(rng.randrange(K) for _ in range(s))) for _ in range(trials))
+    raise ValueError(f"unknown mode {mode!r}")

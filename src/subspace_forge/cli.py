@@ -17,9 +17,9 @@ SUBSPACE_FORGE_GUARD (an integer) overrides both the field guard, which
 bounds the q^2 operation-table entries that building GF(q) costs, and
 the enumeration guard, which bounds the (k+1)-subspaces of AS
 verification, the coset table entries of a batch code, the request
-multisets of exhaustive batch, the candidate tests of batch's recovery
-search on one multiset, the k-subspace candidates of greedy search and
-the members of construct rs.  Every enumeration guard refuses through
+multisets of exhaustive and sampled batch, the candidate tests of
+batch's recovery search on one multiset, the k-subspace candidates of
+greedy search and the members of construct rs.  Every enumeration guard refuses through
 gf.check_guard, which names a count of 100 or more digits as about
 10^N.  Every field is checked against the field guard before it is
 built: a family file's (p, m) before Field.from_json, and --q before
@@ -292,6 +292,8 @@ def _cmd_search(args, field_guard: int, enum_guard: int):
 
 def _cmd_batch(args, field_guard: int, enum_guard: int):
     fam = _load_family(args.family, field_guard)
+    if args.mode == "sampled":
+        check_guard("sampled batch", args.trials, "request multisets", enum_guard)
     # the code's coset tables hold K entries per member
     check_guard("batch code", fam.field.q**fam.n * len(fam), "coset table entries", enum_guard)
     code = BatchCode(fam)

@@ -18,29 +18,31 @@ point, which gives the AS count of a (k+1)-subspace.  A coset u + S_i
 meets S_j exactly when the point of u in the quotient by S_i lies in
 (S_i + S_j)/S_i, which gives the AAD count.  A point is enumerated once,
 as the combination of a basis whose first nonzero coefficient is 1, and
-keyed by its normalized form, the vector scaled to a leading 1.  The
-AAD count brings each residue basis to RREF first, so its combinations
-are already normalized and collections.Counter tallies them in C; only
-the member that names the witness is walked again point by point, and
-count_L_aad, for callers that read only the value, walks none.  For
-k = 1 the quotient point of S_j over S_i is the plane S_i + S_j, and
-L_aad is the most family lines on one plane, minus one: the count
-visits each unordered pair i < j once, at its first member.  Where codes
-and points fit a byte path, q <= 256 for k >= 2 or q <= 128 for k = 1,
-and n - k <= 8, the points are built as bytes columns and each is keyed
-by one int that packs its coordinates a byte each; elsewhere the keys
-are tuples of codes.
+keyed by its normalized form, the vector scaled to a leading 1, and
+collections.Counter tallies the keys in C; only the member that names
+the witness is walked again point by point, and count_L_aad, for callers
+that read only the value, walks none.  For k = 1 the quotient point of
+S_j over S_i is the plane S_i + S_j, and L_aad is the most family lines
+on one plane, minus one: the count visits each unordered pair i < j
+once, at its first member.  Where codes and points fit a byte path,
+q <= 256 for k >= 2 or q <= 128 for k = 1, and n - k <= 8, one pass
+per member forms the residues of all other members at once, builds the
+points as bytes columns, scales them to a leading 1 in log lanes and
+keys each by one int that packs its coordinates a byte each.  Elsewhere
+each residue basis is brought to RREF, whose combinations are already
+normalized, and the keys are tuples of codes.
 
 The partial-spread check is the precondition of both verifiers.  Each
 finds a non-spread family in its own loop and raises NotAPartialSpread
 with a meeting pair.  The AAD count visits the member pairs i-outer,
 j-inner (for k >= 2 every ordered pair; distinct lines never meet) and
-finds residues of rank below k at every pair that meets, so the first
-one it finds is the first meeting pair in member order, the pair
-check_partial_spread names; build_report therefore runs no pairwise scan
-on a report that runs the AAD count.  The AS count runs
-check_partial_spread to name the pair, because a point with two owners is
-not always found at the first meeting pair.
+finds residues of rank below k (on the byte path, a zero combination of
+them) at every pair that meets, so the first one it finds is the first
+meeting pair in member order, the pair check_partial_spread names;
+build_report therefore runs no pairwise scan on a report that runs the
+AAD count.  The AS count runs check_partial_spread to name the pair,
+because a point with two owners is not always found at the first
+meeting pair.
 """
 
 from __future__ import annotations
@@ -281,51 +283,135 @@ def _packed_quotient_point_counts(fam: Family):
     host, is then the last coordinate rather than the first, which is
     mostly the leading 1.
 
-    Each pair's residues are reduced, projected and brought to RREF as in
-    _quotient_points, and NotAPartialSpread((i, j)) is raised at the same
-    first pair.  The leading-1 combinations of the RREF rows r_0, ...,
-    r_{k-1} are then built a coordinate column at a time as bytes.
-    Layer p, the points whose first nonzero coefficient is on r_p, is r_p
-    plus the span of r_{p+1}, ...: column t of the span of the last row
-    is the mul-table row of r_{k-1}[t], a span grows by joining its q
-    translates by c * r_p[t], and bytes.translate with the padded
-    add-table row of r_p[t] shifts a span to layer p.  A member's columns
-    go into one bytearray at stride 8, and Counter tallies its 8-byte
-    words in C.  The points come in another order than _quotient_points
-    yields them, which no count depends on.
+    One pass per member covers every other member at once, with no
+    per-pair reduce or RREF.  Residues: free column t of the residue of
+    row s of every S_j, j != i, is formed over all j together from the
+    columns of the members' basis rows, as x[t] - sum_p x[c_p]*b_p[t]
+    over S_i's pivots c_p and basis rows b_p; where x[c_p] is the same
+    in every member, as when all members share their pivots, a term is
+    one translate.
+
+    Points: the leading-1 coefficient combinations of a pair's k residue
+    rows r_0, ..., r_{k-1}, unreduced, are built a column at a time as
+    bytes.  Layer p, the combinations whose first nonzero coefficient is
+    on r_p, is r_p plus the span of r_{p+1}, ...: the span of r_{k-1} is
+    the mul-table row of r_{k-1}[t], and bytes.translate with the padded
+    add-table row of r_p[t] shifts a span to layer p.  The span of
+    (x, y) = (r_{k-2}[t], r_{k-1}[t]) is x times the q^2 values a + b*y/x,
+    or y times the values b when x = 0, so q + 1 tables of q^2 bytes per
+    count serve every pair; for k >= 4 a longer span joins its q
+    translates per pair.  Layer k-1, then k-2, ..., 0 each hold every
+    pair in member order.
+
+    These combinations are the points, each once.  For independent rows
+    the map from coefficient vectors to the span is injective, and the
+    vectors whose first nonzero entry is 1 hold one scalar multiple of
+    each nonzero vector of GF(q)^k, so their images hold one multiple of
+    each point of the span.  A zero combination exists exactly when the
+    rows are dependent, that is, when S_i meets S_j; scaling a vanishing
+    combination to a leading-1 coefficient keeps it zero.  So the least j
+    whose layers hold a zero lane is the first j that meets S_i, and
+    NotAPartialSpread((i, j)) is raised at the same pair as the RREF
+    rank test of _quotient_points.
+
+    Normalize: each point is scaled to a leading 1 in the log lanes of
+    ints, as in _packed_line_point_counts.  For q > 128, where
+    log_t + (q-1) - lead can pass 255, the lanes are two bytes wide, and
+    each is brought to [1, q-1], inside the 256-entry exp table, by
+    subtracting q - 1 where it is at least q, read off the lane's top bit
+    after adding 2^15 - q.  A member's coordinates go into one bytearray
+    at stride 8, and Counter tallies its 8-byte words in C.  The points
+    come in another order than _quotient_points yields them, which no
+    count depends on.
     """
-    f = fam.field
-    k, d = fam.k, fam.n - fam.k
-    points_per_pair = (f.q**k - 1) // (f.q - 1)
+    f, n = fam.field, fam.n
+    q, k, d = f.q, fam.k, fam.n - fam.k
+    add, mul, neg = f.add_table, f.mul_table, f.neg_table
     add_rows = _padded_add_rows(f)
-    mul_rows = [bytes(row) for row in f.mul_table]
-    translate = bytes.translate
-    member_rows = [T.basis.row_list() for T in fam.members]
+    mul_rows = [bytes(row) for row in mul]
+    log, nonzero, exp2 = _log_lane_tables(f)
+    translate, getitem, join = bytes.translate, operator.getitem, b"".join
+    m = len(fam.members)
+    # points per pair in layers k-1, ..., 0, and points per member
+    sizes = [q**s for s in range(k)]
+    size = (m - 1) * sum(sizes)
+    w = 1 if q <= 128 else 2  # bytes per log lane
+    ones = int.from_bytes((b"\x01" + bytes(w - 1)) * size, "little")
+    full, high = 255 * ones, (2**15 - q) * ones
+    mul_pad = [row + bytes(256 - q) for row in mul_rows]
+    if k >= 3:
+        tables = [join([translate(row, add_rows[a]) for a in range(q)]) for row in mul_rows]
+        tables.append(bytes(range(q)) * q)
+        base = [[tables[q]] * q] + [list(map(tables.__getitem__, mul[f.inv_table[x]])) for x in range(1, q)]
+        scale = [mul_pad[:q]] + [[mul_pad[x]] * q for x in range(1, q)]
+    columns = [bytes(col) for col in zip(*(T.basis.entries for T in fam.members))]
+    # the value of each basis entry that is the same in every member, else
+    # None; all pivot columns are constant where the members share pivots
+    constant = [col[0] if col == col[:1] * m else None for col in columns]
     for i, S in enumerate(fam.members):
-        project = operator.itemgetter(*_free_columns(S))
-        # each pair's last RREF row, and each of its other layers as a
-        # list of d bytes columns
-        lasts, layers = [], []
-        for j, rows in enumerate(member_rows):
-            if j == i:
-                continue
-            residues = [list(project(w)) for w in map(S.reduce, rows)]
-            if _rref_rows(f, residues, d)[0] < k:
-                raise NotAPartialSpread((i, j))
-            last = residues[-1]
-            lasts.append(last)
-            spans = list(map(mul_rows.__getitem__, last))
+        b, pivots, free = S.basis.entries, S.pivots, _free_columns(S)
+        # residues[s][t]: free column t of the residues of row s, one byte per pair
+        residues = []
+        for s in range(k):
+            rows = [col[:i] + col[i + 1 :] for col in columns[s * n : s * n + n]]
+            res = []
+            for t in free:
+                acc = rows[t]
+                for p, c in enumerate(pivots):
+                    minus_b = neg[b[p * n + t]]
+                    if not minus_b:
+                        continue
+                    x = constant[s * n + c]
+                    if x is None:
+                        acc = bytes(map(getitem, map(add.__getitem__, acc), translate(rows[c], mul_pad[minus_b])))
+                    elif x:
+                        acc = translate(acc, add_rows[mul[minus_b][x]])
+                res.append(acc)
+            residues.append(res)
+        lanes, lead, found = [], 0, 0
+        for t in range(d):
+            ys = residues[k - 1][t]
+            layers = [ys]
+            spans = list(map(mul_rows.__getitem__, ys))
             for p in range(k - 2, -1, -1):
-                row = residues[p]
-                layers.append(list(map(translate, spans, map(add_rows.__getitem__, row))))
-                if p:
-                    spans = [
-                        b"".join([translate(span, add_rows[a]) for a in mul_rows[x]])
-                        for span, x in zip(spans, row)
-                    ]
-        packed = bytearray(8 * len(lasts) * points_per_pair)
-        for t, (col, layer) in enumerate(zip(zip(*lasts), zip(*layers))):
-            packed[d - 1 - t :: 8] = bytes(col) + b"".join(layer)
+                xs = residues[p][t]
+                layers.append(join(map(translate, spans, map(add_rows.__getitem__, xs))))
+                if p == k - 2 and p:
+                    spans = list(
+                        map(
+                            translate,
+                            map(getitem, map(base.__getitem__, xs), ys),
+                            map(getitem, map(scale.__getitem__, xs), ys),
+                        )
+                    )
+                elif p:
+                    spans = [join([translate(span, add_rows[a]) for a in mul_rows[x]]) for span, x in zip(spans, xs)]
+            col = join(layers)
+            if w == 2:  # each code in the low byte of its lane
+                wide = bytearray(2 * size)
+                wide[::2] = col
+                col = wide
+            lg = int.from_bytes(col.translate(log), "little")
+            nz = int.from_bytes(col.translate(nonzero), "little")
+            lead |= lg & nz & ~found
+            found |= nz
+            lanes.append((lg, nz))
+        if found != full:
+            zero = (full ^ found).to_bytes(w * size, "little")[::w]
+            first, start = m, 0
+            for per_pair in sizes:
+                pos = zero.find(255, start, start + per_pair * (m - 1))
+                if pos >= 0:
+                    first = min(first, (pos - start) // per_pair)
+                start += per_pair * (m - 1)
+            raise NotAPartialSpread((i, first + (first >= i)))
+        shift = (q - 1) * ones - lead
+        packed = bytearray(8 * size)
+        for t, (lg, nz) in enumerate(lanes):
+            v = lg + shift
+            if w == 2:
+                v -= (q - 1) * (((v + high) >> 15) & ones)
+            packed[d - 1 - t :: 8] = (v & nz).to_bytes(w * size, "little")[::w].translate(exp2)
         yield Counter(memoryview(packed).cast("Q"))
 
 
@@ -334,6 +420,22 @@ def _padded_add_rows(f: Field) -> list[bytes]:
     code x < q to a + x."""
     pad = bytes(256 - f.q)
     return [bytes(row) + pad for row in f.add_table]
+
+
+def _log_lane_tables(f: Field) -> tuple[bytes, bytes, bytes]:
+    """bytes.translate tables for scaling points to a leading 1 in log
+    lanes: code -> its log to base gamma (0 for code 0), code -> 0xff if
+    nonzero else 0, and the doubled exp table, e -> gamma^(e mod (q-1))
+    for e in [1, 2q - 3] with entry 0 for the masked zero lanes, cut to
+    256 entries."""
+    exp = [1]
+    while len(exp) < f.q - 1:
+        exp.append(f.mul_table[exp[-1]][f.gamma])
+    log = bytearray(256)
+    for e, x in enumerate(exp):
+        log[x] = e
+    nonzero = bytes(1) + b"\xff" * (f.q - 1) + bytes(256 - f.q)
+    return bytes(log), nonzero, (bytes([0, *exp[1:], *exp]) + bytes(256))[:256]
 
 
 def _packed_line_point_counts(fam: Family):
@@ -353,14 +455,7 @@ def _packed_line_point_counts(fam: Family):
     f, n = fam.field, fam.n
     q, mul, neg = f.q, f.mul_table, f.neg_table
     add_rows = _padded_add_rows(f)
-    exp = [1]
-    while len(exp) < q - 1:
-        exp.append(mul[exp[-1]][f.gamma])
-    log = bytearray(256)
-    for e, x in enumerate(exp):
-        log[x] = e
-    nonzero = bytes(1) + b"\xff" * (q - 1) + bytes(256 - q)
-    exp2 = bytes([0, *exp[1:], *exp]) + bytes(256 - 2 * (q - 1))
+    log, nonzero, exp2 = _log_lane_tables(f)
     entries = [T.basis.entries for T in fam.members]
     groups = {}
     for c in {T.pivots[0] for T in fam.members}:
@@ -486,8 +581,9 @@ def count_L_aad(fam: Family) -> tuple[int, int, set]:
     return certifies that the family is a partial spread.
 
     For k >= 2 with q <= 256 and n - k <= 8 the points are tallied by
-    _packed_quotient_point_counts, and for k = 1 with q <= 128 and n <= 9
-    by _packed_line_point_counts, keyed by packed ints; only the attaining
+    _packed_quotient_point_counts, one pass per member with no per-pair
+    reduce or RREF, and for k = 1 with q <= 128 and n <= 9 by
+    _packed_line_point_counts, keyed by packed ints; only the attaining
     keys of S_i are turned back into tuples.  Above those limits a code,
     a log lane or a point does not fit its byte or word, and
     _quotient_point_counts or _line_point_counts tallies tuples.
@@ -522,14 +618,16 @@ def compute_L_aad(fam: Family) -> tuple[int, tuple[int, tuple[int, ...]]]:
     point of u in the quotient by S_i lies in (S_i + S_j)/S_i, the span
     of the residues of S_j's basis modulo S_i.  Counting, over all j, the
     points of those spans finds the quotient point that the most members
-    reach.  For k >= 2 each S_j's residues are brought to RREF, whose
-    leading-1 combinations are the points' normalized forms, and a
-    collections.Counter tallies them: for q <= 256 and n - k <= 8 built
-    as bytes columns and packed one int per point, otherwise as tuples
-    (see count_L_aad).  For k = 1 one batched pass forms the residues of
-    the later lines a column at a time, scales them to a leading 1 and
-    tallies them with one Counter per member, as packed ints for q <= 128
-    and n <= 9.  For k = 1 the point of
+    reach.  For k >= 2 and q <= 256, n - k <= 8, one pass per member
+    forms the residues of every S_j at once, builds the leading-1
+    combinations of each pair's residues as bytes columns, scales them to
+    a leading 1 in log lanes and packs one int per point; otherwise each
+    S_j's residues are brought to RREF, whose leading-1 combinations are
+    already normalized, as tuples.  A collections.Counter tallies the
+    points (see count_L_aad).  For k = 1 one batched pass forms the
+    residues of the later lines a column at a time, scales them to a
+    leading 1 and tallies them with one Counter per member, as packed
+    ints for q <= 128 and n <= 9.  For k = 1 the point of
     S_j over S_i is the plane S_i + S_j, whose count is the same from
     each of its lines, so S_i counts only the later lines j > i, and each
     unordered pair once (_line_point_counts proves that the value and

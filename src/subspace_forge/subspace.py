@@ -11,6 +11,7 @@ layers.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .gf import Field, _json_int
@@ -44,8 +45,15 @@ class Subspace:
             raise ValueError("basis shape does not match (k, n)")
         if self.k < 1 or self.k > self.n:
             raise ValueError(f"subspace dimension must be in [1, n], got k={self.k}")
-        R, rk, pivots = rref(self.basis)
-        if rk != self.k or R.entries != self.basis.entries:
+        # canonical rank-k RREF: each row's first nonzero entry is a 1, the
+        # pivots strictly increase, and every other row is 0 in each pivot
+        rows = self.basis.row_list()
+        pivots = tuple(next(filter(row.__getitem__, range(self.n)), self.n) for row in rows)
+        if not (
+            all(map(operator.lt, pivots, pivots[1:]))
+            and pivots[-1] < self.n
+            and all(row[p] == (r == s) for s, row in enumerate(rows) for r, p in enumerate(pivots))
+        ):
             raise ValueError("basis is not a canonical rank-k RREF matrix")
         object.__setattr__(self, "_pivots", pivots)
 

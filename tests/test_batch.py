@@ -405,18 +405,52 @@ def test_translation_preserves_servability(fam, data):
 
 
 def test_exhaustive_checks_one_multiset_per_translation_class(code, monkeypatch):
-    checked = []
-    assign = BatchCode._assign
+    visited, searched = [], []
+    multisets, assign = batch._request_multisets, BatchCode._assign
+
+    def recorded(*args):
+        for multiset in multisets(*args):
+            visited.append(multiset)
+            yield multiset
 
     def counted(self, requests):
-        checked.append(requests)
+        searched.append(requests)
         return assign(self, requests)
 
+    monkeypatch.setattr(batch, "_request_multisets", recorded)
     monkeypatch.setattr(BatchCode, "_assign", counted)
     assert verify_batch(code, 4, "exhaustive") == (True, None)
     # C(10, 3) multisets 0 + rest, in lexicographic order, against C(11, 4) = 330
-    assert checked == [(0,) + rest for rest in itertools.combinations_with_replacement(range(8), 3)]
-    assert len(checked) == 120
+    assert visited == [(0,) + rest for rest in itertools.combinations_with_replacement(range(8), 3)]
+    assert len(visited) == 120
+    # only those that repeat an index enter the recovery search
+    assert searched == [m for m in visited if len(set(m)) < 4]
+
+
+def _assign_every_multiset(code, s, mode, trials=1000, seed=0):
+    """verify_batch as a loop that runs the recovery search on every
+    multiset, repeat-free ones included."""
+    if mode == "exhaustive":
+        multisets = ((0,) + rest for rest in itertools.combinations_with_replacement(range(code.K), s - 1))
+    else:
+        rng = random.Random(seed)
+        multisets = (tuple(sorted(rng.randrange(code.K) for _ in range(s))) for _ in range(trials))
+    for multiset in multisets:
+        if code._assign(multiset) is None:
+            return False, multiset
+    return True, None
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6])
+def test_verify_batch_matches_assigning_every_multiset(edge_code, s):
+    # exhaustive: four lines hold for s <= 4; RS(3,1,3), with 27 bits,
+    # only up to s = 4 (s = 5, 6 take the sampled cases below)
+    if s <= 4 or len(edge_code.family) == 4:
+        assert verify_batch(edge_code, s, "exhaustive") == _assign_every_multiset(edge_code, s, "exhaustive")
+    for seed in range(3):
+        for size in (s, 2 * s, 4 * s):
+            expected = _assign_every_multiset(edge_code, size, "sampled", trials=200, seed=seed)
+            assert verify_batch(edge_code, size, "sampled", trials=200, seed=seed) == expected
 
 
 def test_verify_batch_builds_no_plans(edge_code, monkeypatch):

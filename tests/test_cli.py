@@ -444,7 +444,7 @@ def test_guard_env_limits_batch_multisets(capsys, monkeypatch, tmp_path, four_li
     code, _, err = run_cli(capsys, "batch", "--family", str(path))
     assert code == 4
     assert "120" in err and "guard 100" in err
-    code, _, _ = run_cli(capsys, "batch", "--family", str(path), "--mode", "sampled")
+    code, _, _ = run_cli(capsys, "batch", "--family", str(path), "--mode", "sampled", "--trials", "100")
     assert code == 0
 
 
@@ -453,11 +453,11 @@ def test_guard_env_limits_batch_tables(capsys, monkeypatch, tmp_path, four_line_
     path.write_text(json.dumps(four_line_family.to_json()))
     # K = 8 information bits times 4 members: 32 coset table entries
     monkeypatch.setenv("SUBSPACE_FORGE_GUARD", "31")
-    code, _, err = run_cli(capsys, "batch", "--family", str(path), "--mode", "sampled")
+    code, _, err = run_cli(capsys, "batch", "--family", str(path), "--mode", "sampled", "--trials", "20")
     assert code == 4
     assert "32 coset table entries" in err and "guard 31" in err
     monkeypatch.setenv("SUBSPACE_FORGE_GUARD", "32")
-    code, _, _ = run_cli(capsys, "batch", "--family", str(path), "--mode", "sampled")
+    code, _, _ = run_cli(capsys, "batch", "--family", str(path), "--mode", "sampled", "--trials", "20")
     assert code == 0
 
 
@@ -614,6 +614,37 @@ def test_sampled_batch_needs_a_trial(capsys, tmp_path, four_line_family, trials)
     code, out, err = run_cli(capsys, "batch", "--family", str(path), "--mode", "sampled", "--trials", trials)
     assert code == 2 and out == ""
     assert "trials must be >= 1" in err
+
+
+def test_sampled_batch_trials_over_guard_exits_4_promptly(capsys, monkeypatch, tmp_path):
+    # a subprocess with a timeout, so that unbounded trials fail the test
+    # instead of hanging the suite
+    path = tmp_path / "rs.json"
+    assert main(["construct", "rs", "--n", "3", "--k", "1", "--q", "7", "--out", str(path)]) == 0
+    argv = ["batch", "--family", str(path), "--mode", "sampled", "--s", "2"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("SUBSPACE_FORGE_GUARD", None)
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "subspace_forge.cli", *argv, "--trials", "1000000000"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert time.perf_counter() - t0 < 1
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert "sampled batch needs 1000000000 request multisets, over the guard 200000" in proc.stderr
+    # the guard is the enumeration guard, which the environment sets
+    # (the code's coset tables hold 343 x 49 = 16807 entries)
+    monkeypatch.setenv("SUBSPACE_FORGE_GUARD", "20000")
+    code, _, err = run_cli(capsys, *argv, "--trials", "20001")
+    assert code == 4 and "sampled batch needs 20001 request multisets, over the guard 20000" in err
+    code, out, _ = run_cli(capsys, *argv, "--trials", "20000")
+    assert code == 0 and result_of(out)["verified"] is True
+    # and lifts it past the default
+    monkeypatch.setenv("SUBSPACE_FORGE_GUARD", "250000")
+    code, out, _ = run_cli(capsys, *argv[:-1], "1", "--trials", "250000")
+    assert code == 0 and result_of(out)["verified"] is True
 
 
 def test_batch_recovery_search_over_guard_exits_4_promptly(tmp_path):

@@ -73,7 +73,7 @@ def exhaustive_L_as_oracle(fam):
     return best
 
 
-FIELDS = {q: field_from_order(q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 64, 81, 128)}
+FIELDS = {q: field_from_order(q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 64, 81, 128, 131)}
 
 # Families come from a drawn seed, which has no simpler neighbour, and each
 # shrink step reruns an exhaustive oracle: report the first failure as found.
@@ -96,8 +96,11 @@ REFERENCE_GRID = AAD_GRID + [
 ]
 REFERENCE_NON_SPREAD_GRID = [(k, n, q) for k, n, q in REFERENCE_GRID if k >= 2]
 # k >= 2 points for the byte path of the AAD count, which packs a point's
-# n - k coordinates a byte each
-PACKED_GRID = [(k, 2 * k + 1, q) for k in (2, 3) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 32)]
+# n - k coordinates a byte each: n - k > k + 1 at n = 6, two-byte log
+# lanes at q = 131, and spans joined per pair at k = 4
+PACKED_GRID = [(k, 2 * k + 1, q) for k in (2, 3) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 32)] + [
+    (2, 6, 2), (2, 6, 3), (2, 6, 4), (2, 6, 5), (2, 5, 131), (4, 9, 2),
+]
 # k = 1 points for the early-stopping AS count
 LINE_GRID = [
     (1, 3, 2), (1, 4, 2), (1, 5, 2), (1, 3, 3), (1, 4, 3), (1, 3, 4),
@@ -398,6 +401,17 @@ def test_rs_5_1_11_count_budget():
     dt = time.perf_counter() - t0
     assert (L, i) == (3, 0)
     assert dt < 0.6, f"count_L_aad on RS(5,1,11) took {dt:.2f}s"
+
+
+def test_rs_6_2_13_count_budget():
+    from subspace_forge.constructions import build_rs_family
+
+    fam = build_rs_family(6, 2, field_from_order(13))
+    t0 = time.perf_counter()
+    L, i, _ = count_L_aad(fam)
+    dt = time.perf_counter() - t0
+    assert (L, i) == (10, 6)
+    assert dt < 0.35, f"count_L_aad on RS(6,2,13) took {dt:.2f}s"
 
 
 def test_rs_7_3_23_counts_on_the_byte_path(monkeypatch):

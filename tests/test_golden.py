@@ -35,6 +35,25 @@ NON_SPREAD = {
     ],
 }
 
+# Fifteen planes of GF(4)^6, the family that `search --mode greedy --n 6
+# --k 2 --L 2 --q 4 --seed 1` returns.  No RS family has these parameters
+# (it needs q >= nk), and n - k = 4 > k + 1, so the residues of a member
+# pair span a proper subspace of the quotient.
+PLANES_GF4_6 = """
+130222 001201  120310 001133  010103 001221  130321 001231  103002 000011
+103202 012101  103001 012130  120020 001220  102303 013332  100022 012322
+101333 010032  101020 011222  130030 000130  100202 011012  120132 001222
+""".split()
+PLANES = {
+    "field": {"p": 2, "m": 2, "modulus": [1, 1, 1], "gamma": 2},
+    "n": 6,
+    "k": 2,
+    "members": [
+        {"n": 6, "k": 2, "basis": [list(map(int, a)), list(map(int, b))]}
+        for a, b in zip(PLANES_GF4_6[::2], PLANES_GF4_6[1::2])
+    ],
+}
+
 # (name, argv, pinned digest), run in order.  "@name" stands for the
 # output file of an earlier run, or of one of the inline families above.
 RUNS = [
@@ -345,6 +364,24 @@ RUNS = [
         ["verify", "--family", "@construct-rs-3-1-128", "--properties", "aad"],
         "f52c4efad9071630e1e7f11debb6b93cb7fc9e80e9bf80ea3e2fa11d3a9209d7",
     ),
+    # k = 2 AAD counts where n - k > k + 1, and over GF(131), where a log
+    # lane of the k >= 2 byte path no longer fits a byte.  The digests
+    # were taken when each pair's residues were brought to RREF.
+    (
+        "verify-planes-gf4-6-aad",
+        ["verify", "--family", "@planes", "--properties", "spread,aad,bound"],
+        "a5b6e9f416cfd0b4f5ddecc03ef03b82d4abffafa632d92100637b786a702e36",
+    ),
+    (
+        "construct-rs-5-2-131",
+        ["construct", "rs", "--n", "5", "--k", "2", "--q", "131"],
+        "97a043a792618bc22ae5e66a5dedf4dead969ab9a836c924c28b6ed4f2afdbb5",
+    ),
+    (
+        "verify-rs-5-2-131-aad",
+        ["verify", "--family", "@construct-rs-5-2-131", "--properties", "spread,aad,bound"],
+        "bcc4dcd2f833b8ce9610cea251640d985f5509d9d88b7826fd51efebc8f5b92a",
+    ),
 ]
 
 
@@ -353,6 +390,7 @@ def digests(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("golden")
     (tmp / "four-lines.json").write_text(json.dumps(FOUR_LINES))
     (tmp / "non-spread.json").write_text(json.dumps(NON_SPREAD))
+    (tmp / "planes.json").write_text(json.dumps(PLANES))
     out = {}
     for name, argv, _ in RUNS:
         path = tmp / f"{name}.json"

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from subspace_forge import constructions
 from subspace_forge.gf import field_from_order, make_field
-from subspace_forge.matgf import MatrixGF, kernel_basis, rank_of_stack
+from subspace_forge.matgf import MatrixGF, kernel_basis, rank_of_stack, rref
 from subspace_forge.subspace import Subspace, all_vectors, enumerate_subspaces, gaussian_binomial
 
 
@@ -44,6 +44,40 @@ def test_direct_constructor_rejects_non_canonical(f5):
         Subspace(f5, 3, 1, MatrixGF.from_rows(f5, [(2, 4, 0)]))  # not RREF
     with pytest.raises(ValueError):
         Subspace(f5, 3, 2, MatrixGF.from_rows(f5, [(1, 0, 0), (1, 0, 0)]))  # rank 1
+
+
+@st.composite
+def near_canonical_matrices(draw):
+    """A k x n matrix over a small field: random, or the RREF of a random
+    matrix with up to two entries redrawn, so that many are canonical
+    rank-k RREF and many miss by one entry."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    field = field_from_order(q)
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=k * n, max_size=k * n))
+    M = MatrixGF(field, k, n, tuple(entries))
+    if draw(st.booleans()):
+        entries = list(rref(M)[0].entries)
+        for _ in range(draw(st.integers(0, 2))):
+            entries[draw(st.integers(0, k * n - 1))] = draw(st.integers(0, q - 1))
+        M = MatrixGF(field, k, n, tuple(entries))
+    return M
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_canonical_matrices())
+def test_canonical_check_matches_rref_oracle(M):
+    R, rk, pivots = rref(M)
+    canonical = R.entries == M.entries and rk == M.rows
+    try:
+        S = Subspace(M.field, M.cols, M.rows, M)
+    except ValueError as exc:
+        assert not canonical
+        assert str(exc) == "basis is not a canonical rank-k RREF matrix"
+    else:
+        assert canonical
+        assert S.pivots == pivots
 
 
 def test_canonicality_fixed_point(f3):
