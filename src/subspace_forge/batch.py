@@ -8,19 +8,16 @@ which yields 1 + |F| pairwise disjoint recovery candidates per
 information bit and supports any multiset of s = floor(|F| / L)
 simultaneous requests.
 
-A BatchCode builds two coset tables per member once, from the field's
-addition table: the coset rank of every point, and the points of every
-coset.  The recovery candidates read these tables, so no request
-reduces a vector or enumerates a subspace.  The first `encode` call
-turns them into one parity word per information point, and each
-encoding XORs the words of its 1-bits.  One backtracking loop,
-`BatchCode._assign`, serves both recovery plans and verification; it
-builds each candidate only when it first tests it, in the order of
-`recovery_sets_for`, and verification builds no plan objects.  A
-multiset that repeats no index is served by its direct reads without
-entering the loop, and verification builds nothing for it; the loop
-refuses past a budget of candidate tests.  Exhaustive verification
-checks one multiset per translation class (see `verify_batch`).
+A BatchCode builds coset tables once (see the class), so no request
+reduces a vector or enumerates a subspace.  A plan for a multiset that
+repeats no index is its direct reads, one immutable entry per index that
+the code builds on first request and shares (at most K).  One loop,
+`BatchCode._assign`, backtracks on the multisets that repeat an index,
+for plans and verification; it builds each candidate when it first
+tests it, refuses past a budget of candidate tests, and builds no plan
+objects.  Exhaustive verification checks one multiset per translation
+class (see `verify_batch`); sampled verification draws the stream of
+`random.Random(seed).randrange(K)`.
 """
 
 from __future__ import annotations
@@ -56,10 +53,10 @@ class BatchCode:
     order of the points of GF(q)^n; parities follow, ordered by (member
     index, coset canonical representative lexicographic).
 
-    Two tables per member a, 2·K·|F| ints in all, hold the coset
-    structure: _coset_of[a][idx] is the coset rank of information point
-    idx, and _coset_points[a] lists the points coset by coset, q^k each,
-    in rank order.
+    Two tables per member a, 2·K·|F| ints in all, built from the field's
+    addition table, hold the coset structure: _coset_of[a][idx] is the
+    coset rank of information point idx, and _coset_points[a] lists the
+    points coset by coset, q^k each, in rank order.
 
     `encode` also keeps one parity word per information point, built on
     its first call: an int whose |F| set bits are the point's parity
@@ -111,6 +108,7 @@ class BatchCode:
             self._coset_of.append(coset_of)
             self._coset_points.append(points)
         self._words: list[int] | None = None
+        self._direct: dict[int, RecoveryEntry] = {}  # shared by repeat-free plans
 
     def parity_position(self, member: int, rep) -> int:
         rep = tuple(rep)
@@ -123,19 +121,12 @@ class BatchCode:
     def parity_layout(self) -> list[dict]:
         """Every parity position with its (member, coset rep) address."""
         out = []
-        for a, S in enumerate(self.family.members):
-            free = self._free_cols[a]
-            for digits in itertools.product(range(self.q), repeat=len(free)):
+        for a, free in enumerate(self._free_cols):
+            for r, digits in enumerate(itertools.product(range(self.q), repeat=len(free))):
                 rep = [0] * self.n
                 for c, d in zip(free, digits):
                     rep[c] = d
-                out.append(
-                    {
-                        "member": a,
-                        "rep": rep,
-                        "position": self.parity_position(a, rep),
-                    }
-                )
+                out.append({"member": a, "rep": rep, "position": self.K + a * self.cosets_per_member + r})
         return out
 
     def layout_json(self) -> dict:
@@ -207,29 +198,16 @@ class BatchCode:
         return bit
 
     def _assign(self, requests, guard: int | None = None):
-        """Depth-first backtracking over each request's candidate list, in
-        sorted request order and candidate order.  Returns the sorted
-        requests, their candidate lists and the candidate picked for each,
-        or None if no pairwise disjoint assignment exists.  A candidate is
-        built when the search first tests it; requests for the same index
-        share one list of the candidates built so far.
+        """Depth-first backtracking, in candidate order, for a sorted
+        multiset of valid indices: the requests' candidate lists and the
+        candidate picked for each, or None if no pairwise disjoint
+        assignment exists.  A candidate is built when the search first
+        tests it; requests for one index share its list.
 
-        A multiset that repeats no index gets its direct reads without
-        the search.  That is the assignment the search returns: the direct
-        reads of distinct indices are pairwise disjoint, and each is the
-        first candidate the search tests for its request, so every request
-        takes candidate 0 and none backtracks.
-
-        The search can take exponentially many candidate tests to prove
-        that no assignment exists.  Past `guard` tests (None: no limit) on
-        one multiset it raises SizeGuardError.
+        Proving that no assignment exists can take exponentially many
+        candidate tests; past `guard` of them (None: no limit) on one
+        multiset it raises SizeGuardError.
         """
-        requests = sorted(requests)
-        for idx in requests:
-            if not 0 <= idx < self.K:
-                raise ValueError(f"information index out of range: {idx}")
-        if len(set(requests)) == len(requests):
-            return requests, [[self._candidate(idx, 0)] for idx in requests], [0] * len(requests)
         total = 1 + len(self.family)
         built: dict[int, list[frozenset[int]]] = {}
         lists = [built.setdefault(idx, []) for idx in requests]
@@ -260,21 +238,38 @@ class BatchCode:
                 j += 1
             else:
                 return None
-        return requests, lists, picks
+        return lists, picks
 
     def plan_recovery(self, requests) -> RecoveryPlan | None:
         """Pairwise disjoint recovery sets for a multiset of information
         indices, one per request in sorted order, or None if no assignment
-        exists."""
-        found = self._assign(requests)
-        if found is None:
-            return None
-        return RecoveryPlan(
-            tuple(
-                RecoveryEntry(idx, cands[j], "direct" if j == 0 else "parity_xor")
-                for idx, cands, j in zip(*found)
+        exists.
+
+        A multiset that repeats no index gets its direct reads from
+        `_direct`, without the search.  That is the search's own answer:
+        the direct reads of distinct indices are pairwise disjoint, and each
+        is the first candidate the search tests for its request, so every
+        request takes candidate 0 and none backtracks.
+        """
+        requests = sorted(requests)
+        if requests and (requests[0] < 0 or requests[-1] >= self.K):
+            bad = next(idx for idx in requests if not 0 <= idx < self.K)
+            raise ValueError(f"information index out of range: {bad}")
+        if len(set(requests)) < len(requests):
+            found = self._assign(requests)
+            if found is None:
+                return None
+            return RecoveryPlan(
+                tuple(
+                    RecoveryEntry(idx, cands[j], "direct" if j == 0 else "parity_xor")
+                    for idx, cands, j in zip(requests, *found)
+                )
             )
-        )
+        direct = self._direct
+        for idx in requests:
+            if idx not in direct:
+                direct[idx] = RecoveryEntry(idx, self._candidate(idx, 0), "direct")
+        return RecoveryPlan(tuple(map(direct.__getitem__, requests)))
 
 
 def batch_s(family_size: int, L: int) -> int:
@@ -299,8 +294,8 @@ def verify_batch(
     mode draws `trials` multisets, at least one.  `guard` bounds the
     candidate tests of the recovery search on each multiset (see
     `BatchCode._assign`); over it, SizeGuardError.  A multiset that
-    repeats no index is served by its direct reads: verification builds
-    nothing for it and does not call `_assign`.
+    repeats no index is served by its direct reads, so verification
+    builds nothing for it and does not call `_assign`.
 
     Exhaustive mode checks only the multisets that contain 0:
     - Translating by a point t maps the direct read of idx to that of
@@ -317,20 +312,21 @@ def verify_batch(
         raise ValueError("s must be >= 1")
     assign = code._assign if guard is None else functools.partial(code._assign, guard=guard)
     for multiset in _request_multisets(code.K, s, mode, trials, seed):
-        # a multiset that repeats no index is served by its direct reads,
-        # the assignment BatchCode._assign returns for it
         if len(set(multiset)) < s and assign(multiset) is None:
             return False, multiset
     return True, None
 
 
 def _request_multisets(K: int, s: int, mode: str, trials: int, seed: int):
-    """The sorted request multisets that verify_batch checks, in order."""
+    """The sorted request multisets that verify_batch checks, in order.
+    Sampled mode takes s indices at a time from getrandbits(K.bit_length())
+    draws below K: the stream of random.Random(seed).randrange(K) on
+    CPython 3.10 to 3.13, without a Python call per index."""
     if mode == "exhaustive":
         return ((0,) + rest for rest in itertools.combinations_with_replacement(range(K), s - 1))
     if mode == "sampled":
         if trials < 1:
             raise ValueError("trials must be >= 1")
-        rng = random.Random(seed)
-        return (tuple(sorted(rng.randrange(K) for _ in range(s))) for _ in range(trials))
+        stream = filter(K.__gt__, map(random.Random(seed).getrandbits, itertools.repeat(K.bit_length())))
+        return (tuple(sorted(itertools.islice(stream, s))) for _ in range(trials))
     raise ValueError(f"unknown mode {mode!r}")

@@ -12,18 +12,14 @@ command and seed; main calls it and maps the errors to exit codes in
 one place.
 
 Exit codes: 0 report produced, 2 parameter violation, 3 malformed
-input, 4 computation aborted by a size guard.  The environment variable
-SUBSPACE_FORGE_GUARD (an integer) overrides both the field guard, which
-bounds the q^2 operation-table entries that building GF(q) costs, and
-the enumeration guard, which bounds the (k+1)-subspaces of AS
-verification, the coset table entries of a batch code, the request
-multisets of exhaustive and sampled batch, the candidate tests of
-batch's recovery search on one multiset, the k-subspace candidates of
-greedy search and the members of construct rs.  Every enumeration guard refuses through
-gf.check_guard, which names a count of 100 or more digits as about
-10^N.  Every field is checked against the field guard before it is
-built: a family file's (p, m) before Field.from_json, and --q before
-field_from_order factors it.
+input, 4 computation aborted by a size guard.  SUBSPACE_FORGE_GUARD (an
+integer) overrides both guards.  The field guard bounds the q^2 table
+entries of GF(q): a family file's (p, m) and --q are checked before the
+field is built.  The enumeration guard bounds AS verification's
+(k+1)-subspaces, a batch code's coset table entries, batch's request
+multisets and recovery-search candidate tests per multiset, greedy
+search's k-subspaces and construct rs's members; each refuses through
+gf.check_guard, which names a count of 100 or more digits as about 10^N.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ from . import __version__
 from .gf import DEFAULT_SIZE_GUARD, SizeGuardError, _json_int, check_guard, check_order_guard, field_from_order
 from .matgf import MatrixGF
 from .family import DEFAULT_AS_ENUM_GUARD, Family, build_report
-from .subspace import gaussian_binomial
+from .subspace import checked_gaussian_binomial
 from .constructions import (
     bounds_table,
     build_code_based_family,
@@ -230,12 +226,15 @@ def _cmd_construct(args, field_guard: int, enum_guard: int):
             if args.q is None:
                 raise ValueError("--q is required with --vandermonde-rows")
             field = field_from_order(args.q, field_guard)
-            H = vandermonde_matrix(field, args.vandermonde_rows)
+            H = None  # built once its rows are checked
         else:
             raise ValueError("kind code-based needs --matrix or --vandermonde-rows")
         # the family lives in GF(q)^rows, so --n must name that space
-        if H.rows != args.n:
-            raise ValueError(f"--n {args.n} differs from the parity-check matrix's {H.rows} rows")
+        rows = args.vandermonde_rows if H is None else H.rows
+        if rows != args.n:
+            raise ValueError(f"--n {args.n} differs from the parity-check matrix's {rows} rows")
+        if H is None:
+            H = vandermonde_matrix(field, rows)
         fam = build_code_based_family(H, args.k)
     return {"family": fam.to_json(), "diagnostics": {"members": len(fam)}}, f"construct {args.kind}", None
 
@@ -285,7 +284,7 @@ def _cmd_search(args, field_guard: int, enum_guard: int):
         return res.to_json(), "search", args.seed
     check_parameters(args.n, args.k, args.L)  # parameter errors exit 2 before the guard
     # greedy search holds every k-subspace in memory
-    check_guard("greedy search", gaussian_binomial(args.n, args.k, field.q), "k-subspaces", enum_guard)
+    checked_gaussian_binomial("greedy search", args.n, args.k, field.q, enum_guard)
     fam = greedy_max_family(field, args.n, args.k, args.L, args.seed)
     return {"mode": "greedy", "size": len(fam), "family": fam.to_json()}, "search", args.seed
 

@@ -132,16 +132,12 @@ class BoundsTable:
 
 
 def bounds_table(n: int, k: int, L: int, q: int) -> BoundsTable:
-    t3 = rs_guaranteed_L(n, k) if k in (1, 2) else None
     return BoundsTable(
-        n=n,
-        k=k,
-        L=L,
-        q=q,
-        size_bound=max_family_size_bound(n, k, L, q),
-        size_bound_no_spread=max_family_size_bound_no_spread(n, k, L, q),
-        random_lower_exponent=random_family_exponent(n, k, L),
-        rs_guaranteed_L=t3,
+        n, k, L, q,
+        max_family_size_bound(n, k, L, q),
+        max_family_size_bound_no_spread(n, k, L, q),
+        random_family_exponent(n, k, L),
+        rs_guaranteed_L(n, k) if k in (1, 2) else None,
     )
 
 
@@ -187,14 +183,8 @@ def make_rs_code(field: Field, n: int, k: int) -> RSCodeSpec:
     if field.q < n * k:
         raise ValueError(f"q < nk (q={field.q}, n={n}, k={k})")
     length = n - k - 1
-    gamma = field.gamma
-    rows = []
-    for t in range(k - 1):
-        rows.append([field.pow(gamma, c * t) for c in range(length)])
-    if rows:
-        H = MatrixGF.from_rows(field, rows)
-    else:
-        H = MatrixGF(field, 0, length, ())
+    rows = [[field.pow(field.gamma, c * t) for c in range(length)] for t in range(k - 1)]
+    H = MatrixGF.from_rows(field, rows) if rows else MatrixGF(field, 0, length, ())
     return RSCodeSpec(field, n, k, H)
 
 
@@ -281,8 +271,7 @@ def build_code_based_family(H: MatrixGF, k: int) -> Family:
 
 def vandermonde_matrix(field: Field, rows: int) -> MatrixGF:
     """rows x q matrix with columns (1, a, a^2, ...) over all field elements."""
-    cols = [[field.pow(a, r) for r in range(rows)] for a in field.elements()]
-    return MatrixGF.from_rows(field, [[col[r] for col in cols] for r in range(rows)])
+    return MatrixGF.from_rows(field, [[field.pow(a, r) for a in field.elements()] for r in range(rows)])
 
 
 # -- random construction ----------------------------------------------------

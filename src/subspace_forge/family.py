@@ -54,9 +54,9 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from itertools import repeat
 
-from .gf import Field, _json_int, check_guard
+from .gf import Field, _json_int
 from .matgf import _rref_rows
-from .subspace import Subspace, all_vectors, enumerate_subspaces, gaussian_binomial
+from .subspace import Subspace, all_vectors, checked_gaussian_binomial, enumerate_subspaces
 
 # compute_L_as enumerates every (k+1)-subspace; refuse above this count
 # unless the caller overrides the guard.
@@ -661,7 +661,7 @@ def compute_L_aad(fam: Family) -> tuple[int, tuple[int, tuple[int, ...]]]:
 def check_as_guard(n: int, k: int, q: int, enum_guard: int | None) -> None:
     """Raise SizeGuardError when the AS count on k-subspaces of GF(q)^n
     would enumerate more than enum_guard (k+1)-subspaces (None: no guard)."""
-    check_guard("AS verification", gaussian_binomial(n, k + 1, q), "(k+1)-subspaces", enum_guard)
+    checked_gaussian_binomial("AS verification", n, k + 1, q, enum_guard, "(k+1)-subspaces")
 
 
 def compute_L_as(

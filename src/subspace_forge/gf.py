@@ -2,10 +2,9 @@
 
 Field elements are plain integers ("codes") in [0, q).  The code of the
 polynomial a_0 + a_1 x + ... + a_{m-1} x^{m-1} over GF(p) is the packed
-base-p integer sum(a_i * p^i).  Keeping elements as ints makes them
-hashable and cheap to store in the hot verifier loops; all structure
-lives in the Field object, which carries the modulus, the primitive
-element and the operation tables, built at construction for every q.
+base-p integer sum(a_i * p^i).  Ints are hashable and cheap to store in
+the hot verifier loops; all structure lives in the Field object: the
+modulus, the primitive element and the operation tables.
 
 Field construction is deterministic: the modulus is the
 lexicographically smallest monic irreducible polynomial of degree m
@@ -36,14 +35,16 @@ class SizeGuardError(RuntimeError):
     """A requested computation exceeds the configured size guard."""
 
 
-def check_guard(work: str, count: int, units: str, guard: int | None) -> None:
+def check_guard(work: str, count: int | None, units: str, guard: int | None, log10: float = 0.0) -> None:
     """Raise SizeGuardError when `work` needs `count` `units`, over `guard`
     (None disables).  A count of 100 or more digits is named about 10^N:
-    Python prints no int of over 4300 digits."""
-    if guard is None or count <= guard:
+    Python prints no int of over 4300 digits.  A count known to be such,
+    and over the guard, may be passed as None and its log10."""
+    if count is not None and (guard is None or count <= guard):
         return
-    shown = count if count < 10**100 else f"about 10^{math.log10(count):.0f}"
-    raise SizeGuardError(f"{work} needs {shown} {units}, over the guard {guard}")
+    if count is None or count >= 10**100:
+        count = f"about 10^{math.log10(count) if count else log10:.0f}"
+    raise SizeGuardError(f"{work} needs {count} {units}, over the guard {guard}")
 
 
 def _json_int(x) -> int:
@@ -362,14 +363,10 @@ def make_field(p: int, m: int = 1, size_guard: int | None = DEFAULT_SIZE_GUARD) 
 
 
 def check_order_guard(p: int, m: int, size_guard: int | None = DEFAULT_SIZE_GUARD) -> None:
-    """Raise SizeGuardError when the q^2 table entries of GF(p^m) exceed
-    `size_guard` (None disables).
-
-    A Field builds its q x q add and mul tables at construction, so the
-    guard bounds q^2, the work and memory that construction costs.  The
-    exponent is capped at the guard's bit length, so a huge m costs
-    nothing.
-    """
+    """Raise SizeGuardError when the q^2 table entries of GF(p^m), the
+    work and memory of building it, exceed `size_guard` (None disables).
+    The exponent is capped at the guard's bit length, so a huge m costs
+    nothing."""
     if size_guard is None or p < 2 or m < 1:
         return
     # 2^b > size_guard for b = its bit length, so p^(2m) > size_guard once m >= b

@@ -24,10 +24,10 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 
-from .gf import Field, check_guard
+from .gf import Field
 from .family import Family, _free_columns, _line_point_counts, _quotient_points
 from .constructions import check_parameters, max_family_size_bound
-from .subspace import Subspace, enumerate_subspaces, gaussian_binomial
+from .subspace import Subspace, checked_gaussian_binomial, enumerate_subspaces
 
 EXHAUSTIVE_SPACE_LIMIT = 10_000
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -145,15 +145,14 @@ def exhaustive_max_family(
     """Maximum family size by branch-and-bound; proof flag set when the
     search finished within the node budget (or met the closed-form bound).
 
-    One loop, shaped like BatchCode.plan_recovery: `picks` holds the
+    One loop, shaped like BatchCode._assign: `picks` holds the
     candidate index of each member the loop pushed, and a backtrack pops
     the last member and resumes after its index.
     """
     bound = max_family_size_bound(n, k, L, field.q)  # checks 2k < n and L >= 0
     if node_budget < 1:
         raise ValueError(f"node budget must be >= 1, got {node_budget}")
-    total = gaussian_binomial(n, k, field.q)
-    check_guard("exhaustive search", total, "k-subspaces", EXHAUSTIVE_SPACE_LIMIT)
+    total = checked_gaussian_binomial("exhaustive search", n, k, field.q, EXHAUSTIVE_SPACE_LIMIT)
     candidates = list(enumerate_subspaces(field, n, k))
 
     chosen = _Chosen(field, k, L)

@@ -11,10 +11,11 @@ layers.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
-from .gf import Field, _json_int
+from .gf import Field, _json_int, check_guard
 from .matgf import MatrixGF, rank_of_stack, rref
 
 
@@ -29,6 +30,20 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
         den *= q**k - q**i
     assert num % den == 0
     return num // den
+
+
+def checked_gaussian_binomial(work: str, n: int, k: int, q: int, guard: int | None, units: str = "k-subspaces") -> int:
+    """gaussian_binomial(n, k, q), for 1 <= k < n, once check_guard admits
+    it as the `units` that `work` needs.  A count far past 10^100 and the
+    guard is refused unformed, by its log10 summed over the factors in
+    floats: for large k, forming it takes minutes."""
+    # factor i is (q^(n-i) - 1) / (q^(k-i) - 1): q^(n-k) times a ratio near 1
+    log10 = sum((n - k) * math.log10(q) + math.log10((1 - q ** (i - n)) / (1 - q ** (i - k))) for i in range(k))
+    if guard is not None and log10 > max(100, math.log10(max(guard, 1))) + 1:
+        check_guard(work, None, units, guard, log10)
+    count = gaussian_binomial(n, k, q)
+    check_guard(work, count, units, guard)
+    return count
 
 
 @dataclass(frozen=True)

@@ -200,6 +200,11 @@ def test_verify_batch_sampled_deterministic(code):
     assert a == b == (True, None)
 
 
+def test_verify_batch_sampled_counterexample(code):
+    # ten requests exceed the five candidates of a bit drawn three times
+    assert verify_batch(code, 10, mode="sampled", trials=50, seed=1) == (False, (1, 1, 1, 2, 3, 4, 6, 7, 7, 7))
+
+
 def test_verify_batch_validates(code):
     with pytest.raises(ValueError):
         verify_batch(code, 0)
@@ -262,11 +267,16 @@ def test_tables_match_oracle(fam, rng):
 @given(families(BATCH_GRID), st.data())
 def test_plan_matches_oracle(fam, data):
     code = BatchCode(fam)
-    # a small pool makes repeated indices common
+    # a small pool makes repeated indices common; one code plans every
+    # multiset twice, so later plans read the direct entries earlier ones
+    # cached
     pool = data.draw(st.lists(st.integers(0, code.K - 1), min_size=1, max_size=4))
-    for _ in range(3):
+    for _ in range(4):
         requests = data.draw(st.lists(st.sampled_from(pool), min_size=0, max_size=len(fam) + 2))
-        assert code.plan_recovery(requests) == oracle_plan(code, requests)
+        expected = oracle_plan(code, requests)
+        assert code.plan_recovery(requests) == expected
+        assert code.plan_recovery(requests[::-1]) == expected
+    assert set(code._direct) <= set(pool)
 
 
 @DIFFERENTIAL
@@ -321,7 +331,8 @@ def test_plan_empty_request(edge_code):
 
 
 def test_plan_builds_only_tested_candidates(edge_code, monkeypatch):
-    code = edge_code
+    # a fresh code: the module's codes may hold direct entries already
+    code = BatchCode(edge_code.family)
     built = []
     candidate = BatchCode._candidate
 
@@ -334,6 +345,22 @@ def test_plan_builds_only_tested_candidates(edge_code, monkeypatch):
     plan = code.plan_recovery(requests)
     assert [e.rule for e in plan.entries] == ["direct"] * len(requests)
     assert built == [(idx, 0) for idx in requests]
+    # the same plan again reads the cached direct entries
+    built.clear()
+    assert code.plan_recovery(requests[::-1]) == plan
+    assert built == []
+
+
+def test_repeat_free_plans_share_direct_entries(edge_code):
+    code = BatchCode(edge_code.family)
+    first = code.plan_recovery([3, 1])
+    second = code.plan_recovery([1, 2])
+    assert first.entries[0] is second.entries[0]  # index 1
+    assert first.entries[0] == RecoveryEntry(1, frozenset({1}), "direct")
+    # only repeat-free plans fill the cache, one entry per index
+    assert code.plan_recovery([1, 1]).entries[0] == first.entries[0]
+    assert code.plan_recovery([4, 4]) is not None
+    assert sorted(code._direct) == [1, 2, 3]
 
 
 def test_plans_leave_no_cyclic_garbage():
@@ -427,14 +454,29 @@ def test_exhaustive_checks_one_multiset_per_translation_class(code, monkeypatch)
     assert searched == [m for m in visited if len(set(m)) < 4]
 
 
+def randrange_multisets(K, s, trials, seed):
+    """The sampled request multisets as randrange draws them."""
+    rng = random.Random(seed)
+    return [tuple(sorted(rng.randrange(K) for _ in range(s))) for _ in range(trials)]
+
+
+@given(
+    st.one_of(st.integers(2, 5000), st.integers(2, 70).flatmap(lambda m: st.sampled_from([2**m - 1, 2**m, 2**m + 1]))),
+    st.integers(1, 12),
+    st.integers(1, 30),
+    st.integers(0, 2**64),
+)
+def test_sampled_multisets_are_the_randrange_stream(K, s, trials, seed):
+    assert list(batch._request_multisets(K, s, "sampled", trials, seed)) == randrange_multisets(K, s, trials, seed)
+
+
 def _assign_every_multiset(code, s, mode, trials=1000, seed=0):
     """verify_batch as a loop that runs the recovery search on every
     multiset, repeat-free ones included."""
     if mode == "exhaustive":
         multisets = ((0,) + rest for rest in itertools.combinations_with_replacement(range(code.K), s - 1))
     else:
-        rng = random.Random(seed)
-        multisets = (tuple(sorted(rng.randrange(code.K) for _ in range(s))) for _ in range(trials))
+        multisets = randrange_multisets(code.K, s, trials, seed)
     for multiset in multisets:
         if code._assign(multiset) is None:
             return False, multiset

@@ -23,6 +23,18 @@ def result_of(stdout):
     return json.loads(stdout)["result"]
 
 
+def run_cli_process(*argv, timeout=30):
+    """The CLI in a subprocess under the default guards, so that a run
+    that would go on for minutes fails its test at the timeout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("SUBSPACE_FORGE_GUARD", None)
+    return subprocess.run(
+        [sys.executable, "-m", "subspace_forge.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
 # ---------------------------------------------------------------------------
 # construct
 # ---------------------------------------------------------------------------
@@ -143,6 +155,17 @@ def test_construct_code_based_n_must_match_matrix_rows(capsys, tmp_path, source)
     code, out, err = run_cli(capsys, "construct", "code-based", "--n", "99", "--k", "1", *argv)
     assert code == 2 and out == ""
     assert "99" in err and f"{rows} rows" in err
+
+
+def test_construct_code_based_checks_rows_before_building_the_matrix():
+    # the 99,999 x 257 Vandermonde matrix took 93 s to build before the check
+    t0 = time.perf_counter()
+    proc = run_cli_process(
+        "construct", "code-based", "--n", "3", "--k", "1", "--q", "257", "--vandermonde-rows", "99999"
+    )
+    assert time.perf_counter() - t0 < 2
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--n 3 differs from the parity-check matrix's 99999 rows" in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +391,39 @@ def test_exhaustive_search_limit_names_a_count_too_long_to_print(capsys):
     assert time.perf_counter() - t0 < 2.0
     assert code == 4 and out == ""
     assert "exhaustive search needs about 10^6021 k-subspaces, over the guard 10000" in err
+
+
+@pytest.mark.parametrize(
+    "argv, needs",
+    [
+        (["--mode", "greedy", "--n", "20000", "--k", "64", "--L", "1"],
+         "greedy search needs about 10^3074843 k-subspaces, over the guard 200000"),
+        (["--n", "99999", "--k", "128", "--L", "4"],
+         "exhaustive search needs about 10^30807351 k-subspaces, over the guard 10000"),
+    ],
+    ids=["greedy", "exhaustive"],
+)
+def test_search_refuses_large_k_before_counting_subspaces(argv, needs):
+    # the exact counts took 18 s and over a minute to form
+    t0 = time.perf_counter()
+    proc = run_cli_process("search", *argv, "--q", "257")
+    assert time.perf_counter() - t0 < 2
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert needs in proc.stderr
+
+
+def test_as_guard_refuses_large_k_before_counting_subspaces(capsys, tmp_path):
+    # [3000, 129]_257 took 4.7 s to form before the guard refused it
+    n, k = 3000, 128
+    member = {"n": n, "k": k, "basis": [[int(c == r) for c in range(n)] for r in range(k)]}
+    field = {"p": 257, "m": 1, "modulus": [0, 1], "gamma": 3}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"field": field, "n": n, "k": k, "members": [member]}))
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--family", str(path), "--properties", "as")
+    assert time.perf_counter() - t0 < 2
+    assert code == 4 and out == ""
+    assert "AS verification needs about 10^892540 (k+1)-subspaces, over the guard 200000" in err
 
 
 WIDE = 15000  # one line of GF(2)^15000: its guarded counts run to thousands of digits
@@ -622,15 +678,8 @@ def test_sampled_batch_trials_over_guard_exits_4_promptly(capsys, monkeypatch, t
     path = tmp_path / "rs.json"
     assert main(["construct", "rs", "--n", "3", "--k", "1", "--q", "7", "--out", str(path)]) == 0
     argv = ["batch", "--family", str(path), "--mode", "sampled", "--s", "2"]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    env.pop("SUBSPACE_FORGE_GUARD", None)
     t0 = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "subspace_forge.cli", *argv, "--trials", "1000000000"],
-        capture_output=True, text=True, env=env, timeout=30,
-    )
+    proc = run_cli_process(*argv, "--trials", "1000000000")
     assert time.perf_counter() - t0 < 1
     assert proc.returncode == 4 and proc.stdout == ""
     assert "sampled batch needs 1000000000 request multisets, over the guard 200000" in proc.stderr
@@ -653,15 +702,9 @@ def test_batch_recovery_search_over_guard_exits_4_promptly(tmp_path):
     # test instead of hanging the suite.
     path = tmp_path / "rs.json"
     assert main(["construct", "rs", "--n", "3", "--k", "1", "--q", "7", "--out", str(path)]) == 0
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    env.pop("SUBSPACE_FORGE_GUARD", None)
     argv = ["batch", "--family", str(path), "--s", "80", "--mode", "sampled", "--trials", "3"]
     t0 = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "subspace_forge.cli", *argv], capture_output=True, text=True, env=env, timeout=30
-    )
+    proc = run_cli_process(*argv)
     assert time.perf_counter() - t0 < 2
     assert proc.returncode == 4 and proc.stdout == ""
     assert "batch recovery search needs 200001 candidate tests, over the guard 200000" in proc.stderr

@@ -161,6 +161,13 @@ RUNS = [
         ["batch", "--family", "@construct-rs-3-1-7", "--mode", "sampled", "--trials", "200", "--seed", "1"],
         "6af17b6d56191a1128ade4b0a43a534470425b1461dcd045e86b8cd9cf33cfde",
     ),
+    # Ten requests of the eight bits of GF(2)^3 fail within 50 trials, so
+    # this digest moves with the sampled request stream.
+    (
+        "batch-four-lines-sampled",
+        ["batch", "--family", "@four-lines", "--s", "10", "--mode", "sampled", "--trials", "50", "--seed", "1"],
+        "a49c1a49bd43279279b0c5b4562bcdf668ddacb850b9d255f1ae2c68c87a242a",
+    ),
     # k = 1 reports that ask for `as` but not `aad`: the AS count stops at
     # L_aad + 1, which they compute internally.  The digests were taken
     # with the full AS enumeration.

@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subspace_forge import constructions
-from subspace_forge.gf import field_from_order, make_field
+from subspace_forge.gf import SizeGuardError, check_guard, field_from_order, make_field
 from subspace_forge.matgf import MatrixGF, kernel_basis, rank_of_stack, rref
-from subspace_forge.subspace import Subspace, all_vectors, enumerate_subspaces, gaussian_binomial
+from subspace_forge.subspace import (
+    Subspace,
+    all_vectors,
+    checked_gaussian_binomial,
+    enumerate_subspaces,
+    gaussian_binomial,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +257,34 @@ def test_gaussian_binomial_values():
     assert gaussian_binomial(5, 2, 5) == gaussian_binomial(5, 3, 5)  # symmetry
     assert gaussian_binomial(3, 0, 2) == 1
     assert gaussian_binomial(3, 4, 2) == 0
+
+
+def _refusal(check, *args):
+    try:
+        return check(*args)
+    except SizeGuardError as exc:
+        return str(exc)
+
+
+@given(
+    st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 23, 128, 257]),
+    st.integers(3, 200),
+    st.data(),
+    st.sampled_from([None, -1, 0, 1, 10**4, 200_000, 10**99, 10**150]),
+)
+def test_checked_gaussian_binomial_is_check_guard_on_the_exact_count(q, n, data, guard):
+    # the same count or the same message, whether or not the float
+    # estimate refused before the count was formed
+    k = data.draw(st.integers(1, (n - 1) // 2))
+    count = gaussian_binomial(n, k, q)
+    expected = _refusal(check_guard, "work", count, "k-subspaces", guard)
+    assert _refusal(checked_gaussian_binomial, "work", n, k, q, guard) == (count if expected is None else expected)
+    # a guard at the count admits it, one below refuses it (a guard is
+    # printed, so it has at most 4300 digits)
+    if count < 10**4000:
+        assert checked_gaussian_binomial("work", n, k, q, count) == count
+        below = _refusal(check_guard, "work", count, "k-subspaces", count - 1)
+        assert _refusal(checked_gaussian_binomial, "work", n, k, q, count - 1) == below
 
 
 # ---------------------------------------------------------------------------
