@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("kind", choices=["rs", "random", "code-based"])
     pc.add_argument("--n", type=int, required=True)
     pc.add_argument("--k", type=int, required=True)
-    pc.add_argument("--q", type=int, help="field order (prime power)")
+    pc.add_argument("--q", type=int, required=True, help="field order (prime power)")
     pc.add_argument("--L", type=int, help="AS target (random kind)")
     pc.add_argument("--seed", type=int, default=0, help="64-bit seed (random kind)")
     pc.add_argument("--max-rounds", type=int, default=None, help="AS pruning round cap (random kind)")
@@ -196,36 +196,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_construct(args, field_guard: int, enum_guard: int):
+    if args.kind == "random" and args.L is None:
+        raise ValueError("--L is required for kind random")
+    field = field_from_order(args.q, field_guard)
     if args.kind == "random":
-        if args.q is None or args.L is None:
-            raise ValueError("--q and --L are required for kind random")
-        field = field_from_order(args.q, field_guard)
         _check_powers(args.n, args.k, args.L, args.q)
         res = build_random_family(
             args.n, args.k, args.L, field, args.seed, max_rounds=args.max_rounds, as_enum_guard=enum_guard
         )
         return res.to_json(), "construct random", args.seed
     if args.kind == "rs":
-        if args.q is None:
-            raise ValueError("--q is required for kind rs")
-        field = field_from_order(args.q, field_guard)
         make_rs_code(field, args.n, args.k)  # parameter errors exit 2 before the guard
         check_guard("construct rs", field.q ** (args.n - 2 * args.k), "members", enum_guard)
         fam = build_rs_family(args.n, args.k, field)
     else:
         if args.matrix:
             obj = _load_json_file(args.matrix)
-            if args.q is None:
-                raise ValueError("--q is required to interpret --matrix entries")
-            field = field_from_order(args.q, field_guard)
             try:
                 H = MatrixGF.from_json(field, obj)
             except (KeyError, TypeError) as exc:
                 raise InputParseError(f"malformed matrix in {args.matrix}: {exc}") from exc
         elif args.vandermonde_rows:
-            if args.q is None:
-                raise ValueError("--q is required with --vandermonde-rows")
-            field = field_from_order(args.q, field_guard)
             H = None  # built once its rows are checked
         else:
             raise ValueError("kind code-based needs --matrix or --vandermonde-rows")
@@ -297,7 +288,10 @@ def _cmd_batch(args, field_guard: int, enum_guard: int):
     check_guard("batch code", fam.field.q**fam.n * len(fam), "coset table entries", enum_guard)
     code = BatchCode(fam)
     s = args.s if args.s is not None else batch_s(len(fam), code.L_aad)
-    if args.mode == "exhaustive" and s >= 1:
+    if args.mode == "sampled":
+        # each drawn multiset, and a counterexample, holds s requests
+        check_guard("sampled batch", s, "requests per multiset", enum_guard)
+    elif s >= 1:
         # one multiset per translation class: 0 plus s - 1 requests
         check_guard("exhaustive batch", math.comb(code.K + s - 2, s - 1), "request multisets", enum_guard)
     ok, counterexample = verify_batch(

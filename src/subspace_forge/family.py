@@ -25,24 +25,18 @@ that read only the value, walks none.  For k = 1 the quotient point of
 S_j over S_i is the plane S_i + S_j, and L_aad is the most family lines
 on one plane, minus one: the count visits each unordered pair i < j
 once, at its first member.  Where codes and points fit a byte path,
-q <= 256 for k >= 2 or q <= 128 for k = 1, and n - k <= 8, one pass
-per member forms the residues of all other members at once, builds the
-points as bytes columns, scales them to a leading 1 in log lanes and
-keys each by one int that packs its coordinates a byte each.  Elsewhere
-each residue basis is brought to RREF, whose combinations are already
+q <= 256 and n - k <= 8, one pass per member forms the residues of all
+other members at once, builds the points as bytes columns, and
+_packed_point_counts scales them to a leading 1 in log lanes and keys
+each by one int that packs its coordinates a byte each.  Elsewhere each
+residue basis is brought to RREF, whose combinations are already
 normalized, and the keys are tuples of codes.
 
 The partial-spread check is the precondition of both verifiers.  Each
-finds a non-spread family in its own loop and raises NotAPartialSpread
-with a meeting pair.  The AAD count visits the member pairs i-outer,
-j-inner (for k >= 2 every ordered pair; distinct lines never meet) and
-finds residues of rank below k (on the byte path, a zero combination of
-them) at every pair that meets, so the first one it finds is the first
-meeting pair in member order, the pair check_partial_spread names;
-build_report therefore runs no pairwise scan on a report that runs the
-AAD count.  The AS count runs check_partial_spread to name the pair,
-because a point with two owners is not always found at the first
-meeting pair.
+finds a non-spread family in its own loop, at residues of rank below k
+or a point with two owners, and raises NotAPartialSpread with the pair
+that check_partial_spread names; a partial spread pays for no pairwise
+scan, so build_report runs none on a report that runs the AAD count.
 """
 
 from __future__ import annotations
@@ -218,7 +212,7 @@ def _leading_one_combinations(rows, add, mul):
 
 class NotAPartialSpread(ValueError):
     """The family is not a partial spread: members `pair` = (i, j), i < j,
-    meet non-trivially, and (i, j) is the first such pair in member order."""
+    the first pair check_partial_spread finds, meet non-trivially."""
 
     def __init__(self, pair: tuple[int, int]):
         super().__init__(f"family is not a partial spread (members {pair})")
@@ -234,7 +228,7 @@ def _quotient_point_counts(fam: Family):
     The residues of S_j's basis modulo S_i are brought to RREF, so the
     leading-1 combinations of the RREF rows are already normalized and
     Counter.update tallies them in C.  Rank below k means S_i meets S_j:
-    raises NotAPartialSpread((i, j)) at the first such j of S_i.
+    raises NotAPartialSpread.
 
     count_L_aad takes this path where _packed_quotient_point_counts does
     not fit, q > 256 or n - k > 8, and the tests take it as that path's
@@ -249,7 +243,7 @@ def _quotient_point_counts(fam: Family):
                 continue
             points = _quotient_points(S, project, rows)
             if points is None:
-                raise NotAPartialSpread((i, j))
+                raise NotAPartialSpread(check_partial_spread(fam)[1])
             counts.update(points)
         yield counts
 
@@ -276,12 +270,7 @@ def _quotient_points(S: Subspace, project, rows):
 def _packed_quotient_point_counts(fam: Family):
     """The byte path of _quotient_point_counts, for k >= 2, q <= 256 and
     n - k <= 8: yields, for each member S_i in order, a Counter of the
-    same quotient points, each keyed by one int that packs its d = n - k
-    coordinates a byte each: coordinate t is byte d - 1 - t in native
-    byte order, so key.to_bytes(8, sys.byteorder)[d - 1 :: -1] gives them
-    back.  The low byte, which picks a key's dict slot on a little-endian
-    host, is then the last coordinate rather than the first, which is
-    mostly the leading 1.
+    same quotient points, keyed as _packed_point_counts keys them.
 
     One pass per member covers every other member at once, with no
     per-pair reduce or RREF.  Residues: free column t of the residue of
@@ -296,50 +285,35 @@ def _packed_quotient_point_counts(fam: Family):
     bytes.  Layer p, the combinations whose first nonzero coefficient is
     on r_p, is r_p plus the span of r_{p+1}, ...: the span of r_{k-1} is
     the mul-table row of r_{k-1}[t], and bytes.translate with the padded
-    add-table row of r_p[t] shifts a span to layer p.  The span of
-    (x, y) = (r_{k-2}[t], r_{k-1}[t]) is x times the q^2 values a + b*y/x,
-    or y times the values b when x = 0, so q + 1 tables of q^2 bytes per
-    count serve every pair; for k >= 4 a longer span joins its q
-    translates per pair.  Layer k-1, then k-2, ..., 0 each hold every
-    pair in member order.
+    add-table row of r_p[t] shifts a span to layer p.  A longer span
+    joins its q translates per pair.  For k >= 3, where the (m-1)(n-k)
+    pair columns outnumber q, the span of (x, y) = (r_{k-2}[t],
+    r_{k-1}[t]) is instead x times the q^2 values a + b*y/x, or y times
+    the values b when x = 0, so q + 1 tables of q^2 bytes per count serve
+    every pair.  Layer k-1, then k-2, ..., 0 each hold every pair in
+    member order.
 
     These combinations are the points, each once.  For independent rows
     the map from coefficient vectors to the span is injective, and the
     vectors whose first nonzero entry is 1 hold one scalar multiple of
     each nonzero vector of GF(q)^k, so their images hold one multiple of
     each point of the span.  A zero combination exists exactly when the
-    rows are dependent, that is, when S_i meets S_j; scaling a vanishing
-    combination to a leading-1 coefficient keeps it zero.  So the least j
-    whose layers hold a zero lane is the first j that meets S_i, and
-    NotAPartialSpread((i, j)) is raised at the same pair as the RREF
-    rank test of _quotient_points.
-
-    Normalize: each point is scaled to a leading 1 in the log lanes of
-    ints, as in _packed_line_point_counts.  For q > 128, where
-    log_t + (q-1) - lead can pass 255, the lanes are two bytes wide, and
-    each is brought to [1, q-1], inside the 256-entry exp table, by
-    subtracting q - 1 where it is at least q, read off the lane's top bit
-    after adding 2^15 - q.  A member's coordinates go into one bytearray
-    at stride 8, and Counter tallies its 8-byte words in C.  The points
-    come in another order than _quotient_points yields them, which no
-    count depends on.
+    rows are dependent, that is, when S_i meets S_j, and then
+    check_partial_spread names the pair that NotAPartialSpread carries.
+    The points come in another order than _quotient_points yields them,
+    which no count depends on.
     """
     f, n = fam.field, fam.n
     q, k, d = f.q, fam.k, fam.n - fam.k
     add, mul, neg = f.add_table, f.mul_table, f.neg_table
     add_rows = _padded_add_rows(f)
     mul_rows = [bytes(row) for row in mul]
-    log, nonzero, exp2 = _log_lane_tables(f)
+    lane_tables = _log_lane_tables(f)
     translate, getitem, join = bytes.translate, operator.getitem, b"".join
     m = len(fam.members)
-    # points per pair in layers k-1, ..., 0, and points per member
-    sizes = [q**s for s in range(k)]
-    size = (m - 1) * sum(sizes)
-    w = 1 if q <= 128 else 2  # bytes per log lane
-    ones = int.from_bytes((b"\x01" + bytes(w - 1)) * size, "little")
-    full, high = 255 * ones, (2**15 - q) * ones
     mul_pad = [row + bytes(256 - q) for row in mul_rows]
-    if k >= 3:
+    span_tables = k >= 3 and (m - 1) * d > q
+    if span_tables:
         tables = [join([translate(row, add_rows[a]) for a in range(q)]) for row in mul_rows]
         tables.append(bytes(range(q)) * q)
         base = [[tables[q]] * q] + [list(map(tables.__getitem__, mul[f.inv_table[x]])) for x in range(1, q)]
@@ -368,7 +342,7 @@ def _packed_quotient_point_counts(fam: Family):
                         acc = translate(acc, add_rows[mul[minus_b][x]])
                 res.append(acc)
             residues.append(res)
-        lanes, lead, found = [], 0, 0
+        points = []
         for t in range(d):
             ys = residues[k - 1][t]
             layers = [ys]
@@ -376,7 +350,7 @@ def _packed_quotient_point_counts(fam: Family):
             for p in range(k - 2, -1, -1):
                 xs = residues[p][t]
                 layers.append(join(map(translate, spans, map(add_rows.__getitem__, xs))))
-                if p == k - 2 and p:
+                if p == k - 2 and p and span_tables:
                     spans = list(
                         map(
                             translate,
@@ -386,33 +360,11 @@ def _packed_quotient_point_counts(fam: Family):
                     )
                 elif p:
                     spans = [join([translate(span, add_rows[a]) for a in mul_rows[x]]) for span, x in zip(spans, xs)]
-            col = join(layers)
-            if w == 2:  # each code in the low byte of its lane
-                wide = bytearray(2 * size)
-                wide[::2] = col
-                col = wide
-            lg = int.from_bytes(col.translate(log), "little")
-            nz = int.from_bytes(col.translate(nonzero), "little")
-            lead |= lg & nz & ~found
-            found |= nz
-            lanes.append((lg, nz))
-        if found != full:
-            zero = (full ^ found).to_bytes(w * size, "little")[::w]
-            first, start = m, 0
-            for per_pair in sizes:
-                pos = zero.find(255, start, start + per_pair * (m - 1))
-                if pos >= 0:
-                    first = min(first, (pos - start) // per_pair)
-                start += per_pair * (m - 1)
-            raise NotAPartialSpread((i, first + (first >= i)))
-        shift = (q - 1) * ones - lead
-        packed = bytearray(8 * size)
-        for t, (lg, nz) in enumerate(lanes):
-            v = lg + shift
-            if w == 2:
-                v -= (q - 1) * (((v + high) >> 15) & ones)
-            packed[d - 1 - t :: 8] = (v & nz).to_bytes(w * size, "little")[::w].translate(exp2)
-        yield Counter(memoryview(packed).cast("Q"))
+            points.append(join(layers))
+        counts = _packed_point_counts(points, q, lane_tables)
+        if counts is None:
+            raise NotAPartialSpread(check_partial_spread(fam)[1])
+        yield counts
 
 
 def _padded_add_rows(f: Field) -> list[bytes]:
@@ -424,38 +376,76 @@ def _padded_add_rows(f: Field) -> list[bytes]:
 
 def _log_lane_tables(f: Field) -> tuple[bytes, bytes, bytes]:
     """bytes.translate tables for scaling points to a leading 1 in log
-    lanes: code -> its log to base gamma (0 for code 0), code -> 0xff if
-    nonzero else 0, and the doubled exp table, e -> gamma^(e mod (q-1))
-    for e in [1, 2q - 3] with entry 0 for the masked zero lanes, cut to
-    256 entries."""
-    exp = [1]
-    while len(exp) < f.q - 1:
-        exp.append(f.mul_table[exp[-1]][f.gamma])
-    log = bytearray(256)
-    for e, x in enumerate(exp):
-        log[x] = e
-    nonzero = bytes(1) + b"\xff" * (f.q - 1) + bytes(256 - f.q)
-    return bytes(log), nonzero, (bytes([0, *exp[1:], *exp]) + bytes(256))[:256]
+    lanes, read off f's exp and log tables: code -> its log to base gamma
+    (0 for code 0), code -> 0xff if nonzero else 0, and e -> gamma^e for
+    e in [1, 2q - 3] with entry 0 for the masked zero lanes, cut to 256
+    entries."""
+    pad = bytes(256 - f.q)
+    nonzero = bytes(1) + b"\xff" * (f.q - 1) + pad
+    return bytes(f.log_table) + pad, nonzero, bytes([0, *f.exp_table[1:256]]).ljust(256, b"\0")
+
+
+def _packed_point_counts(columns, q: int, lane_tables) -> Counter | None:
+    """A Counter of the points whose coordinate t is byte s of columns[t],
+    s = 0, 1, ..., each scaled to a leading 1 and keyed by one int that
+    packs its d = len(columns) <= 8 coordinates a byte each, or None when
+    a point is zero.  Coordinate t is byte d - 1 - t in native byte
+    order, so key.to_bytes(8, sys.byteorder)[d - 1 :: -1] gives them
+    back.  The low byte, which picks a key's dict slot on a little-endian
+    host, is then the last coordinate rather than the first, which is
+    mostly the leading 1.
+
+    Points are scaled in the log lanes of ints, one lane per point: the
+    lead's log is picked lane by lane in column order, and each lane of
+    log_t + (q-1) - lead lies in [1, 2q-3], so no lane borrows.  For
+    q <= 128 a lane is one byte and carries nothing.  For q > 128 lanes
+    are two bytes wide, and each is brought to [1, q-1], inside the
+    256-entry exp table, by subtracting q - 1 where it is at least q,
+    read off the lane's top bit after adding 2^15 - q.  The exp table of
+    _log_lane_tables, whose entry 0 takes the masked zero lanes, maps the
+    lanes back to codes, and Counter tallies the 8-byte words in C.
+    """
+    log, nonzero, exp = lane_tables
+    d, size = len(columns), len(columns[0])
+    w = 1 if q <= 128 else 2  # bytes per log lane
+    ones = int.from_bytes((b"\x01" + bytes(w - 1)) * size, "little")
+    lanes, lead, found = [], 0, 0
+    for col in columns:
+        if w == 2:  # each code in the low byte of its lane
+            wide = bytearray(2 * size)
+            wide[::2] = col
+            col = wide
+        lg = int.from_bytes(col.translate(log), "little")
+        nz = int.from_bytes(col.translate(nonzero), "little")
+        lead |= lg & nz & ~found
+        found |= nz
+        lanes.append((lg, nz))
+    if found != 255 * ones:
+        return None
+    shift, high = (q - 1) * ones - lead, (2**15 - q) * ones
+    packed = bytearray(8 * size)
+    for t, (lg, nz) in enumerate(lanes):
+        v = lg + shift
+        if w == 2:
+            v -= (q - 1) * (((v + high) >> 15) & ones)
+        packed[d - 1 - t :: 8] = (v & nz).to_bytes(w * size, "little")[::w].translate(exp)
+    return Counter(memoryview(packed).cast("Q"))
 
 
 def _packed_line_point_counts(fam: Family):
-    """The byte path of _line_point_counts, for q <= 128 and n <= 9: the
-    same Counters, keyed as in _packed_quotient_point_counts.
+    """The byte path of _line_point_counts, for q <= 256 and n <= 9: the
+    same Counters, keyed as _packed_point_counts keys them.
 
     Line S_i = <b> with pivot c takes the later lines <x> in groups of
     equal x[c] = a, built once per pivot column as ascending indices and
     one bytes column per coordinate; residue column t of a group,
-    x[t] - a*b[t], is one translate by a padded add row.  Residues are
-    scaled to a leading 1 in the byte lanes of ints: the lead's log is
-    picked lane by lane in free column order, each lane of
-    log_t + (q-1) - lead lies in [1, 2q-3], so no lane borrows or
-    carries, and the doubled exp table, whose entry 0 takes the masked
-    zero lanes, maps the lanes back to codes.
+    x[t] - a*b[t], is one translate by a padded add row.  Distinct lines
+    never meet, so no residue is zero.
     """
-    f, n = fam.field, fam.n
+    f = fam.field
     q, mul, neg = f.q, f.mul_table, f.neg_table
     add_rows = _padded_add_rows(f)
-    log, nonzero, exp2 = _log_lane_tables(f)
+    lane_tables = _log_lane_tables(f)
     entries = [T.basis.entries for T in fam.members]
     groups = {}
     for c in {T.pivots[0] for T in fam.members}:
@@ -475,22 +465,10 @@ def _packed_line_point_counts(fam: Family):
             if s < len(js):
                 for out, t in zip(residues, free):
                     out.append(cols[t][s:].translate(add_rows[neg[mul[a][b[t]]]]))
-        size = len(entries) - 1 - i
-        lanes, lead, found = [], 0, 0
-        for col in map(b"".join, residues):
-            lg = int.from_bytes(col.translate(log), "little")
-            nz = int.from_bytes(col.translate(nonzero), "little")
-            lead |= lg & nz & ~found
-            found |= nz
-            lanes.append((lg, nz))
-        shift = int.from_bytes(bytes([q - 1]) * size, "little") - lead
-        packed = bytearray(8 * size)
-        for t, (lg, nz) in enumerate(lanes):
-            packed[n - 2 - t :: 8] = ((lg + shift) & nz).to_bytes(size, "little").translate(exp2)
-        yield Counter(memoryview(packed).cast("Q"))
+        yield _packed_point_counts(list(map(b"".join, residues)), q, lane_tables)
 
 
-def _line_point_counts(lines, add, mul, neg, inv):
+def _line_point_counts(lines):
     """The AAD count for k = 1 over a sequence of distinct lines, in one
     batched pass: yields, for each line S_i in order, a Counter of the
     quotient points over S_i of the later lines S_j, j > i.
@@ -516,11 +494,13 @@ def _line_point_counts(lines, add, mul, neg, inv):
     is scaled to a leading 1 by the row of 1/lead in the mul table.
     Distinct lines never meet, so every residue has a lead.
 
-    count_L_aad takes this pass for q > 128 or n > 9, and the tests take
+    count_L_aad takes this pass for q > 256 or n > 9, and the tests take
     it as _packed_line_point_counts' oracle.  search._feasible keeps it:
     on a node's 3 to 30 lines the byte path's set-up costs more than it
     saves.
     """
+    f = lines[0].field
+    add, mul, neg, inv = f.add_table, f.mul_table, f.neg_table, f.inv_table
     entries = [T.basis.entries for T in lines]
     # lists, not tuples: the per-member slices then raise peak RSS less
     columns = [list(col) for col in zip(*entries)]
@@ -574,27 +554,23 @@ def count_L_aad(fam: Family) -> tuple[int, int, set]:
     """The AAD count of compute_L_aad without the witness walk: returns
     (L, i, attaining), where S_i is the first member whose largest count
     is L and `attaining` is the set of S_i's normalized quotient points
-    with that count.  A one-member family returns (0, 0, set()).
+    with that count.  A one-member family returns (0, 0, set()).  Every
+    pair is visited, so a return certifies that the family is a partial
+    spread; otherwise NotAPartialSpread is raised.
 
-    Pairs are visited i-outer, j-inner, and NotAPartialSpread names the
-    first meeting pair, as in compute_L_aad.  Every pair is visited, so a
-    return certifies that the family is a partial spread.
-
-    For k >= 2 with q <= 256 and n - k <= 8 the points are tallied by
-    _packed_quotient_point_counts, one pass per member with no per-pair
-    reduce or RREF, and for k = 1 with q <= 128 and n <= 9 by
-    _packed_line_point_counts, keyed by packed ints; only the attaining
-    keys of S_i are turned back into tuples.  Above those limits a code,
-    a log lane or a point does not fit its byte or word, and
-    _quotient_point_counts or _line_point_counts tallies tuples.
+    With q <= 256 and n - k <= 8 the points are tallied by
+    _packed_line_point_counts (k = 1) or _packed_quotient_point_counts,
+    one pass per member with no per-pair reduce or RREF, keyed by packed
+    ints; only the attaining keys of S_i are turned back into tuples.
+    Above that limit a code or a point does not fit its byte or word, and
+    _line_point_counts or _quotient_point_counts tallies tuples.
     """
-    f = fam.field
     d = fam.n - fam.k
-    packed = f.q <= (128 if fam.k == 1 else 256) and d <= 8
+    packed = fam.field.q <= 256 and d <= 8
     if fam.k == 1 and packed:
         per_member = _packed_line_point_counts(fam)
     elif fam.k == 1:
-        per_member = _line_point_counts(fam.members, f.add_table, f.mul_table, f.neg_table, f.inv_table)
+        per_member = _line_point_counts(fam.members)
     elif packed:
         per_member = _packed_quotient_point_counts(fam)
     else:
@@ -618,18 +594,15 @@ def compute_L_aad(fam: Family) -> tuple[int, tuple[int, tuple[int, ...]]]:
     point of u in the quotient by S_i lies in (S_i + S_j)/S_i, the span
     of the residues of S_j's basis modulo S_i.  Counting, over all j, the
     points of those spans finds the quotient point that the most members
-    reach.  For k >= 2 and q <= 256, n - k <= 8, one pass per member
-    forms the residues of every S_j at once, builds the leading-1
-    combinations of each pair's residues as bytes columns, scales them to
-    a leading 1 in log lanes and packs one int per point; otherwise each
-    S_j's residues are brought to RREF, whose leading-1 combinations are
-    already normalized, as tuples.  A collections.Counter tallies the
-    points (see count_L_aad).  For k = 1 one batched pass forms the
-    residues of the later lines a column at a time, scales them to a
-    leading 1 and tallies them with one Counter per member, as packed
-    ints for q <= 128 and n <= 9.  For k = 1 the point of
-    S_j over S_i is the plane S_i + S_j, whose count is the same from
-    each of its lines, so S_i counts only the later lines j > i, and each
+    reach.  For q <= 256, n - k <= 8, one pass per member forms the
+    residues of every S_j at once, builds the leading-1 combinations of
+    each pair's residues as bytes columns, scales them to a leading 1 in
+    log lanes and packs one int per point; otherwise each S_j's residues
+    are brought to RREF, whose leading-1 combinations are already
+    normalized, as tuples.  A collections.Counter tallies the points (see
+    count_L_aad).  For k = 1 the point of S_j over S_i is the plane
+    S_i + S_j, whose count is the same from each of its lines, so S_i
+    counts only the later lines j > i, and each
     unordered pair once (_line_point_counts proves that the value and
     witness are unchanged).  count_L_aad is this count alone, for callers
     that need no witness.
@@ -642,12 +615,9 @@ def compute_L_aad(fam: Family) -> tuple[int, tuple[int, tuple[int, ...]]]:
     that first reached it.  The walk costs about 1/m of the count.
 
     Residues of rank below k mean S_i meets S_j: raises
-    NotAPartialSpread.  Pairs are visited i-outer, j-inner, and every pair
-    that meets has dependent residues, so the first one found is the
-    first meeting pair (i, j), i < j, that check_partial_spread names
-    (distinct lines never meet, so for k = 1 nothing is raised).  Every
-    pair is visited, so a return certifies that the family is a partial
-    spread.
+    NotAPartialSpread (distinct lines never meet, so for k = 1 nothing is
+    raised).  Every pair is visited, so a return certifies that the
+    family is a partial spread.
     """
     members = fam.members
     if len(members) <= 1:
@@ -675,8 +645,6 @@ def compute_L_as(
     from a map of every member point to its member.  In a partial spread
     each point has at most one owner; after the enumeration guard, a
     second owner met while the map is built raises NotAPartialSpread.
-    That owner need not belong to the first meeting pair, so the pair is
-    named by check_partial_spread.
 
     The witness is the first V, in enumeration order, with the largest
     count.  For k = 1 a plane that meets a line contains it, so
@@ -744,12 +712,11 @@ def build_report(
     Properties depending on the partial-spread precondition are skipped
     (left None, with a diagnostic) when the family is not a spread.
 
-    A report that runs the AAD count (aad, bound or relations) runs no
-    pairwise spread scan: the count visits every ordered member pair and
-    raises NotAPartialSpread at the first pair that meets, which is the
-    pair check_partial_spread would name, so a count that returns
-    certifies the spread.  Spread-only and `as`-only reports run
-    check_partial_spread once, before any AS count.
+    A report that runs the AAD count (aad, bound or relations) takes its
+    spread fields from the count: a count that returns certifies the
+    spread, and NotAPartialSpread carries check_partial_spread's pair.
+    Spread-only and `as`-only reports run check_partial_spread once,
+    before any AS count.
 
     For k = 1, when the AAD count has run, the AS count stops at the
     first plane that attains L_aad + 1; an `as`-only report runs the full

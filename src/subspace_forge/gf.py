@@ -37,14 +37,18 @@ class SizeGuardError(RuntimeError):
 
 def check_guard(work: str, count: int | None, units: str, guard: int | None, log10: float = 0.0) -> None:
     """Raise SizeGuardError when `work` needs `count` `units`, over `guard`
-    (None disables).  A count of 100 or more digits is named about 10^N:
-    Python prints no int of over 4300 digits.  A count known to be such,
-    and over the guard, may be passed as None and its log10."""
+    (None disables).  A count or guard of 100 or more digits is named
+    about 10^N: Python prints no int of over 4300 digits.  A count known
+    to be such, and over the guard, may be passed as None and its log10."""
     if count is not None and (guard is None or count <= guard):
         return
-    if count is None or count >= 10**100:
-        count = f"about 10^{math.log10(count) if count else log10:.0f}"
-    raise SizeGuardError(f"{work} needs {count} {units}, over the guard {guard}")
+    count = f"about 10^{log10:.0f}" if count is None else _named(count)
+    raise SizeGuardError(f"{work} needs {count} {units}, over the guard {_named(guard)}")
+
+
+def _named(x: int) -> int | str:
+    """x, or about 10^N when it has 100 or more digits."""
+    return f"about 10^{math.log10(x):.0f}" if x >= 10**100 else x
 
 
 def _json_int(x) -> int:
@@ -171,7 +175,9 @@ class Field:
     across threads.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "gamma", "add_table", "mul_table", "neg_table", "inv_table")
+    __slots__ = (
+        "p", "m", "q", "modulus", "gamma", "add_table", "mul_table", "neg_table", "inv_table", "exp_table", "log_table"
+    )
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...], gamma: int | None = None):
         if not is_prime(p):
@@ -247,7 +253,9 @@ class Field:
         return self.encode(prod[: self.m])
 
     def _build_tables(self):
-        """Build the add/mul tables and the neg/inv rows from gamma.
+        """Build the add/mul tables and the neg/inv rows from gamma, and
+        keep their seeds: exp_table[i] = gamma^i for i < 2(q-1), 0 from
+        there on, and log_table[a], the log of a to base gamma (0 for 0).
 
         Raw arithmetic is used O(q) times: q-2 products for the powers of
         gamma, q-1 sums for the Zech logarithms and q negations.  Every
@@ -272,6 +280,7 @@ class Field:
         ]
         self.neg_table = [self._neg_raw(a) for a in range(q)]
         self.inv_table = [0] + [exp[n - la] for la in logs]
+        self.exp_table, self.log_table = exp, log
 
     # -- public operations ---------------------------------------------
 

@@ -74,8 +74,8 @@ class _Chosen:
     falls to 0.  For k = 1 only the members are kept.
     """
 
-    def __init__(self, field: Field, k: int, L: int):
-        self.field, self.k, self.L = field, k, L
+    def __init__(self, k: int, L: int):
+        self.k, self.L = k, L
         self.members: list[Subspace] = []
         self.tallies: list[tuple[list, operator.itemgetter, Counter]] = []
 
@@ -127,8 +127,7 @@ def _feasible(chosen: _Chosen, cand: Subspace) -> bool:
     L chosen members: O(m) RREFs of k rows, and no Family is built.
     """
     if chosen.k == 1:
-        f = chosen.field
-        tally = _line_point_counts([cand, *chosen.members], f.add_table, f.mul_table, f.neg_table, f.inv_table)
+        tally = _line_point_counts([cand, *chosen.members])
         return max(next(tally).values(), default=0) <= chosen.L
     rows = cand.basis.row_list()
     for S, (_, project, counts) in zip(chosen.members, chosen.tallies):
@@ -155,7 +154,7 @@ def exhaustive_max_family(
     total = checked_gaussian_binomial("exhaustive search", n, k, field.q, EXHAUSTIVE_SPACE_LIMIT)
     candidates = list(enumerate_subspaces(field, n, k))
 
-    chosen = _Chosen(field, k, L)
+    chosen = _Chosen(k, L)
     members = chosen.members
     best: list[Subspace] = []
     nodes = 0
@@ -203,7 +202,7 @@ def greedy_max_family(field: Field, n: int, k: int, L: int, seed: int) -> Family
     check_parameters(n, k, L)
     candidates = list(enumerate_subspaces(field, n, k))
     random.Random(seed).shuffle(candidates)
-    chosen = _Chosen(field, k, L)
+    chosen = _Chosen(k, L)
     for cand in candidates:
         if _feasible(chosen, cand):
             chosen.push(cand)

@@ -114,6 +114,13 @@ def test_construct_random_reproducible(capsys):
     assert a["result"]["diagnostics"]["sampled"] == 25
 
 
+def test_construct_without_q_exits_2():
+    # argparse refuses it before any handler runs
+    proc = run_cli_process("construct", "rs", "--n", "3", "--k", "1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "the following arguments are required: --q" in proc.stderr
+
+
 def test_construct_code_based_vandermonde(capsys):
     code, out, _ = run_cli(
         capsys, "construct", "code-based", "--n", "3", "--k", "1", "--q", "5",
@@ -694,6 +701,25 @@ def test_sampled_batch_trials_over_guard_exits_4_promptly(capsys, monkeypatch, t
     monkeypatch.setenv("SUBSPACE_FORGE_GUARD", "250000")
     code, out, _ = run_cli(capsys, *argv[:-1], "1", "--trials", "250000")
     assert code == 0 and result_of(out)["verified"] is True
+
+
+def test_sampled_batch_s_over_guard_exits_4_promptly(capsys, monkeypatch, tmp_path):
+    # a subprocess with a timeout: each drawn multiset, and a failing one
+    # echoed as the counterexample, holds s requests
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(FOUR_LINES))
+    argv = ["batch", "--family", str(path), "--mode", "sampled", "--trials", "1"]
+    t0 = time.perf_counter()
+    proc = run_cli_process(*argv, "--s", "200001")
+    assert time.perf_counter() - t0 < 2
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert "sampled batch needs 200001 requests per multiset, over the guard 200000" in proc.stderr
+    # the guard is the enumeration guard, which the environment sets
+    monkeypatch.setenv("SUBSPACE_FORGE_GUARD", "5000")
+    code, out, err = run_cli(capsys, *argv, "--s", "5001")
+    assert (code, out) == (4, "") and "sampled batch needs 5001 requests per multiset, over the guard 5000" in err
+    code, out, _ = run_cli(capsys, *argv, "--s", "5000")
+    assert code == 0 and result_of(out)["s"] == 5000
 
 
 def test_batch_recovery_search_over_guard_exits_4_promptly(tmp_path):

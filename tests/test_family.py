@@ -4,6 +4,7 @@ import operator
 import random
 import sys
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -73,7 +74,7 @@ def exhaustive_L_as_oracle(fam):
     return best
 
 
-FIELDS = {q: field_from_order(q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 64, 81, 128, 131)}
+FIELDS = {q: field_from_order(q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 64, 81, 128, 131, 243, 256)}
 
 # Families come from a drawn seed, which has no simpler neighbour, and each
 # shrink step reruns an exhaustive oracle: report the first failure as found.
@@ -376,12 +377,12 @@ def _refuse(*args):
         (5, 2, 257, "_packed_quotient_point_counts"),
         # nine coordinates do not fit one 8-byte word
         (11, 2, 2, "_packed_quotient_point_counts"),
-        # k = 1: q <= 128 and n <= 9, the byte path
+        # k = 1: the same limit, with two-byte log lanes above q = 128
         (3, 1, 128, "_line_point_counts"),
+        (3, 1, 131, "_line_point_counts"),
+        (3, 1, 256, "_line_point_counts"),
         (9, 1, 2, "_line_point_counts"),
-        # a lane of log_t + (q-1) - lead can reach 2q - 3 > 255, and
-        # nine coordinates do not fit one 8-byte word
-        (3, 1, 131, "_packed_line_point_counts"),
+        (3, 1, 257, "_packed_line_point_counts"),
         (10, 1, 2, "_packed_line_point_counts"),
     ],
 )
@@ -423,6 +424,19 @@ def test_rs_7_3_23_counts_on_the_byte_path(monkeypatch):
     assert (L, i) == (6, 0)
 
 
+def test_two_member_k3_count_builds_no_span_tables():
+    # (m - 1)(n - k) = 4 pair columns against q = 256: the spans are joined
+    # per pair; the (q + 1) q^2 bytes of span tables peaked at 31 MB
+    fam = _random_spread(field_from_order(256), 7, 3, 2, seed=1)
+    tracemalloc.start()
+    try:
+        count_L_aad(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, f"count_L_aad peaked at {peak / 2**20:.1f} MB"
+
+
 @functools.cache
 def _points(n, q):
     return tuple(enumerate_subspaces(FIELDS[q], n, 1))
@@ -452,14 +466,14 @@ def test_L_aad_matches_reference_loop_on_dense_line_families(fam):
     assert count_L_aad(fam)[0] == expected[0]
 
 
-# every field of the k = 1 byte path, q <= 128, with extension fields
-# whose logs wrap in the doubled exp table
-PACKED_LINE_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 64, 81, 128]
+# fields of the k = 1 byte path, q <= 256, with extension fields whose
+# logs wrap in the doubled exp table, and two-byte lanes above q = 128
+PACKED_LINE_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 64, 81, 128, 131, 243, 256]
 
 
 @st.composite
 def few_lines(draw):
-    """One to three distinct lines of GF(q)^n, n <= 9, q <= 128."""
+    """One to three distinct lines of GF(q)^n, n <= 9, q <= 256."""
     q = draw(st.sampled_from(PACKED_LINE_FIELDS))
     n = draw(st.integers(3, 9))
     vectors = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), min_size=1, max_size=3))
@@ -473,8 +487,7 @@ def few_lines(draw):
 def test_packed_line_counts_match_line_point_counts(fam):
     # member by member, the k = 1 byte path tallies the same points of the
     # later lines as the table pass
-    f = fam.field
-    expected = _line_point_counts(fam.members, f.add_table, f.mul_table, f.neg_table, f.inv_table)
+    expected = _line_point_counts(fam.members)
     assert [_unpacked(counts, fam.n - 1) for counts in _packed_line_point_counts(fam)] == list(expected)
 
 

@@ -110,6 +110,16 @@ def test_check_guard_names_a_count_of_100_digits_by_its_size():
         assert str(exc.value) == f"work needs about 10^{exponent} units, over the guard 1"
 
 
+def test_check_guard_names_a_guard_of_100_digits_by_its_size():
+    # a guard past Python's 4300-digit limit refuses without printing it
+    with pytest.raises(SizeGuardError) as exc:
+        check_guard("w", 10**5000 + 1, "units", 10**5000)
+    assert str(exc.value) == "w needs about 10^5000 units, over the guard about 10^5000"
+    with pytest.raises(SizeGuardError) as exc:
+        check_guard("w", 10**100 + 1, "units", 10**99)
+    assert str(exc.value) == f"w needs about 10^100 units, over the guard {10**99}"
+
+
 def test_make_field_deterministic():
     a = make_field(3, 2)
     b = make_field(3, 2)

@@ -189,7 +189,7 @@ def _limited_count_feasible(field, n, k, L, members):
 
 def _chosen(field, k, L, members):
     """Search state built fresh by pushing members in order."""
-    chosen = _Chosen(field, k, L)
+    chosen = _Chosen(k, L)
     for S in members:
         chosen.push(S)
     return chosen
@@ -269,7 +269,7 @@ def test_tallies_follow_tests_pushes_and_pops(space, L, seed):
     n, k, q = space
     field = field_from_order(q)
     rng = random.Random(seed)
-    chosen = _Chosen(field, k, L)
+    chosen = _Chosen(k, L)
     for _ in range(30):
         if chosen.members and rng.random() < 0.3:
             chosen.pop()
