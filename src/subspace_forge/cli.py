@@ -2,14 +2,26 @@
 
 Machine-readable JSON goes to stdout (or --out); every payload is
 wrapped in an envelope {"manifest": ..., "result": ...} whose manifest
-records the command, parameters, seed, version, wall time and a sha256
-digest of the canonical result JSON.  Identical command + seed gives a
-byte-identical result (only the manifest wall time varies).
+records the command, the options the run read, seed, version, wall time
+and a sha256 digest of the canonical result JSON.  Identical command +
+seed gives a byte-identical result (only the manifest wall time varies).
 
-Each subparser sets `run` to its handler, which takes (args,
-field_guard, enum_guard) and returns the result with the manifest's
-command and seed; main calls it and maps the errors to exit codes in
-one place.
+Each command, construct kind and mode accepts only the options it reads;
+any other exits 2 (abbreviations are refused):
+  construct rs          --n --k --q
+  construct random      --n --k --q --L [--seed 0] [--max-rounds]
+  construct code-based  --n --k --q and one of --matrix, --vandermonde-rows
+  verify                --family [--properties]
+  bounds                --n --k --L --q
+  search                --n --k --L --q [--mode exhaustive]; exhaustive
+                        mode reads [--node-budget] [--no-symmetry-break],
+                        greedy mode [--seed 0]
+  batch                 --family [--s] [--mode exhaustive] [--layout];
+                        sampled mode also reads [--trials 1000] [--seed 0]
+Every command takes --out and --pretty.  Each subparser sets `run` to
+its handler, which takes (args, field_guard, enum_guard) and returns the
+result with the manifest's command and seed; main sets the chosen mode's
+options from MODE_OPTIONS and maps errors to exit codes in one place.
 
 Exit codes: 0 report produced, 2 parameter violation, 3 malformed
 input, 4 computation aborted by a size guard.  SUBSPACE_FORGE_GUARD (an
@@ -126,108 +138,122 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--pretty", action="store_true", help="indent the JSON output")
 
 
+def _add_command(sub, name: str, run, help: str, ints=()) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=help, allow_abbrev=False)  # --s is not --seed
+    for opt in ints:
+        p.add_argument(f"--{opt}", type=int, required=True, help="field order (prime power)" if opt == "q" else None)
+    p.set_defaults(run=run)
+    _add_common(p)
+    return p
+
+
+# The options that each mode of search and batch reads, with their
+# defaults; the parser leaves them unset, and main refuses one that the
+# chosen mode does not read.
+MODE_OPTIONS = {
+    "search": {"exhaustive": {"node_budget": None, "no_symmetry_break": False}, "greedy": {"seed": 0}},
+    "batch": {"exhaustive": {}, "sampled": {"trials": 1000, "seed": 0}},
+}
+
+
+def _apply_mode_options(args) -> None:
+    for mode, options in MODE_OPTIONS.get(args.command, {}).items():
+        for dest, default in options.items():
+            if mode == args.mode:
+                vars(args).setdefault(dest, default)
+            elif dest in vars(args):
+                raise ValueError(f"--{dest.replace('_', '-')} applies only to {mode} {args.command}, not {args.mode}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subspace-forge",
         description="Construct, verify, bound and search AAD/AS subspace families.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    unset = argparse.SUPPRESS
 
-    pc = sub.add_parser("construct", help="build a family and emit its JSON")
-    pc.add_argument("kind", choices=["rs", "random", "code-based"])
-    pc.add_argument("--n", type=int, required=True)
-    pc.add_argument("--k", type=int, required=True)
-    pc.add_argument("--q", type=int, required=True, help="field order (prime power)")
-    pc.add_argument("--L", type=int, help="AS target (random kind)")
-    pc.add_argument("--seed", type=int, default=0, help="64-bit seed (random kind)")
-    pc.add_argument("--max-rounds", type=int, default=None, help="AS pruning round cap (random kind)")
-    pc.add_argument("--matrix", help="parity-check MatrixGF JSON file (code-based kind)")
-    pc.add_argument(
-        "--vandermonde-rows",
-        type=int,
-        default=None,
-        help="build the parity check as the rows x q Vandermonde over GF(q) (code-based kind)",
+    kinds = sub.add_parser("construct", help="build a family and emit its JSON").add_subparsers(
+        dest="kind", required=True
     )
-    pc.set_defaults(run=_cmd_construct)
-    _add_common(pc)
+    nkq, nklq = ("n", "k", "q"), ("n", "k", "L", "q")
+    _add_command(kinds, "rs", _cmd_rs, "the Reed-Solomon based family", nkq)
+    pr = _add_command(kinds, "random", _cmd_random, "a seeded random AS family", nkq)
+    pr.add_argument("--L", type=int, required=True, help="AS target")
+    pr.add_argument("--seed", type=int, default=0, help="64-bit seed")
+    pr.add_argument("--max-rounds", type=int, help="AS pruning round cap (default: the sample size)")
+    pcb = _add_command(kinds, "code-based", _cmd_code_based, "the column groups of a parity-check matrix", nkq)
+    source = pcb.add_mutually_exclusive_group(required=True)
+    source.add_argument("--matrix", help="parity-check MatrixGF JSON file")
+    source.add_argument(
+        "--vandermonde-rows", type=int, help="build the parity check as the rows x q Vandermonde over GF(q)"
+    )
 
-    pv = sub.add_parser("verify", help="verify a family file and emit the report")
+    pv = _add_command(sub, "verify", _cmd_verify, "verify a family file and emit the report")
     pv.add_argument("--family", required=True, help="family JSON file")
     pv.add_argument(
         "--properties",
         default="spread,aad,as,bound,relations",
         help="comma-separated subset of spread,aad,as,bound,relations",
     )
-    pv.set_defaults(run=_cmd_verify)
-    _add_common(pv)
 
-    pb = sub.add_parser("bounds", help="closed-form bounds for (n, k, L, q)")
-    pb.add_argument("--n", type=int, required=True)
-    pb.add_argument("--k", type=int, required=True)
-    pb.add_argument("--L", type=int, required=True)
-    pb.add_argument("--q", type=int, required=True)
-    pb.set_defaults(run=_cmd_bounds)
-    _add_common(pb)
+    _add_command(sub, "bounds", _cmd_bounds, "closed-form bounds for (n, k, L, q)", nklq)
 
-    ps = sub.add_parser("search", help="search for a maximal family at tiny parameters")
-    ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--k", type=int, required=True)
-    ps.add_argument("--L", type=int, required=True)
-    ps.add_argument("--q", type=int, required=True)
+    ps = _add_command(sub, "search", _cmd_search, "search for a maximal family at tiny parameters", nklq)
     ps.add_argument("--mode", choices=["exhaustive", "greedy"], default="exhaustive")
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--node-budget", type=int, default=None, help="exhaustive mode only")
-    ps.add_argument("--no-symmetry-break", action="store_true", help="exhaustive mode only")
-    ps.set_defaults(run=_cmd_search)
-    _add_common(ps)
+    ps.add_argument("--seed", type=int, default=unset, help="greedy mode only (default 0)")
+    ps.add_argument("--node-budget", type=int, default=unset, help="exhaustive mode only")
+    ps.add_argument("--no-symmetry-break", action="store_true", default=unset, help="exhaustive mode only")
 
-    pba = sub.add_parser("batch", help="build a batch code from a family and verify it")
+    pba = _add_command(sub, "batch", _cmd_batch, "build a batch code from a family and verify it")
     pba.add_argument("--family", required=True, help="family JSON file")
-    pba.add_argument("--s", type=int, default=None, help="request count (default floor(|F|/L))")
+    pba.add_argument("--s", type=int, default=None, help="request count (default floor(|F|/L_aad))")
     pba.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    pba.add_argument("--trials", type=int, default=1000)
-    pba.add_argument("--seed", type=int, default=0)
+    pba.add_argument("--trials", type=int, default=unset, help="sampled mode only (default 1000)")
+    pba.add_argument("--seed", type=int, default=unset, help="sampled mode only (default 0)")
     pba.add_argument("--layout", action="store_true", help="include the parity position layout")
-    pba.set_defaults(run=_cmd_batch)
-    _add_common(pba)
 
     return parser
 
 
-def _cmd_construct(args, field_guard: int, enum_guard: int):
-    if args.kind == "random" and args.L is None:
-        raise ValueError("--L is required for kind random")
+def _construct_result(fam: Family) -> dict:
+    return {"family": fam.to_json(), "diagnostics": {"members": len(fam)}}
+
+
+def _cmd_rs(args, field_guard: int, enum_guard: int):
     field = field_from_order(args.q, field_guard)
-    if args.kind == "random":
-        _check_powers(args.n, args.k, args.L, args.q)
-        res = build_random_family(
-            args.n, args.k, args.L, field, args.seed, max_rounds=args.max_rounds, as_enum_guard=enum_guard
-        )
-        return res.to_json(), "construct random", args.seed
-    if args.kind == "rs":
-        make_rs_code(field, args.n, args.k)  # parameter errors exit 2 before the guard
-        check_guard("construct rs", field.q ** (args.n - 2 * args.k), "members", enum_guard)
-        fam = build_rs_family(args.n, args.k, field)
-    else:
-        if args.matrix:
-            obj = _load_json_file(args.matrix)
-            try:
-                H = MatrixGF.from_json(field, obj)
-            except (KeyError, TypeError) as exc:
-                raise InputParseError(f"malformed matrix in {args.matrix}: {exc}") from exc
-        elif args.vandermonde_rows:
-            H = None  # built once its rows are checked
-        else:
-            raise ValueError("kind code-based needs --matrix or --vandermonde-rows")
-        # the family lives in GF(q)^rows, so --n must name that space
-        rows = args.vandermonde_rows if H is None else H.rows
-        if rows != args.n:
-            raise ValueError(f"--n {args.n} differs from the parity-check matrix's {rows} rows")
-        if H is None:
-            H = vandermonde_matrix(field, rows)
-        fam = build_code_based_family(H, args.k)
-    return {"family": fam.to_json(), "diagnostics": {"members": len(fam)}}, f"construct {args.kind}", None
+    make_rs_code(field, args.n, args.k)  # parameter errors exit 2 before the guard
+    check_guard("construct rs", field.q ** (args.n - 2 * args.k), "members", enum_guard)
+    return _construct_result(build_rs_family(args.n, args.k, field)), "construct rs", None
+
+
+def _cmd_random(args, field_guard: int, enum_guard: int):
+    field = field_from_order(args.q, field_guard)
+    _check_powers(args.n, args.k, args.L, args.q)
+    res = build_random_family(
+        args.n, args.k, args.L, field, args.seed, max_rounds=args.max_rounds, as_enum_guard=enum_guard
+    )
+    return res.to_json(), "construct random", args.seed
+
+
+def _cmd_code_based(args, field_guard: int, enum_guard: int):
+    field = field_from_order(args.q, field_guard)
+    H = None  # from --vandermonde-rows, built once its rows are checked
+    if args.matrix is not None:
+        obj = _load_json_file(args.matrix)
+        try:
+            H = MatrixGF.from_json(field, obj)
+        except (KeyError, TypeError) as exc:
+            raise InputParseError(f"malformed matrix in {args.matrix}: {exc}") from exc
+    # the family lives in GF(q)^rows, so --n must name that space
+    rows = args.vandermonde_rows if H is None else H.rows
+    if rows != args.n:
+        raise ValueError(f"--n {args.n} differs from the parity-check matrix's {rows} rows")
+    if H is None:
+        H = vandermonde_matrix(field, rows)
+    return _construct_result(build_code_based_family(H, args.k)), "construct code-based", None
 
 
 def _cmd_verify(args, field_guard: int, enum_guard: int):
@@ -262,17 +288,11 @@ def _cmd_bounds(args, field_guard: int, enum_guard: int):
 
 
 def _cmd_search(args, field_guard: int, enum_guard: int):
-    if args.mode == "greedy":
-        # greedy search runs no branch-and-bound, so it would ignore them
-        if args.node_budget is not None:
-            raise ValueError("--node-budget applies only to exhaustive search, not greedy")
-        if args.no_symmetry_break:
-            raise ValueError("--no-symmetry-break applies only to exhaustive search, not greedy")
     field = field_from_order(args.q, field_guard)
     if args.mode == "exhaustive":
         budget = DEFAULT_NODE_BUDGET if args.node_budget is None else args.node_budget
         res = exhaustive_max_family(field, args.n, args.k, args.L, budget, symmetry_break=not args.no_symmetry_break)
-        return res.to_json(), "search", args.seed
+        return res.to_json(), "search", None
     check_parameters(args.n, args.k, args.L)  # parameter errors exit 2 before the guard
     # greedy search holds every k-subspace in memory
     checked_gaussian_binomial("greedy search", args.n, args.k, field.q, enum_guard)
@@ -287,16 +307,18 @@ def _cmd_batch(args, field_guard: int, enum_guard: int):
     # the code's coset tables hold K entries per member
     check_guard("batch code", fam.field.q**fam.n * len(fam), "coset table entries", enum_guard)
     code = BatchCode(fam)
+    if args.s is None and code.L_aad < 1:
+        raise ValueError(f"the default s = floor(|F| / L_aad) needs L_aad >= 1, but L_aad = {code.L_aad}; --s sets s")
     s = args.s if args.s is not None else batch_s(len(fam), code.L_aad)
     if args.mode == "sampled":
         # each drawn multiset, and a counterexample, holds s requests
         check_guard("sampled batch", s, "requests per multiset", enum_guard)
-    elif s >= 1:
-        # one multiset per translation class: 0 plus s - 1 requests
-        check_guard("exhaustive batch", math.comb(code.K + s - 2, s - 1), "request multisets", enum_guard)
-    ok, counterexample = verify_batch(
-        code, s, mode=args.mode, trials=args.trials, seed=args.seed, guard=enum_guard
-    )
+        ok, counterexample = verify_batch(code, s, "sampled", trials=args.trials, seed=args.seed, guard=enum_guard)
+    else:
+        if s >= 1:
+            # one multiset per translation class: 0 plus s - 1 requests
+            check_guard("exhaustive batch", math.comb(code.K + s - 2, s - 1), "request multisets", enum_guard)
+        ok, counterexample = verify_batch(code, s, guard=enum_guard)
     result = {
         "N": code.N,
         "K": code.K,
@@ -308,13 +330,14 @@ def _cmd_batch(args, field_guard: int, enum_guard: int):
     }
     if args.layout:
         result["layout"] = code.layout_json()
-    return result, "batch", args.seed
+    return result, "batch", args.seed if args.mode == "sampled" else None
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.time()
     try:
+        _apply_mode_options(args)
         result, command, seed = args.run(args, *_guards())
     except (InputParseError, SizeGuardError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

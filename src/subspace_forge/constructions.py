@@ -331,6 +331,8 @@ def build_random_family(
     check_parameters(n, k, L)
     if L < 1:
         raise ValueError("L must be >= 1")
+    if max_rounds is not None and max_rounds < 0:
+        raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
     M = random_sample_size(n, k, L, field.q)
     if M < 1:
         raise ValueError(f"sample size M = {M} < 1 for these parameters")

@@ -35,6 +35,136 @@ def run_cli_process(*argv, timeout=30):
     )
 
 
+def exit_of(capsys, *argv):
+    """main's exit code, or argparse's, with stdout and stderr."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+# The options that each command, construct kind and mode reads, by dest;
+# --out and --pretty go to every command and are not parameters.
+READS = {
+    ("construct", "rs"): {"kind", "n", "k", "q"},
+    ("construct", "random"): {"kind", "n", "k", "q", "L", "seed", "max_rounds"},
+    ("construct", "code-based"): {"kind", "n", "k", "q", "matrix", "vandermonde_rows"},
+    ("verify", None): {"family", "properties"},
+    ("bounds", None): {"n", "k", "L", "q"},
+    ("search", "exhaustive"): {"n", "k", "L", "q", "mode", "node_budget", "no_symmetry_break"},
+    ("search", "greedy"): {"n", "k", "L", "q", "mode", "seed"},
+    ("batch", "exhaustive"): {"family", "s", "mode", "layout"},
+    ("batch", "sampled"): {"family", "s", "mode", "layout", "trials", "seed"},
+}
+
+# One value for every option of every command; None marks a flag.
+OPTION_VALUES = {
+    "--n": "3", "--k": "1", "--q": "5", "--L": "1", "--seed": "1", "--max-rounds": "1",
+    "--matrix": "@H", "--vandermonde-rows": "3", "--family": "@family", "--properties": "spread",
+    "--node-budget": "100", "--no-symmetry-break": None, "--s": "2", "--trials": "5", "--layout": None,
+}
+
+# A run that exits 0 for each command, construct kind and mode.
+BASE_ARGV = {
+    ("construct", "rs"): ["construct", "rs", "--n", "3", "--k", "1", "--q", "5"],
+    ("construct", "random"): ["construct", "random", "--n", "4", "--k", "1", "--L", "3", "--q", "3", "--seed", "1"],
+    ("construct", "code-based"): ["construct", "code-based", "--n", "3", "--k", "1", "--q", "2", "--matrix", "@H"],
+    ("verify", None): ["verify", "--family", "@family", "--properties", "spread,aad"],
+    ("bounds", None): ["bounds", "--n", "3", "--k", "1", "--L", "1", "--q", "2"],
+    ("search", "exhaustive"): ["search", "--n", "3", "--k", "1", "--L", "1", "--q", "2"],
+    ("search", "greedy"): ["search", "--mode", "greedy", "--n", "3", "--k", "1", "--L", "1", "--q", "3"],
+    ("batch", "exhaustive"): ["batch", "--family", "@family", "--s", "2"],
+    ("batch", "sampled"): ["batch", "--mode", "sampled", "--family", "@family"],
+}
+
+# H's columns are the four lines of FOUR_LINES.
+FOUR_LINES_H = {"rows": 3, "cols": 4, "entries": [1, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1, 1]}
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """Replace "@family" and "@H" by files that hold FOUR_LINES and H."""
+    (tmp_path / "family.json").write_text(json.dumps(FOUR_LINES))
+    (tmp_path / "H.json").write_text(json.dumps(FOUR_LINES_H))
+    return lambda argv: [str(tmp_path / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]
+
+
+def _foreign_options():
+    for (command, mode), argv in BASE_ARGV.items():
+        for option, value in OPTION_VALUES.items():
+            dest = option[2:].replace("-", "_")
+            if dest not in READS[(command, mode)]:
+                yield pytest.param(argv, option, value, id=f"{command}-{mode}-{option[2:]}")
+
+
+@pytest.mark.parametrize("argv, option, value", list(_foreign_options()))
+def test_option_that_the_mode_does_not_read_exits_2(capsys, inputs, argv, option, value):
+    # each used to run, or to be recorded and ignored
+    code, out, _ = exit_of(capsys, *inputs(argv))
+    assert code == 0 and out
+    code, out, err = exit_of(capsys, *inputs(argv + [option] + ([value] if value else [])))
+    assert code == 2 and out == ""
+    assert option in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["construct", "random", "--n", "5", "--k", "1", "--q", "5"], "the following arguments are required: --L"),
+        (["construct", "code-based", "--n", "3", "--k", "1", "--q", "2", "--matrix", "@H", "--vandermonde-rows", "3"],
+         "argument --vandermonde-rows: not allowed with argument --matrix"),
+        (["search", "--n", "3", "--k", "1", "--L", "1", "--q", "2", "--seed", "99"],
+         "--seed applies only to greedy search, not exhaustive"),
+        (["batch", "--family", "@family", "--trials", "0", "--seed", "9"],
+         "--trials applies only to sampled batch, not exhaustive"),
+        # an abbreviation used to read batch's --s as search's --seed
+        (["search", "--mode", "greedy", "--n", "3", "--k", "1", "--L", "1", "--q", "3", "--s", "2"],
+         "unrecognized arguments: --s 2"),
+    ],
+    ids=["random-without-L", "code-based-two-sources", "exhaustive-search-seed", "exhaustive-batch-trials", "abbrev"],
+)
+def test_construct_and_mode_option_errors_exit_2(capsys, inputs, argv, message):
+    code, out, err = exit_of(capsys, *inputs(argv))
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "key, extra, parameters",
+    [
+        (("construct", "rs"), [], {"kind": "rs", "n": 3, "k": 1, "q": 5}),
+        (("construct", "random"), [], {"kind": "random", "n": 4, "k": 1, "L": 3, "q": 3, "seed": 1}),
+        (("construct", "random"), ["--max-rounds", "2"],
+         {"kind": "random", "n": 4, "k": 1, "L": 3, "q": 3, "seed": 1, "max_rounds": 2}),
+        (("construct", "code-based"), [], {"kind": "code-based", "n": 3, "k": 1, "q": 2, "matrix": "@H"}),
+        (("verify", None), [], {"family": "@family", "properties": "spread,aad"}),
+        (("bounds", None), [], {"n": 3, "k": 1, "L": 1, "q": 2}),
+        (("search", "exhaustive"), [],
+         {"n": 3, "k": 1, "L": 1, "q": 2, "mode": "exhaustive", "no_symmetry_break": False}),
+        (("search", "exhaustive"), ["--node-budget", "50", "--no-symmetry-break"],
+         {"n": 3, "k": 1, "L": 1, "q": 2, "mode": "exhaustive", "node_budget": 50, "no_symmetry_break": True}),
+        (("search", "greedy"), [], {"n": 3, "k": 1, "L": 1, "q": 3, "mode": "greedy", "seed": 0}),
+        (("batch", "exhaustive"), [], {"family": "@family", "s": 2, "mode": "exhaustive", "layout": False}),
+        (("batch", "sampled"), [],
+         {"family": "@family", "mode": "sampled", "layout": False, "trials": 1000, "seed": 0}),
+        (("batch", "sampled"), ["--trials", "5", "--seed", "4", "--layout"],
+         {"family": "@family", "mode": "sampled", "layout": True, "trials": 5, "seed": 4}),
+    ],
+)
+def test_manifest_parameters_are_the_options_the_run_read(capsys, inputs, key, extra, parameters):
+    # exhaustive search and batch used to record a seed (and batch 1000
+    # trials), construct rs and code-based a seed of 0
+    code, out, _ = exit_of(capsys, *inputs(BASE_ARGV[key] + extra))
+    assert code == 0
+    manifest = json.loads(out)["manifest"]
+    files = dict(zip(["@family", "@H"], inputs(["@family", "@H"])))
+    assert manifest["parameters"] == {k: files.get(v, v) for k, v in parameters.items()}
+    assert set(parameters) <= READS[key]
+    assert manifest["seed"] == parameters.get("seed")
+
+
 # ---------------------------------------------------------------------------
 # construct
 # ---------------------------------------------------------------------------
@@ -102,6 +232,15 @@ def test_construct_random_with_huge_L_exits_2_promptly(capsys):
     assert "over Python's limit of" in err
 
 
+def test_construct_random_negative_max_rounds_exits_2(capsys):
+    # it used to exit 0, record -5 and act as 0
+    code, out, err = run_cli(
+        capsys, "construct", "random", "--n", "5", "--k", "1", "--L", "7", "--q", "5", "--max-rounds", "-5"
+    )
+    assert code == 2 and out == ""
+    assert "max_rounds must be >= 0, got -5" in err
+
+
 def test_construct_random_reproducible(capsys):
     args = ["construct", "random", "--n", "5", "--k", "1", "--L", "7", "--q", "5", "--seed", "1"]
     code1, out1, _ = run_cli(capsys, *args)
@@ -144,8 +283,10 @@ def test_construct_code_based_matrix_file(capsys, tmp_path):
 
 
 def test_construct_code_based_needs_source(capsys):
-    code, _, err = run_cli(capsys, "construct", "code-based", "--n", "3", "--k", "1", "--q", "5")
-    assert code == 2
+    # argparse refuses it before any handler runs
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "code-based", "--n", "3", "--k", "1", "--q", "5"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("source", ["vandermonde", "matrix"])
@@ -667,6 +808,19 @@ def test_batch_command_from_search_family(capsys, tmp_path):
     assert res["s"] == 4
     assert res["verified"] is True
     assert res["counterexample"] is None
+
+
+def test_batch_default_s_needs_L_aad_at_least_1(capsys, tmp_path):
+    # one line has L_aad = 0; the message used to be only "L must be >= 1"
+    path = tmp_path / "one-line.json"
+    path.write_text(json.dumps({**FOUR_LINES, "members": FOUR_LINES["members"][:1]}))
+    code, out, err = run_cli(capsys, "batch", "--family", str(path))
+    assert code == 2 and out == ""
+    assert "the default s = floor(|F| / L_aad) needs L_aad >= 1, but L_aad = 0; --s sets s" in err
+    code, out, _ = run_cli(capsys, "batch", "--family", str(path), "--s", "1")
+    assert code == 0
+    res = result_of(out)
+    assert (res["L_aad"], res["s"], res["verified"]) == (0, 1, True)
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])

@@ -311,6 +311,13 @@ def test_random_family_rejects_m_below_one(f2):
         build_random_family(3, 1, 1, f2, seed=0)  # exponent -1
 
 
+def test_random_family_rejects_negative_max_rounds(f5):
+    # -5 used to act as 0; 0 still stops before the first pruning round
+    with pytest.raises(ValueError, match="max_rounds must be >= 0, got -5"):
+        build_random_family(5, 1, 7, f5, seed=1, max_rounds=-5)
+    assert build_random_family(5, 1, 7, f5, seed=1, max_rounds=0).rounds_used == 0
+
+
 def test_random_family_prunes_to_target(f3):
     # (5,1,L=8,q=3): exponent 3 - 8/9, M = floor(3^(19/9)) = 10; small L
     # values force actual pruning on some seeds
