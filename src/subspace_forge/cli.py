@@ -29,9 +29,12 @@ integer) overrides both guards.  The field guard bounds the q^2 table
 entries of GF(q): a family file's (p, m) and --q are checked before the
 field is built.  The enumeration guard bounds AS verification's
 (k+1)-subspaces, a batch code's coset table entries, batch's request
-multisets and recovery-search candidate tests per multiset, greedy
-search's k-subspaces and construct rs's members; each refuses through
-gf.check_guard, which names a count of 100 or more digits as about 10^N.
+multisets and recovery-search candidate tests per multiset, the
+k-subspace candidates of both searches, exhaustive search's nodes when
+no --node-budget is given, and construct rs's members; each refuses
+through gf.check_guard, which names a count of 100 or more digits as
+about 10^N.  Exhaustive search stops at its node budget with proven:
+false rather than refusing.
 """
 
 from __future__ import annotations
@@ -45,7 +48,15 @@ import sys
 import time
 
 from . import __version__
-from .gf import DEFAULT_SIZE_GUARD, SizeGuardError, _json_int, check_guard, check_order_guard, field_from_order
+from .gf import (
+    DEFAULT_SIZE_GUARD,
+    SizeGuardError,
+    _json_int,
+    check_guard,
+    check_order_guard,
+    factor_order,
+    field_from_order,
+)
 from .matgf import MatrixGF
 from .family import DEFAULT_AS_ENUM_GUARD, Family, build_report
 from .subspace import checked_gaussian_binomial
@@ -60,7 +71,7 @@ from .constructions import (
     vandermonde_matrix,
 )
 from .batch import BatchCode, batch_s, verify_batch
-from .search import DEFAULT_NODE_BUDGET, exhaustive_max_family, greedy_max_family
+from .search import exhaustive_max_family, greedy_max_family
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
@@ -282,20 +293,20 @@ def _check_powers(n: int, k: int, L: int, q: int) -> None:
 
 
 def _cmd_bounds(args, field_guard: int, enum_guard: int):
-    field_from_order(args.q, field_guard)  # a q that is no prime power exits 2
+    factor_order(args.q, field_guard)  # exits 2 on a q that is no prime power; builds no GF(q)
     _check_powers(args.n, args.k, args.L, args.q)
     return bounds_table(args.n, args.k, args.L, args.q).to_json(), "bounds", None
 
 
 def _cmd_search(args, field_guard: int, enum_guard: int):
     field = field_from_order(args.q, field_guard)
+    check_parameters(args.n, args.k, args.L)  # parameter errors exit 2 before the guard
+    # both searches hold every k-subspace in memory
+    checked_gaussian_binomial(f"{args.mode} search", args.n, args.k, field.q, enum_guard)
     if args.mode == "exhaustive":
-        budget = DEFAULT_NODE_BUDGET if args.node_budget is None else args.node_budget
+        budget = enum_guard if args.node_budget is None else args.node_budget
         res = exhaustive_max_family(field, args.n, args.k, args.L, budget, symmetry_break=not args.no_symmetry_break)
         return res.to_json(), "search", None
-    check_parameters(args.n, args.k, args.L)  # parameter errors exit 2 before the guard
-    # greedy search holds every k-subspace in memory
-    checked_gaussian_binomial("greedy search", args.n, args.k, field.q, enum_guard)
     fam = greedy_max_family(field, args.n, args.k, args.L, args.seed)
     return {"mode": "greedy", "size": len(fam), "family": fam.to_json()}, "search", args.seed
 

@@ -20,8 +20,8 @@ gamma^a + gamma^b = gamma^(a + z[b-a]), so every table entry is a lookup.
 Every operation reads the tables; the raw routines are only the seeds,
 the primitive-element search that precedes them, and the test oracle.
 
-The tables hold about 2q^2 entries, so the size guard of make_field and
-field_from_order bounds q^2, not q.
+The tables hold about 2q^2 entries, so the size guard of make_field,
+factor_order and field_from_order bounds q^2, not q.
 """
 
 from __future__ import annotations
@@ -385,23 +385,26 @@ def check_order_guard(p: int, m: int, size_guard: int | None = DEFAULT_SIZE_GUAR
         )
 
 
-def field_from_order(q: int, size_guard: int | None = DEFAULT_SIZE_GUARD) -> Field:
-    """Build GF(q) for a prime power q, factoring q as p^m.
+def factor_order(q: int, size_guard: int | None = DEFAULT_SIZE_GUARD) -> tuple[int, int]:
+    """(p, m) with q = p^m for a prime power q, checking the guard first.
 
-    The guard is checked on q before the factoring, whose trial division
-    runs up to the smallest prime factor of q.
+    The guard is checked on q before the factoring, a trial division up
+    to sqrt(q).  No field is built, so a caller that only validates q
+    pays nothing for GF(q)'s tables.
     """
     if q < 2:
         raise ValueError(f"field order must be >= 2, got {q}")
     check_order_guard(q, 1, size_guard)
-    for p in range(2, q + 1):
-        if q % p == 0:
-            m = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                m += 1
-            if t != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return make_field(p, m, size_guard)
-    raise ValueError(f"{q} is not a prime power")
+    factors = _prime_factors(q)
+    if len(factors) > 1:
+        raise ValueError(f"{q} is not a prime power")
+    m, t = 0, q
+    while t > 1:
+        t //= factors[0]
+        m += 1
+    return factors[0], m
+
+
+def field_from_order(q: int, size_guard: int | None = DEFAULT_SIZE_GUARD) -> Field:
+    """Build GF(q) for a prime power q, factored by factor_order."""
+    return make_field(*factor_order(q, size_guard), size_guard)

@@ -6,7 +6,10 @@ family is extended only while it stays a partial spread with exact AAD
 parameter at most L, branches that cannot beat the incumbent are cut,
 and the closed-form size bound ends the search early when attained.
 Optimality is certified when the search completes within the node
-budget (or hits the bound).  The greedy search takes no budget.
+budget (default family.DEFAULT_AS_ENUM_GUARD nodes) or hits the bound.
+The greedy search takes no budget.  Both searches hold every
+k-subspace and check no guard on their count: the caller does (the CLI
+through checked_gaussian_binomial and its enumeration guard).
 
 Both searches test each candidate once, with _feasible, on the pairs it
 adds only: for k = 1 one tally of the chosen lines modulo the
@@ -25,12 +28,9 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .gf import Field
-from .family import Family, _free_columns, _line_point_counts, _quotient_points
+from .family import DEFAULT_AS_ENUM_GUARD, Family, _free_columns, _line_point_counts, _quotient_points
 from .constructions import check_parameters, max_family_size_bound
-from .subspace import Subspace, checked_gaussian_binomial, enumerate_subspaces
-
-EXHAUSTIVE_SPACE_LIMIT = 10_000
-DEFAULT_NODE_BUDGET = 10_000_000
+from .subspace import Subspace, enumerate_subspaces
 
 
 @dataclass
@@ -139,10 +139,13 @@ def _feasible(chosen: _Chosen, cand: Subspace) -> bool:
 
 
 def exhaustive_max_family(
-    field: Field, n: int, k: int, L: int, node_budget: int = DEFAULT_NODE_BUDGET, symmetry_break: bool = True
+    field: Field, n: int, k: int, L: int, node_budget: int = DEFAULT_AS_ENUM_GUARD, symmetry_break: bool = True
 ) -> SearchResult:
     """Maximum family size by branch-and-bound; proof flag set when the
     search finished within the node budget (or met the closed-form bound).
+
+    Like greedy_max_family, it checks no guard on its candidates: it
+    holds all [n, k]_q of them, so the caller bounds that count first.
 
     One loop, shaped like BatchCode._assign: `picks` holds the
     candidate index of each member the loop pushed, and a backtrack pops
@@ -151,8 +154,8 @@ def exhaustive_max_family(
     bound = max_family_size_bound(n, k, L, field.q)  # checks 2k < n and L >= 0
     if node_budget < 1:
         raise ValueError(f"node budget must be >= 1, got {node_budget}")
-    total = checked_gaussian_binomial("exhaustive search", n, k, field.q, EXHAUSTIVE_SPACE_LIMIT)
     candidates = list(enumerate_subspaces(field, n, k))
+    total = len(candidates)
 
     chosen = _Chosen(k, L)
     members = chosen.members

@@ -10,6 +10,7 @@ import pytest
 from subspace_forge.batch import BatchCode
 from subspace_forge.cli import main
 from subspace_forge.family import Family
+from subspace_forge.gf import Field
 from test_golden import FOUR_LINES, NON_SPREAD
 
 
@@ -23,13 +24,16 @@ def result_of(stdout):
     return json.loads(stdout)["result"]
 
 
-def run_cli_process(*argv, timeout=30):
-    """The CLI in a subprocess under the default guards, so that a run
-    that would go on for minutes fails its test at the timeout."""
+def run_cli_process(*argv, timeout=30, guard=None):
+    """The CLI in a subprocess under the default guards, or under
+    SUBSPACE_FORGE_GUARD=guard, so that a run that would go on for
+    minutes fails its test at the timeout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     env.pop("SUBSPACE_FORGE_GUARD", None)
+    if guard is not None:
+        env["SUBSPACE_FORGE_GUARD"] = str(guard)
     return subprocess.run(
         [sys.executable, "-m", "subspace_forge.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout
     )
@@ -526,10 +530,10 @@ def test_search_prime_order_over_guard_exits_4_promptly(capsys):
 
 
 def test_exhaustive_search_over_space_limit_exits_4(capsys):
-    # GF(3)^6 has 11011 planes, over the exhaustive candidate limit
-    code, out, err = run_cli(capsys, "search", "--n", "6", "--k", "2", "--L", "1", "--q", "3")
+    # GF(5)^6 has 508431 planes, over the enumeration guard
+    code, out, err = run_cli(capsys, "search", "--n", "6", "--k", "2", "--L", "1", "--q", "5")
     assert code == 4 and out == ""
-    assert "11011" in err and "10000" in err
+    assert "exhaustive search needs 508431 k-subspaces, over the guard 200000" in err
 
 
 def test_exhaustive_search_limit_names_a_count_too_long_to_print(capsys):
@@ -538,7 +542,7 @@ def test_exhaustive_search_limit_names_a_count_too_long_to_print(capsys):
     code, out, err = run_cli(capsys, "search", "--n", "20000", "--k", "1", "--L", "1", "--q", "2")
     assert time.perf_counter() - t0 < 2.0
     assert code == 4 and out == ""
-    assert "exhaustive search needs about 10^6021 k-subspaces, over the guard 10000" in err
+    assert "exhaustive search needs about 10^6021 k-subspaces, over the guard 200000" in err
 
 
 @pytest.mark.parametrize(
@@ -547,7 +551,7 @@ def test_exhaustive_search_limit_names_a_count_too_long_to_print(capsys):
         (["--mode", "greedy", "--n", "20000", "--k", "64", "--L", "1"],
          "greedy search needs about 10^3074843 k-subspaces, over the guard 200000"),
         (["--n", "99999", "--k", "128", "--L", "4"],
-         "exhaustive search needs about 10^30807351 k-subspaces, over the guard 10000"),
+         "exhaustive search needs about 10^30807351 k-subspaces, over the guard 200000"),
     ],
     ids=["greedy", "exhaustive"],
 )
@@ -709,6 +713,19 @@ def test_bounds_k_below_1_exits_2(capsys):
     assert "need k >= 1, got k=-1" in err
 
 
+def test_bounds_builds_no_field(capsys, monkeypatch):
+    # GF(1021) took 0.13 s and 17 MB of tables that bounds never read
+    def refuse(*args, **kwargs):
+        raise AssertionError("bounds built a Field")
+
+    monkeypatch.setattr(Field, "__init__", refuse)
+    code, out, _ = run_cli(capsys, "bounds", "--n", "4", "--k", "1", "--L", "2", "--q", "1021")
+    assert code == 0
+    assert result_of(out)["size_bound"] == 1 + 2 * (1021**3 - 1) // 1020
+    assert run_cli(capsys, "bounds", "--n", "4", "--k", "1", "--L", "2", "--q", "6")[0] == 2
+    assert run_cli(capsys, "bounds", "--n", "4", "--k", "1", "--L", "2", "--q", "2147483647")[0] == 4
+
+
 def test_bounds_q_not_a_prime_power_exits_2(capsys):
     # it used to print a table for GF(6), which does not exist
     code, out, err = run_cli(capsys, "bounds", "--n", "3", "--k", "1", "--L", "1", "--q", "6")
@@ -737,6 +754,26 @@ def test_bounds_that_outgrow_python_ints_exit_promptly(capsys, n, L):
     else:
         assert code == 2 and out == ""
         assert "over Python's limit of" in err
+
+
+@pytest.mark.parametrize("guard, code", [(154, 4), (155, 0)])
+@pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
+def test_both_searches_refuse_at_the_same_count(capsys, monkeypatch, mode, guard, code):
+    # GF(2)^5 has 155 planes: one guard bounds the candidates of both modes
+    monkeypatch.setenv("SUBSPACE_FORGE_GUARD", str(guard))
+    got, out, err = run_cli(capsys, "search", "--mode", mode, "--n", "5", "--k", "2", "--L", "1", "--q", "2")
+    assert got == code
+    if code:
+        assert out == "" and f"{mode} search needs 155 k-subspaces, over the guard 154" in err
+
+
+def test_exhaustive_search_without_budget_stops_at_the_guard():
+    # 156 lines of GF(5)^4: the default 10M-node budget ran past 300 s
+    proc = run_cli_process("search", "--n", "4", "--k", "1", "--L", "2", "--q", "5", guard=2000)
+    assert proc.returncode == 0, proc.stderr
+    res = result_of(proc.stdout)
+    assert res["proven"] is False
+    assert res["nodes"] == 2001
 
 
 def test_search_command(capsys):

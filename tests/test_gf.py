@@ -10,6 +10,7 @@ from subspace_forge.gf import (
     Field,
     SizeGuardError,
     check_guard,
+    factor_order,
     field_from_order,
     is_prime,
     make_field,
@@ -135,6 +136,20 @@ def test_field_from_order():
         field_from_order(6)
     with pytest.raises(ValueError):
         field_from_order(12)
+
+
+def test_factor_order():
+    assert [factor_order(q) for q in (2, 7, 8, 9, 1024)] == [(2, 1), (7, 1), (2, 3), (3, 2), (2, 10)]
+    for q in (1, 6, 12):
+        with pytest.raises(ValueError):
+            factor_order(q)
+    # checked on q before the trial division, as for field_from_order
+    with pytest.raises(SizeGuardError):
+        factor_order(2**31 - 1)
+    # without a guard, trial division to sqrt(q): milliseconds, not minutes
+    t0 = time.perf_counter()
+    assert factor_order(2**31 - 1, size_guard=None) == (2**31 - 1, 1)
+    assert time.perf_counter() - t0 < 1
 
 
 def test_is_prime():

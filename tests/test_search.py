@@ -1,13 +1,15 @@
 import functools
 import gc
+import inspect
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from subspace_forge import family, search
-from subspace_forge.gf import SizeGuardError, field_from_order, make_field
+from subspace_forge.gf import field_from_order, make_field
 from subspace_forge.family import (
+    DEFAULT_AS_ENUM_GUARD,
     Family,
     NotAPartialSpread,
     _quotient_point_counts,
@@ -71,9 +73,13 @@ def test_budget_exhaustion_returns_incumbent(f3):
 
 
 def test_exhaustive_space_limit():
+    # the library guards no candidates, as in greedy search: the CLI
+    # checks their count, and the node budget bounds the run
     f25 = make_field(5, 2)
-    with pytest.raises(SizeGuardError):
-        exhaustive_max_family(f25, 4, 1, 1)  # 16276 lines > 10^4
+    res = exhaustive_max_family(f25, 4, 1, 1, node_budget=50)  # 16276 lines
+    assert (res.optimality_proven, res.nodes) == (False, 51)
+    default = inspect.signature(exhaustive_max_family).parameters["node_budget"].default
+    assert default == DEFAULT_AS_ENUM_GUARD
 
 
 def test_parameter_validation(f2):
