@@ -26,19 +26,13 @@ from .family import (
     coset_hits_bruteforce,
 )
 from .constructions import (
-    BoundsTable,
-    RSCodeSpec,
     max_family_size_bound,
     max_family_size_bound_no_spread,
     bounds_table,
     build_code_based_family,
     build_random_family,
     build_rs_family,
-    twist_codeword,
     growth_diagnostic,
-    power_sum,
-    make_rs_code,
-    rs_codewords,
     rs_guaranteed_L,
 )
 from .search import SearchResult, exhaustive_max_family, greedy_max_family
@@ -66,11 +60,6 @@ __all__ = [
     "compute_L_as",
     "check_relations",
     "build_report",
-    "RSCodeSpec",
-    "make_rs_code",
-    "rs_codewords",
-    "twist_codeword",
-    "power_sum",
     "build_rs_family",
     "build_code_based_family",
     "build_random_family",
@@ -78,7 +67,6 @@ __all__ = [
     "max_family_size_bound_no_spread",
     "rs_guaranteed_L",
     "bounds_table",
-    "BoundsTable",
     "growth_diagnostic",
     "SearchResult",
     "exhaustive_max_family",

@@ -66,8 +66,8 @@ from .constructions import (
     build_random_family,
     build_rs_family,
     check_parameters,
+    check_rs_parameters,
     growth_diagnostic,
-    make_rs_code,
     vandermonde_matrix,
 )
 from .batch import BatchCode, batch_s, verify_batch
@@ -235,7 +235,7 @@ def _construct_result(fam: Family) -> dict:
 
 def _cmd_rs(args, field_guard: int, enum_guard: int):
     field = field_from_order(args.q, field_guard)
-    make_rs_code(field, args.n, args.k)  # parameter errors exit 2 before the guard
+    check_rs_parameters(args.n, args.k, field.q)  # parameter errors exit 2 before the guard
     check_guard("construct rs", field.q ** (args.n - 2 * args.k), "members", enum_guard)
     return _construct_result(build_rs_family(args.n, args.k, field)), "construct rs", None
 
@@ -295,7 +295,7 @@ def _check_powers(n: int, k: int, L: int, q: int) -> None:
 def _cmd_bounds(args, field_guard: int, enum_guard: int):
     factor_order(args.q, field_guard)  # exits 2 on a q that is no prime power; builds no GF(q)
     _check_powers(args.n, args.k, args.L, args.q)
-    return bounds_table(args.n, args.k, args.L, args.q).to_json(), "bounds", None
+    return bounds_table(args.n, args.k, args.L, args.q), "bounds", None
 
 
 def _cmd_search(args, field_guard: int, enum_guard: int):

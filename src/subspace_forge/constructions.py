@@ -15,13 +15,14 @@ Bound calculators are exact integer/rational arithmetic throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .gf import Field
-from .matgf import MatrixGF, kernel_basis, rank, rref
+from .matgf import MatrixGF, kernel_basis, rref
 from .subspace import Subspace
 from .family import Family, check_as_guard, compute_L_as, count_L_aad
 
@@ -101,44 +102,21 @@ def random_sample_size(n: int, k: int, L: int, q: int) -> int:
     return _integer_root(q**e.numerator, e.denominator)
 
 
-@dataclass(frozen=True)
-class BoundsTable:
+def bounds_table(n: int, k: int, L: int, q: int) -> dict:
     """Closed-form values for one (n, k, L, q) parameter point."""
-
-    n: int
-    k: int
-    L: int
-    q: int
-    size_bound: int
-    size_bound_no_spread: int
-    random_lower_exponent: Fraction
-    rs_guaranteed_L: int | None
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "L": self.L,
-            "q": self.q,
-            "size_bound": self.size_bound,
-            "size_bound_no_spread": self.size_bound_no_spread,
-            "random_exponent": {
-                "num": self.random_lower_exponent.numerator,
-                "den": self.random_lower_exponent.denominator,
-            },
-            "random_sample_size": random_sample_size(self.n, self.k, self.L, self.q),
-            "rs_guaranteed_L": self.rs_guaranteed_L,
-        }
-
-
-def bounds_table(n: int, k: int, L: int, q: int) -> BoundsTable:
-    return BoundsTable(
-        n, k, L, q,
-        max_family_size_bound(n, k, L, q),
-        max_family_size_bound_no_spread(n, k, L, q),
-        random_family_exponent(n, k, L),
-        rs_guaranteed_L(n, k) if k in (1, 2) else None,
-    )
+    size_bound = max_family_size_bound(n, k, L, q)  # first: checks L >= 0 before L + 1 divides
+    e = random_family_exponent(n, k, L)
+    return {
+        "n": n,
+        "k": k,
+        "L": L,
+        "q": q,
+        "size_bound": size_bound,
+        "size_bound_no_spread": max_family_size_bound_no_spread(n, k, L, q),
+        "random_exponent": {"num": e.numerator, "den": e.denominator},
+        "random_sample_size": random_sample_size(n, k, L, q),
+        "rs_guaranteed_L": rs_guaranteed_L(n, k) if k in (1, 2) else None,
+    }
 
 
 def growth_diagnostic(fam: Family) -> Fraction:
@@ -155,90 +133,36 @@ def growth_diagnostic(fam: Family) -> Fraction:
 # -- Reed-Solomon based construction --------------------------------------
 
 
-@dataclass(frozen=True)
-class RSCodeSpec:
-    """The [n-k-1, n-2k, k]_q code whose codewords drive the RS builder.
-
-    The parity-check matrix has k-1 rows; row t (0-indexed) holds the
-    powers gamma^(col * t) for columns 0..n-k-2.  For k=1 the parity
-    check is empty and the code is all of GF(q)^{n-2}.
-    """
-
-    field: Field
-    n: int
-    k: int
-    parity_check: MatrixGF
-
-    @property
-    def length(self) -> int:
-        return self.n - self.k - 1
-
-    @property
-    def dimension(self) -> int:
-        return self.n - 2 * self.k
-
-
-def make_rs_code(field: Field, n: int, k: int) -> RSCodeSpec:
+def check_rs_parameters(n: int, k: int, q: int) -> None:
+    """check_parameters(n, k), and q >= nk as the RS builder needs."""
     check_parameters(n, k)
-    if field.q < n * k:
-        raise ValueError(f"q < nk (q={field.q}, n={n}, k={k})")
-    length = n - k - 1
-    rows = [[field.pow(field.gamma, c * t) for c in range(length)] for t in range(k - 1)]
-    H = MatrixGF.from_rows(field, rows) if rows else MatrixGF(field, 0, length, ())
-    return RSCodeSpec(field, n, k, H)
-
-
-def rs_codewords(spec: RSCodeSpec) -> list[tuple[int, ...]]:
-    """All q^{n-2k} codewords, as generator-matrix images of messages in
-    lexicographic message order.  The generator is the canonical kernel
-    basis of the parity check, so the order is reproducible.
-    """
-    G = kernel_basis(spec.parity_check)  # in RREF, so a canonical basis
-    assert G.rows == spec.dimension
-    return list(Subspace(spec.field, spec.length, G.rows, G).vectors())
-
-
-def twist_codeword(spec: RSCodeSpec, j: int, x) -> tuple[int, ...]:
-    """Twist a codeword entry-wise: position p (1-based) is scaled by
-    gamma^(p (j-1)).
-    """
-    if not 1 <= j <= spec.k:
-        raise ValueError(f"j must be in [1, {spec.k}], got {j}")
-    field = spec.field
-    x = tuple(int(v) for v in x)
-    g = field.gamma
-    return tuple(field.mul(field.pow(g, p * (j - 1)), v) for p, v in enumerate(x, start=1))
-
-
-def power_sum(spec: RSCodeSpec, j: int, x) -> int:
-    """Power sum of a codeword: sum_p x_p^((j-1) len(x) + p + 1)."""
-    if not 1 <= j <= spec.k:
-        raise ValueError(f"j must be in [1, {spec.k}], got {j}")
-    field = spec.field
-    x = tuple(int(v) for v in x)
-    width = len(x)
-    acc = 0
-    for p, v in enumerate(x, start=1):
-        acc = field.add(acc, field.pow(v, (j - 1) * width + p + 1))
-    return acc
+    if q < n * k:
+        raise ValueError(f"q < nk (q={q}, n={n}, k={k})")
 
 
 def build_rs_family(n: int, k: int, field: Field) -> Family:
-    """The explicit RS-based family: q^{n-2k} members, one per codeword c,
-    spanned for j = 1..k by (unit vector e_j | twist_codeword(j, c) |
-    power_sum(j, c)).
+    """The explicit RS-based family, always a partial spread; needs q >= nk.
 
-    Always a partial spread; requires q >= nk.
+    The codewords c are the kernel of the k-1 rows gamma^(t col), t < k-1,
+    over n-k-1 positions (all of GF(q)^(n-2k) for k = 1), taken in
+    lexicographic message order.  Each c gives one member, spanned for
+    j = 0..k-1 by (e_j | gamma^(p j) c_p | sum_p c_p^(j(n-k-1)+p+1)),
+    positions p from 1.  The leading unit vectors make these rows their
+    own canonical RREF with pivots 0..k-1, so members are built trusted.
     """
-    spec = make_rs_code(field, n, k)
+    check_rs_parameters(n, k, field.q)
+    f, g, length = field, field.gamma, n - k - 1
+    H = MatrixGF(f, k - 1, length, tuple(f.pow(g, col * t) for t in range(k - 1) for col in range(length)))
+    G = kernel_basis(H)  # in RREF, so the message order is reproducible
+    twists = [[f.pow(g, p * j) for p in range(1, length + 1)] for j in range(k)]
     members = []
-    for c in rs_codewords(spec):
-        gens = []
-        for j in range(1, k + 1):
-            e = [0] * k
-            e[j - 1] = 1
-            gens.append(tuple(e) + twist_codeword(spec, j, c) + (power_sum(spec, j, c),))
-        members.append(Subspace.from_generators(field, n, gens))
+    for c in Subspace(f, length, G.rows, G).vectors():
+        entries = []
+        for j in range(k):
+            entries += (int(i == j) for i in range(k))
+            entries += map(f.mul, twists[j], c)
+            entries.append(functools.reduce(f.add, (f.pow(v, j * length + p + 1) for p, v in enumerate(c, 1))))
+        members.append(Subspace._trusted(f, n, k, MatrixGF(f, k, n, tuple(entries)), tuple(range(k))))
     return Family(field, n, k, tuple(members))
 
 
@@ -261,11 +185,10 @@ def build_code_based_family(H: MatrixGF, k: int) -> Family:
     cols = [tuple(H.entry(r, c) for r in range(n)) for c in range(ncols)]
     members = []
     for g in range(groups):
-        gens = cols[g * k : (g + 1) * k]
-        M = MatrixGF.from_rows(field, gens)
-        if rank(M) != k:
+        R, rk, pivots = rref(MatrixGF.from_rows(field, cols[g * k : (g + 1) * k]))
+        if rk != k:
             raise ValueError(f"column group {g} is linearly dependent")
-        members.append(Subspace.from_generators(field, n, gens))
+        members.append(Subspace._trusted(field, n, k, R, pivots))
     return Family(field, n, k, tuple(members))
 
 

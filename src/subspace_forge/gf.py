@@ -290,9 +290,6 @@ class Field:
     def neg(self, a: int) -> int:
         return self.neg_table[a]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
 

@@ -35,10 +35,6 @@ class MatrixGF:
             raise ValueError("ragged rows")
         return cls(field, len(rows), ncols, tuple(x for r in rows for x in r))
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "MatrixGF":
-        return cls(field, n, n, tuple(1 if r == c else 0 for r in range(n) for c in range(n)))
-
     def entry(self, r: int, c: int) -> int:
         return self.entries[r * self.cols + c]
 
@@ -103,12 +99,6 @@ def rref(M: MatrixGF) -> tuple[MatrixGF, int, tuple[int, ...]]:
     rank, pivots = _rref_rows(M.field, rows, M.cols)
     R = MatrixGF(M.field, M.rows, M.cols, tuple(x for r in rows for x in r))
     return R, rank, pivots
-
-
-def rank(M: MatrixGF) -> int:
-    rows = [list(M.row(r)) for r in range(M.rows)]
-    r, _ = _rref_rows(M.field, rows, M.cols)
-    return r
 
 
 def kernel_basis(M: MatrixGF) -> MatrixGF:

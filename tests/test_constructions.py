@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -13,13 +14,10 @@ from subspace_forge.constructions import (
     build_code_based_family,
     build_random_family,
     build_rs_family,
-    twist_codeword,
+    check_rs_parameters,
     growth_diagnostic,
-    power_sum,
-    make_rs_code,
     random_family_exponent,
     random_sample_size,
-    rs_codewords,
     rs_guaranteed_L,
     vandermonde_matrix,
 )
@@ -74,12 +72,12 @@ def test_random_family_exponent_and_sample_size():
 
 
 def test_bounds_table_json():
-    obj = bounds_table(3, 1, 1, 2).to_json()
+    obj = bounds_table(3, 1, 1, 2)
     assert obj["size_bound"] == 4
     assert obj["size_bound_no_spread"] == 5
     assert obj["rs_guaranteed_L"] == 2
     assert obj["random_exponent"] == {"num": -1, "den": 1}
-    obj2 = bounds_table(7, 3, 5, 4).to_json()
+    obj2 = bounds_table(7, 3, 5, 4)
     assert obj2["rs_guaranteed_L"] is None
 
 
@@ -93,117 +91,107 @@ def test_growth_diagnostic(f5):
 
 
 # ---------------------------------------------------------------------------
-# RS code machinery
+# RS code and member rows
 # ---------------------------------------------------------------------------
 
 
-def test_make_rs_code_k1_empty_parity(f5):
-    spec = make_rs_code(f5, 3, 1)
-    assert spec.parity_check.rows == 0
-    assert spec.length == 1 and spec.dimension == 1
-    assert [w for w in rs_codewords(spec)] == [(c,) for c in range(5)]
+def rs_members(n, k, q):
+    field = field_from_order(q)
+    return field, build_rs_family(n, k, field).members
 
 
-def test_make_rs_code_k2_single_ones_row():
+def codewords(n, k, q):
+    """The codeword c of each RS member, in member order: row 0 holds
+    e_0 | c | power sum, as the j = 0 twist is the identity."""
+    return [S.basis.row(0)[k : n - 1] for S in rs_members(n, k, q)[1]]
+
+
+def test_rs_codewords_k1_are_all_messages():
+    assert codewords(3, 1, 5) == [(c,) for c in range(5)]
+    # lexicographic message order
+    assert codewords(4, 1, 5) == list(itertools.product(range(5), repeat=2))
+
+
+def test_rs_codewords_k2_are_a_minus_a():
+    # one parity row (1, 1): codewords (a, -a), message a in order
     f11 = field_from_order(11)
-    spec = make_rs_code(f11, 5, 2)
-    assert spec.parity_check.row_list() == [(1, 1)]
-    words = rs_codewords(spec)
-    assert len(words) == 11
-    # codewords are (a, -a)
-    assert all(f11.add(a, b) == 0 for a, b in words)
-    # generator-message order is lexicographic: first message 0 gives 0
-    assert words[0] == (0, 0)
-
-
-def test_make_rs_code_parity_rows_are_gamma_powers():
-    f23 = field_from_order(23)
-    spec = make_rs_code(f23, 7, 3)
-    g = f23.gamma
-    assert spec.parity_check.row_list() == [
-        (1, 1, 1),
-        (1, g, f23.mul(g, g)),
-    ]
+    assert codewords(5, 2, 11) == [(a, f11.neg(a)) for a in range(11)]
 
 
 def test_rs_codewords_satisfy_parity():
-    f13 = field_from_order(13)
-    spec = make_rs_code(f13, 6, 2)
-    words = rs_codewords(spec)
-    assert len(words) == 13**2
-    for w in words[:40]:
-        assert mat_vec(spec.parity_check, w) == (0,)
+    # the k-1 parity rows hold the powers gamma^(col t), t = 0..k-2
+    for n, k, q in [(6, 2, 13), (7, 3, 23)]:
+        field = field_from_order(q)
+        g = field.gamma
+        H = MatrixGF.from_rows(field, [[field.pow(g, c * t) for c in range(n - k - 1)] for t in range(k - 1)])
+        words = codewords(n, k, q)
+        assert len(set(words)) == len(words) == q ** (n - 2 * k)
+        for w in words:
+            assert mat_vec(H, w) == (0,) * (k - 1)
 
 
 def test_rs_code_min_weight_is_mds():
     # minimum Hamming weight equals the designed distance k
-    cases = [(3, 1, 5), (5, 2, 11), (6, 2, 13), (7, 3, 23)]
-    for n, k, q in cases:
-        spec = make_rs_code(field_from_order(q), n, k)
-        words = rs_codewords(spec)
+    for n, k, q in [(3, 1, 5), (5, 2, 11), (6, 2, 13), (7, 3, 23)]:
+        words = codewords(n, k, q)
         assert len(words) == q ** (n - 2 * k) <= 10**5
-        nonzero_weights = {sum(1 for x in w if x) for w in words if any(w)}
-        assert min(nonzero_weights) == k
+        assert min(sum(1 for x in w if x) for w in words if any(w)) == k
 
 
-def test_make_rs_code_rejects_small_q():
-    with pytest.raises(ValueError):
-        make_rs_code(make_field(2), 3, 1)  # q=2 < nk=3
-    with pytest.raises(ValueError):
-        make_rs_code(make_field(5), 5, 2)  # q=5 < 10
+def test_check_rs_parameters_rejects_small_q():
+    check_rs_parameters(3, 1, 3)
+    check_rs_parameters(5, 2, 11)
+    for n, k, q in [(3, 1, 2), (5, 2, 9)]:  # q < nk
+        with pytest.raises(ValueError, match="q < nk"):
+            check_rs_parameters(n, k, q)
+        with pytest.raises(ValueError, match="q < nk"):
+            build_rs_family(n, k, field_from_order(q))
 
 
 # ---------------------------------------------------------------------------
-# twist_codeword / power_sum
+# twisted codeword and power-sum columns
 # ---------------------------------------------------------------------------
 
 
 def test_twist_codeword_j1_identity():
-    f11 = field_from_order(11)
-    spec = make_rs_code(f11, 5, 2)
-    assert twist_codeword(spec, 1, (3, 7)) == (3, 7)
+    # row 0 of member a at (5,2,11): e_0 | (a, -a) | a^2 + (-a)^3
+    f11, members = rs_members(5, 2, 11)
+    for a, S in enumerate(members):
+        b = f11.neg(a)
+        assert S.basis.row(0) == (1, 0, a, b, (a**2 + b**3) % 11)
 
 
 def test_twist_codeword_j2_powers():
-    f11 = field_from_order(11)
-    spec = make_rs_code(f11, 5, 2)
+    # row 1 scales position p by gamma^p
+    f11, members = rs_members(5, 2, 11)
     g = f11.gamma
-    assert twist_codeword(spec, 2, (1, 1)) == (g, f11.mul(g, g))
+    for a, S in enumerate(members):
+        b = f11.neg(a)
+        assert S.basis.row(1)[:4] == (0, 1, f11.mul(g, a), f11.mul(f11.mul(g, g), b))
 
 
-def test_twist_codeword_zero_and_range():
-    f11 = field_from_order(11)
-    spec = make_rs_code(f11, 5, 2)
-    assert twist_codeword(spec, 2, (0, 0)) == (0, 0)
-    with pytest.raises(ValueError):
-        twist_codeword(spec, 0, (1, 1))
-    with pytest.raises(ValueError):
-        twist_codeword(spec, 3, (1, 1))
+def test_twist_codeword_zero():
+    _, members = rs_members(5, 2, 11)
+    assert members[0].basis.row_list() == [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)]
 
 
-def test_power_sum_k1_square(f5):
-    spec = make_rs_code(f5, 3, 1)
-    for c in range(5):
-        assert power_sum(spec, 1, (c,)) == pow(c, 2, 5)
+def test_power_sum_k1_square():
+    for c, S in enumerate(rs_members(3, 1, 5)[1]):
+        assert S.basis.row(0)[2] == pow(c, 2, 5)
 
 
 def test_power_sum_zero():
-    f11 = field_from_order(11)
-    spec = make_rs_code(f11, 5, 2)
-    assert power_sum(spec, 1, (0, 0)) == 0
-    assert power_sum(spec, 2, (0, 0)) == 0
+    _, members = rs_members(5, 2, 11)
+    assert [row[-1] for row in members[0].basis.row_list()] == [0, 0]
 
 
 def test_power_sum_k2_exponents():
-    # exponents for j=2, n=5, k=2 are 4 and 5
-    f11 = field_from_order(11)
-    spec = make_rs_code(f11, 5, 2)
-    for a in range(11):
-        for b in range(11):
-            assert power_sum(spec, 2, (a, b)) == (pow(a, 4, 11) + pow(b, 5, 11)) % 11
-            assert power_sum(spec, 1, (a, b)) == (pow(a, 2, 11) + pow(b, 3, 11)) % 11
-    with pytest.raises(ValueError):
-        power_sum(spec, 3, (1, 1))
+    # exponents are p + 1 in row 0 and (n-k-1) + p + 1 in row 1: 2, 3 and 4, 5
+    _, members = rs_members(5, 2, 11)
+    for S in members:
+        (_, _, a, b, s0), (_, _, _, _, s1) = S.basis.row_list()
+        assert s0 == (pow(a, 2, 11) + pow(b, 3, 11)) % 11
+        assert s1 == (pow(a, 4, 11) + pow(b, 5, 11)) % 11
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +219,16 @@ def test_build_rs_family_guarantee_k1(f5, f7):
         fam = build_rs_family(n, 1, field)
         L, _ = compute_L_aad(fam)
         assert L <= rs_guaranteed_L(n, 1)
+
+
+@pytest.mark.parametrize("n,k,q", [(3, 1, 5), (4, 1, 9), (5, 2, 11), (7, 3, 23)])
+def test_rs_members_equal_checked_construction(n, k, q):
+    # members are built trusted: each basis must already be canonical RREF
+    field, members = rs_members(n, k, q)
+    for S in members:
+        T = Subspace.from_generators(field, n, S.basis.row_list())
+        assert T == S and T.pivots == S.pivots == tuple(range(k))
+        assert Subspace(field, n, k, S.basis) == S
 
 
 def test_build_rs_family_rejects_small_q():
@@ -270,17 +268,29 @@ def test_code_based_repeated_column_fails(f5):
 
 def test_code_based_dependent_group_fails(f5):
     H = MatrixGF.from_rows(f5, [[1, 0], [0, 0], [0, 0]])
-    with pytest.raises(ValueError):  # second column is zero
+    with pytest.raises(ValueError, match="column group 1 is linearly dependent"):  # second column is zero
         build_code_based_family(H, 1)
 
 
 def test_code_based_k2_grouping(f2):
     # 6 columns of an identity-like matrix in GF(2)^6: three disjoint planes
-    H = MatrixGF.identity(f2, 6)
+    H = MatrixGF.from_rows(f2, [[int(r == c) for c in range(6)] for r in range(6)])
     fam = build_code_based_family(H, 2)
     assert len(fam) == 3
     assert fam.k == 2
     assert check_partial_spread(fam)[0]
+
+
+def test_code_based_members_equal_checked_construction(f7):
+    # members are built trusted from one rref of each column group
+    H = vandermonde_matrix(f7, 5)
+    fam = build_code_based_family(H, 2)
+    assert len(fam) == 3
+    for g, S in enumerate(fam.members):
+        gens = [[H.entry(r, c) for r in range(5)] for c in (2 * g, 2 * g + 1)]
+        T = Subspace.from_generators(f7, 5, gens)
+        assert T == S and T.pivots == S.pivots
+        assert Subspace(f7, 5, 2, S.basis) == S
 
 
 # ---------------------------------------------------------------------------

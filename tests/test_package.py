@@ -9,6 +9,52 @@ def test_every_exported_name_exists():
     assert not missing
 
 
+PUBLIC_API = [
+    "BatchCode",
+    "Family",
+    "Field",
+    "MatrixGF",
+    "NotAPartialSpread",
+    "RecoveryPlan",
+    "SearchResult",
+    "SizeGuardError",
+    "Subspace",
+    "VerificationReport",
+    "batch_s",
+    "bounds_table",
+    "build_code_based_family",
+    "build_random_family",
+    "build_report",
+    "build_rs_family",
+    "check_partial_spread",
+    "check_relations",
+    "compute_L_aad",
+    "compute_L_as",
+    "coset_hits",
+    "coset_hits_bruteforce",
+    "enumerate_subspaces",
+    "exhaustive_max_family",
+    "field_from_order",
+    "gaussian_binomial",
+    "greedy_max_family",
+    "growth_diagnostic",
+    "kernel_basis",
+    "make_field",
+    "max_family_size_bound",
+    "max_family_size_bound_no_spread",
+    "rank_of_stack",
+    "rref",
+    "rs_guaranteed_L",
+    "verify_batch",
+]
+
+
+def test_public_api_is_pinned():
+    # a change to the public names must show in this list's diff
+    assert sorted(subspace_forge.__all__) == PUBLIC_API
+    assert len(set(subspace_forge.__all__)) == len(subspace_forge.__all__)
+
+
 def test_only_gf_constructs_size_guard_errors():
     # every guard refuses through gf.check_guard or gf.check_order_guard,
     # so each message states the work it refused and the limit one way
