@@ -118,6 +118,19 @@ def test_rs_codewords_k2_are_a_minus_a():
     assert codewords(5, 2, 11) == [(a, f11.neg(a)) for a in range(11)]
 
 
+def test_make_rs_code_parity_rows_are_gamma_powers():
+    # at (7,3,23) the RS code is the full null space of the rows
+    # (1, 1, 1) and (1, g, g^2): every codeword meets both, and there
+    # are q^(n-2k) distinct codewords, the size of that null space
+    f23 = field_from_order(23)
+    g = f23.gamma
+    H = MatrixGF.from_rows(f23, [(1, 1, 1), (1, g, f23.mul(g, g))])
+    words = codewords(7, 3, 23)
+    assert len(set(words)) == len(words) == 23
+    for w in words:
+        assert mat_vec(H, w) == (0, 0)
+
+
 def test_rs_codewords_satisfy_parity():
     # the k-1 parity rows hold the powers gamma^(col t), t = 0..k-2
     for n, k, q in [(6, 2, 13), (7, 3, 23)]:
