@@ -18,10 +18,14 @@ any other exits 2 (abbreviations are refused):
                         greedy mode [--seed 0]
   batch                 --family [--s] [--mode exhaustive] [--layout];
                         sampled mode also reads [--trials 1000] [--seed 0]
-Every command takes --out and --pretty.  Each subparser sets `run` to
-its handler, which takes (args, field_guard, enum_guard) and returns the
-result with the manifest's command and seed; main sets the chosen mode's
-options from MODE_OPTIONS and maps errors to exit codes in one place.
+Every command takes --out and --pretty.  An --out that is a directory,
+or whose directory is missing or not writable, exits 2 before the
+command runs, as does a write that fails after it.  Each subparser sets
+`run` to its handler, which takes (args, field_guard, enum_guard) and
+returns the result with the manifest's command and seed.  main builds
+the subparser of the command that argv starts with, or all of them if
+argv starts with anything else; it sets the chosen mode's options from
+MODE_OPTIONS and maps errors to exit codes in one place.
 
 Exit codes: 0 report produced, 2 parameter violation, 3 malformed
 input, 4 computation aborted by a size guard.  SUBSPACE_FORGE_GUARD (an
@@ -138,10 +142,28 @@ def _emit(result: dict, command: str, params: dict, seed, out, pretty: bool, t0:
     }
     text = json.dumps(envelope, indent=2, sort_keys=True) if pretty else canonical_json(envelope)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text + "\n")
+
+
+def _check_out(out: str) -> None:
+    """Refuse, before any work, an --out path that is a directory or whose
+    directory is missing or not writable."""
+    parent = os.path.dirname(out) or "."
+    if os.path.isdir(out):
+        reason = "it is a directory"
+    elif not os.path.isdir(parent):
+        reason = f"no directory {parent}"
+    elif not os.access(parent, os.W_OK):
+        reason = f"directory {parent} is not writable"
+    else:
+        return
+    raise ValueError(f"cannot write --out {out}: {reason}")
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -176,20 +198,11 @@ def _apply_mode_options(args) -> None:
                 raise ValueError(f"--{dest.replace('_', '-')} applies only to {mode} {args.command}, not {args.mode}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="subspace-forge",
-        description="Construct, verify, bound and search AAD/AS subspace families.",
-        allow_abbrev=False,
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    unset = argparse.SUPPRESS
-
+def _add_construct(sub) -> None:
     kinds = sub.add_parser("construct", help="build a family and emit its JSON").add_subparsers(
         dest="kind", required=True
     )
-    nkq, nklq = ("n", "k", "q"), ("n", "k", "L", "q")
+    nkq = ("n", "k", "q")
     _add_command(kinds, "rs", _cmd_rs, "the Reed-Solomon based family", nkq)
     pr = _add_command(kinds, "random", _cmd_random, "a seeded random AS family", nkq)
     pr.add_argument("--L", type=int, required=True, help="AS target")
@@ -202,6 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--vandermonde-rows", type=int, help="build the parity check as the rows x q Vandermonde over GF(q)"
     )
 
+
+def _add_verify(sub) -> None:
     pv = _add_command(sub, "verify", _cmd_verify, "verify a family file and emit the report")
     pv.add_argument("--family", required=True, help="family JSON file")
     pv.add_argument(
@@ -210,14 +225,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of spread,aad,as,bound,relations",
     )
 
-    _add_command(sub, "bounds", _cmd_bounds, "closed-form bounds for (n, k, L, q)", nklq)
 
+def _add_bounds(sub) -> None:
+    _add_command(sub, "bounds", _cmd_bounds, "closed-form bounds for (n, k, L, q)", ("n", "k", "L", "q"))
+
+
+def _add_search(sub) -> None:
+    unset = argparse.SUPPRESS
+    nklq = ("n", "k", "L", "q")
     ps = _add_command(sub, "search", _cmd_search, "search for a maximal family at tiny parameters", nklq)
     ps.add_argument("--mode", choices=["exhaustive", "greedy"], default="exhaustive")
     ps.add_argument("--seed", type=int, default=unset, help="greedy mode only (default 0)")
     ps.add_argument("--node-budget", type=int, default=unset, help="exhaustive mode only")
     ps.add_argument("--no-symmetry-break", action="store_true", default=unset, help="exhaustive mode only")
 
+
+def _add_batch(sub) -> None:
+    unset = argparse.SUPPRESS
     pba = _add_command(sub, "batch", _cmd_batch, "build a batch code from a family and verify it")
     pba.add_argument("--family", required=True, help="family JSON file")
     pba.add_argument("--s", type=int, default=None, help="request count (default floor(|F|/L_aad))")
@@ -226,6 +250,39 @@ def build_parser() -> argparse.ArgumentParser:
     pba.add_argument("--seed", type=int, default=unset, help="sampled mode only (default 0)")
     pba.add_argument("--layout", action="store_true", help="include the parity position layout")
 
+
+# Each command's subparser builder, in the order that --help lists them.
+COMMANDS = {
+    "construct": _add_construct,
+    "verify": _add_verify,
+    "bounds": _add_bounds,
+    "search": _add_search,
+    "batch": _add_batch,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  When `command` names a command, only that
+    command's subparser is built, since a run parses no other; otherwise
+    (None, an option or an unknown word) every command's is, so help,
+    usage and choice errors list them all.  Either way the usage line
+    that an error prints names every command."""
+    parser = argparse.ArgumentParser(
+        prog="subspace-forge",
+        description="Construct, verify, bound and search AAD/AS subspace families.",
+        allow_abbrev=False,
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    if command in COMMANDS:
+        # the metavar keeps all five commands in the usage line; argparse
+        # would also name it in place of `command` in the missing and
+        # invalid choice errors, which a valid command never raises
+        sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}")
+        COMMANDS[command](sub)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for add in COMMANDS.values():
+            add(sub)
     return parser
 
 
@@ -345,11 +402,20 @@ def _cmd_batch(args, field_guard: int, enum_guard: int):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     t0 = time.time()
     try:
         _apply_mode_options(args)
+        if args.out:
+            _check_out(args.out)
         result, command, seed = args.run(args, *_guards())
+        params = {
+            k: v
+            for k, v in vars(args).items()
+            if k not in {"command", "run", "out", "pretty"} and v is not None
+        }
+        _emit(result, command, params, seed, args.out, args.pretty, t0)
     except (InputParseError, SizeGuardError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, InputParseError):
@@ -357,13 +423,6 @@ def main(argv=None) -> int:
         if isinstance(exc, SizeGuardError):
             return EXIT_GUARD
         return EXIT_PARAMS
-
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in {"command", "run", "out", "pretty"} and v is not None
-    }
-    _emit(result, command, params, seed, args.out, args.pretty, t0)
     return EXIT_OK
 
 

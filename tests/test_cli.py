@@ -963,6 +963,58 @@ def test_pretty_and_out_file(capsys, tmp_path):
     assert json.loads(text)["result"]["size_bound"] == 7
 
 
+BOUNDS_ARGV = ("bounds", "--n", "5", "--k", "1", "--L", "2", "--q", "3")
+
+
+@pytest.mark.parametrize(
+    "target, reason",
+    [
+        ("missing/x.json", "no directory {tmp}/missing"),
+        ("file.txt/x.json", "no directory {tmp}/file.txt"),
+        ("", "it is a directory"),
+        ("locked/x.json", "directory {tmp}/locked is not writable"),
+    ],
+)
+def test_unwritable_out_exits_2_before_the_command_runs(capsys, monkeypatch, tmp_path, target, reason):
+    (tmp_path / "file.txt").write_text("")
+    (tmp_path / "locked").mkdir()
+    real_access = os.access
+    # os.access would grant root any directory, whatever its mode
+    monkeypatch.setattr(os, "access", lambda p, mode: not str(p).endswith("locked") and real_access(p, mode))
+    monkeypatch.setattr("subspace_forge.cli.bounds_table", lambda *a: pytest.fail("the command ran"))
+    out = os.path.join(tmp_path, target)
+    code, stdout, err = run_cli(capsys, *BOUNDS_ARGV, "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: cannot write --out {out}: {reason.format(tmp=tmp_path)}\n"
+
+
+def test_unwritable_out_refuses_a_long_search_promptly(capsys, tmp_path):
+    # the search alone runs for seconds
+    t0 = time.perf_counter()
+    code, _, err = run_cli(capsys, "search", "--n", "4", "--k", "1", "--L", "2", "--q", "5",
+                           "--out", str(tmp_path / "nonexistent" / "x.json"))
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2 and err.startswith("error: cannot write --out ")
+
+
+def test_out_write_failure_exits_2(capsys, monkeypatch, tmp_path):
+    from subspace_forge import cli
+
+    directory = tmp_path / "gone"
+    directory.mkdir()
+    real_bounds_table = cli.bounds_table
+
+    def bounds_table_then_remove_directory(*args):
+        directory.rmdir()
+        return real_bounds_table(*args)
+
+    monkeypatch.setattr(cli, "bounds_table", bounds_table_then_remove_directory)
+    out = str(directory / "x.json")
+    code, stdout, err = run_cli(capsys, *BOUNDS_ARGV, "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: cannot write --out {out}: No such file or directory\n"
+
+
 def test_threads_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--n", "3", "--k", "1", "--L", "1", "--q", "2", "--threads", "4"])

@@ -3,11 +3,13 @@ with a message, and a report records only the options its run read.
 
 Argv is drawn for every command, construct kind and mode, with options
 taken from the pool of all commands, so that options foreign to the
-command appear.  Family and matrix files are FOUR_LINES and its
-parity-check matrix with a few values spoiled.  Sizes stay small (n <= 6,
-q <= 5, exhaustive node budgets <= 2000) and the enumeration guard low
-(500, which also bounds an exhaustive search given no budget), so each
-call is quick; each still runs under a 5 s alarm.
+command appear; fixed examples add help, version, an option before the
+command word and an --out in a missing directory.  Family and matrix
+files are FOUR_LINES and its parity-check matrix with a few values
+spoiled.  Sizes stay small (n <= 6, q <= 5, exhaustive node budgets
+<= 2000) and the enumeration guard low (500, which also bounds an
+exhaustive search given no budget), so each call is quick; each still
+runs under a 5 s alarm.
 """
 
 import contextlib
@@ -161,6 +163,12 @@ def low_guard():
 @example(case=(["batch", "--family", "@family", "--trials", "0", "--seed", "9"], FOUR_LINES, FOUR_LINES_H))
 @example(case=(["search", "--mode", "greedy", "--n", "3", "--k", "1", "--L", "1", "--q", "3", "--s", "2"],
                FOUR_LINES, FOUR_LINES_H))
+# main builds every subparser for these, and only the command's otherwise
+@example(case=(["-h"], FOUR_LINES, FOUR_LINES_H))
+@example(case=(["--version"], FOUR_LINES, FOUR_LINES_H))
+@example(case=(["--n", "3", "bounds", "--k", "1", "--L", "1", "--q", "2"], FOUR_LINES, FOUR_LINES_H))
+@example(case=(["bounds", "--n", "3", "--k", "1", "--L", "1", "--q", "2", "--out", "@missing/out"],
+               FOUR_LINES, FOUR_LINES_H))
 def test_cli_exits_0_2_3_or_4_and_records_what_it_read(workdir, case):
     argv, family, matrix = case
     (workdir / "family.json").write_text(json.dumps(family))
@@ -170,6 +178,9 @@ def test_cli_exits_0_2_3_or_4_and_records_what_it_read(workdir, case):
     assert code in (0, 2, 3, 4), (code, err)
     if code:
         assert out == "" and err.strip()
+        return
+    if argv[0] in ("-h", "--version"):
+        assert out.startswith(("usage: subspace-forge ", "subspace-forge ")) and err == ""
         return
     envelope = json.loads(out)
     manifest, result = envelope["manifest"], envelope["result"]

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -370,6 +371,25 @@ def test_random_family_pruning_matches_full_as_enumeration(n, L, q, M, monkeypat
 
     monkeypatch.setattr(constructions, "compute_L_as", full_as)
     assert build_random_family(n, 1, L, field, seed=7) == fast
+
+
+def test_random_k1_spread_pass_matches_the_pairwise_scan(f3):
+    # for k = 1 the spread pass keeps the first copy of each sampled line;
+    # it must keep what the pairwise rank scan keeps.  (6,1,30,3) draws 56
+    # of the 364 lines, so some seeds draw a line twice.
+    from subspace_forge.constructions import _random_subspace
+
+    deletions = []
+    for seed in range(1, 11):
+        res = build_random_family(6, 1, 30, f3, seed, max_rounds=0)
+        rng = random.Random(seed)
+        kept = []
+        for S in (_random_subspace(f3, 6, 1, rng) for _ in range(res.sampled)):
+            if all(S.trivially_intersects(T) for T in kept):
+                kept.append(S)
+        assert res.family.members == tuple(kept)
+        deletions.append(res.spread_deletions)
+    assert deletions == [2, 7, 4, 4, 6, 2, 4, 2, 3, 3]
 
 
 def test_random_family_over_guard_refuses_before_sampling(f3, monkeypatch):
