@@ -19,8 +19,9 @@ any other exits 2 (abbreviations are refused):
   batch                 --family [--s] [--mode exhaustive] [--layout];
                         sampled mode also reads [--trials 1000] [--seed 0]
 Every command takes --out and --pretty.  An --out that is a directory,
-or whose directory is missing or not writable, exits 2 before the
-command runs, as does a write that fails after it.  Each subparser sets
+an existing file that is not writable, or a new file whose directory is
+missing or not writable, exits 2 before the command runs, as does a
+write that fails after it.  Each subparser sets
 `run` to its handler, which takes (args, field_guard, enum_guard) and
 returns the result with the manifest's command and seed.  main builds
 the subparser of the command that argv starts with, or all of them if
@@ -152,11 +153,17 @@ def _emit(result: dict, command: str, params: dict, seed, out, pretty: bool, t0:
 
 
 def _check_out(out: str) -> None:
-    """Refuse, before any work, an --out path that is a directory or whose
-    directory is missing or not writable."""
+    """Refuse, before any work, an --out path that is a directory, an
+    existing file that is not writable, or a new file whose directory is
+    missing or not writable."""
     parent = os.path.dirname(out) or "."
     if os.path.isdir(out):
         reason = "it is a directory"
+    elif os.path.exists(out):
+        # writing an existing file (/dev/null, say) needs no right on its directory
+        if os.access(out, os.W_OK):
+            return
+        reason = "it is not writable"
     elif not os.path.isdir(parent):
         reason = f"no directory {parent}"
     elif not os.access(parent, os.W_OK):

@@ -264,15 +264,10 @@ def build_random_family(
     rng = random.Random(seed)
     sampled = [_random_subspace(field, n, k, rng) for _ in range(M)]
 
-    if k == 1:
-        # distinct lines never meet: keep each line once, where it first
-        # appears (its copies are equal subspaces)
-        kept = list({S.key(): S for S in sampled}.values())
-    else:
-        kept = []
-        for S in sampled:
-            if all(S.trivially_intersects(T) for T in kept):
-                kept.append(S)
+    kept: list[Subspace] = []
+    for S in sampled:
+        if all(S.trivially_intersects(T) for T in kept):
+            kept.append(S)
     spread_deletions = M - len(kept)
 
     if max_rounds is None:

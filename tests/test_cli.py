@@ -978,14 +978,43 @@ BOUNDS_ARGV = ("bounds", "--n", "5", "--k", "1", "--L", "2", "--q", "3")
 def test_unwritable_out_exits_2_before_the_command_runs(capsys, monkeypatch, tmp_path, target, reason):
     (tmp_path / "file.txt").write_text("")
     (tmp_path / "locked").mkdir()
-    real_access = os.access
-    # os.access would grant root any directory, whatever its mode
-    monkeypatch.setattr(os, "access", lambda p, mode: not str(p).endswith("locked") and real_access(p, mode))
+    _lock(monkeypatch, "locked")
     monkeypatch.setattr("subspace_forge.cli.bounds_table", lambda *a: pytest.fail("the command ran"))
     out = os.path.join(tmp_path, target)
     code, stdout, err = run_cli(capsys, *BOUNDS_ARGV, "--out", out)
     assert (code, stdout) == (2, "")
     assert err == f"error: cannot write --out {out}: {reason.format(tmp=tmp_path)}\n"
+
+
+def _lock(monkeypatch, *names):
+    real_access = os.access
+    # os.access would grant root any path, whatever its mode
+    monkeypatch.setattr(os, "access", lambda p, mode: not str(p).endswith(names) and real_access(p, mode))
+
+
+def test_existing_writable_out_needs_no_writable_directory(capsys, monkeypatch, tmp_path):
+    (tmp_path / "locked").mkdir()
+    out = tmp_path / "locked" / "x.json"
+    out.write_text("old")
+    _lock(monkeypatch, "locked")
+    code, stdout, err = run_cli(capsys, *BOUNDS_ARGV, "--out", str(out))
+    assert (code, stdout, err) == (0, "", "")
+    assert json.loads(out.read_text())["result"]["size_bound"] == 81
+
+
+def test_existing_unwritable_out_exits_2(capsys, monkeypatch, tmp_path):
+    out = tmp_path / "x.json"
+    out.write_text("old")
+    _lock(monkeypatch, "x.json")
+    monkeypatch.setattr("subspace_forge.cli.bounds_table", lambda *a: pytest.fail("the command ran"))
+    code, stdout, err = run_cli(capsys, *BOUNDS_ARGV, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: cannot write --out {out}: it is not writable\n"
+    assert out.read_text() == "old"
+
+
+def test_out_to_dev_null(capsys):
+    assert run_cli(capsys, *BOUNDS_ARGV, "--out", os.devnull) == (0, "", "")
 
 
 def test_unwritable_out_refuses_a_long_search_promptly(capsys, tmp_path):

@@ -374,9 +374,9 @@ def test_random_family_pruning_matches_full_as_enumeration(n, L, q, M, monkeypat
 
 
 def test_random_k1_spread_pass_matches_the_pairwise_scan(f3):
-    # for k = 1 the spread pass keeps the first copy of each sampled line;
-    # it must keep what the pairwise rank scan keeps.  (6,1,30,3) draws 56
-    # of the 364 lines, so some seeds draw a line twice.
+    # the spread pass keeps what a pairwise rank scan of the same draws
+    # keeps.  (6,1,30,3) draws 56 of the 364 lines, so some seeds draw a
+    # line twice; the pinned deletions are those repeats.
     from subspace_forge.constructions import _random_subspace
 
     deletions = []
