@@ -10,7 +10,8 @@ Each command, construct kind and mode accepts only the options it reads;
 any other exits 2 (abbreviations are refused):
   construct rs          --n --k --q
   construct random      --n --k --q --L [--seed 0] [--max-rounds]
-  construct code-based  --n --k --q and one of --matrix, --vandermonde-rows
+  construct code-based  --n --k --q [--matrix]; with no --matrix the
+                        parity check is the n x q Vandermonde over GF(q)
   verify                --family [--properties]
   bounds                --n --k --L --q
   search                --n --k --L --q [--mode exhaustive]; exhaustive
@@ -21,12 +22,12 @@ any other exits 2 (abbreviations are refused):
 Every command takes --out and --pretty.  An --out that is a directory,
 an existing file that is not writable, or a new file whose directory is
 missing or not writable, exits 2 before the command runs, as does a
-write that fails after it.  Each subparser sets
-`run` to its handler, which takes (args, field_guard, enum_guard) and
-returns the result with the manifest's command and seed.  main builds
-the subparser of the command that argv starts with, or all of them if
-argv starts with anything else; it sets the chosen mode's options from
-MODE_OPTIONS and maps errors to exit codes in one place.
+write that fails after it.  Each subparser sets `run` to its handler,
+which takes (args, field_guard, enum_guard) and returns the result.
+main builds the subparser of the command that argv starts with, or all
+of them if argv starts with anything else; it sets the chosen mode's
+options from MODE_OPTIONS, names the manifest's command and seed from
+the parsed options, and maps errors to exit codes in one place.
 
 Exit codes: 0 report produced, 2 parameter violation, 3 malformed
 input, 4 computation aborted by a size guard.  SUBSPACE_FORGE_GUARD (an
@@ -36,10 +37,10 @@ field is built.  The enumeration guard bounds AS verification's
 (k+1)-subspaces, a batch code's coset table entries, batch's request
 multisets and recovery-search candidate tests per multiset, the
 k-subspace candidates of both searches, exhaustive search's nodes when
-no --node-budget is given, and construct rs's members; each refuses
-through gf.check_guard, which names a count of 100 or more digits as
-about 10^N.  Exhaustive search stops at its node budget with proven:
-false rather than refusing.
+no --node-budget is given, construct rs's members and construct
+code-based's Vandermonde entries; each refuses through gf.check_guard,
+which names a count of 100 or more digits as about 10^N.  Exhaustive
+search stops at its node budget with proven: false rather than refusing.
 """
 
 from __future__ import annotations
@@ -216,11 +217,7 @@ def _add_construct(sub) -> None:
     pr.add_argument("--seed", type=int, default=0, help="64-bit seed")
     pr.add_argument("--max-rounds", type=int, help="AS pruning round cap (default: the sample size)")
     pcb = _add_command(kinds, "code-based", _cmd_code_based, "the column groups of a parity-check matrix", nkq)
-    source = pcb.add_mutually_exclusive_group(required=True)
-    source.add_argument("--matrix", help="parity-check MatrixGF JSON file")
-    source.add_argument(
-        "--vandermonde-rows", type=int, help="build the parity check as the rows x q Vandermonde over GF(q)"
-    )
+    pcb.add_argument("--matrix", help="parity-check MatrixGF JSON file (default: the n x q Vandermonde over GF(q))")
 
 
 def _add_verify(sub) -> None:
@@ -301,7 +298,7 @@ def _cmd_rs(args, field_guard: int, enum_guard: int):
     field = field_from_order(args.q, field_guard)
     check_rs_parameters(args.n, args.k, field.q)  # parameter errors exit 2 before the guard
     check_guard("construct rs", field.q ** (args.n - 2 * args.k), "members", enum_guard)
-    return _construct_result(build_rs_family(args.n, args.k, field)), "construct rs", None
+    return _construct_result(build_rs_family(args.n, args.k, field))
 
 
 def _cmd_random(args, field_guard: int, enum_guard: int):
@@ -310,37 +307,36 @@ def _cmd_random(args, field_guard: int, enum_guard: int):
     res = build_random_family(
         args.n, args.k, args.L, field, args.seed, max_rounds=args.max_rounds, as_enum_guard=enum_guard
     )
-    return res.to_json(), "construct random", args.seed
+    return res.to_json()
 
 
 def _cmd_code_based(args, field_guard: int, enum_guard: int):
     field = field_from_order(args.q, field_guard)
-    H = None  # from --vandermonde-rows, built once its rows are checked
-    if args.matrix is not None:
+    if args.matrix is None:
+        check_parameters(args.n, args.k)  # parameter errors exit 2 before the guard
+        check_guard("construct code-based", args.n * field.q, "parity-check entries", enum_guard)
+        H = vandermonde_matrix(field, args.n)
+    else:
         obj = _load_json_file(args.matrix)
         try:
             H = MatrixGF.from_json(field, obj)
         except (KeyError, TypeError) as exc:
             raise InputParseError(f"malformed matrix in {args.matrix}: {exc}") from exc
-    # the family lives in GF(q)^rows, so --n must name that space
-    rows = args.vandermonde_rows if H is None else H.rows
-    if rows != args.n:
-        raise ValueError(f"--n {args.n} differs from the parity-check matrix's {rows} rows")
-    if H is None:
-        H = vandermonde_matrix(field, rows)
-    return _construct_result(build_code_based_family(H, args.k)), "construct code-based", None
+        # the family lives in GF(q)^rows, so --n must name that space
+        if H.rows != args.n:
+            raise ValueError(f"--n {args.n} differs from the parity-check matrix's {H.rows} rows")
+    return _construct_result(build_code_based_family(H, args.k))
 
 
 def _cmd_verify(args, field_guard: int, enum_guard: int):
     fam = _load_family(args.family, field_guard)
     props = [p.strip() for p in args.properties.split(",") if p.strip()]
     report = build_report(fam, props, as_enum_guard=enum_guard)
-    result = {
+    return {
         "family_size": len(fam),
         "growth_log_q": float(growth_diagnostic(fam)),
         "report": report.to_json(),
     }
-    return result, "verify", None
 
 
 def _check_powers(n: int, k: int, L: int, q: int) -> None:
@@ -359,7 +355,7 @@ def _check_powers(n: int, k: int, L: int, q: int) -> None:
 def _cmd_bounds(args, field_guard: int, enum_guard: int):
     factor_order(args.q, field_guard)  # exits 2 on a q that is no prime power; builds no GF(q)
     _check_powers(args.n, args.k, args.L, args.q)
-    return bounds_table(args.n, args.k, args.L, args.q), "bounds", None
+    return bounds_table(args.n, args.k, args.L, args.q)
 
 
 def _cmd_search(args, field_guard: int, enum_guard: int):
@@ -370,9 +366,9 @@ def _cmd_search(args, field_guard: int, enum_guard: int):
     if args.mode == "exhaustive":
         budget = enum_guard if args.node_budget is None else args.node_budget
         res = exhaustive_max_family(field, args.n, args.k, args.L, budget, symmetry_break=not args.no_symmetry_break)
-        return res.to_json(), "search", None
+        return res.to_json()
     fam = greedy_max_family(field, args.n, args.k, args.L, args.seed)
-    return {"mode": "greedy", "size": len(fam), "family": fam.to_json()}, "search", args.seed
+    return {"mode": "greedy", "size": len(fam), "family": fam.to_json()}
 
 
 def _cmd_batch(args, field_guard: int, enum_guard: int):
@@ -405,7 +401,7 @@ def _cmd_batch(args, field_guard: int, enum_guard: int):
     }
     if args.layout:
         result["layout"] = code.layout_json()
-    return result, "batch", args.seed if args.mode == "sampled" else None
+    return result
 
 
 def main(argv=None) -> int:
@@ -416,13 +412,14 @@ def main(argv=None) -> int:
         _apply_mode_options(args)
         if args.out:
             _check_out(args.out)
-        result, command, seed = args.run(args, *_guards())
+        result = args.run(args, *_guards())
         params = {
             k: v
             for k, v in vars(args).items()
             if k not in {"command", "run", "out", "pretty"} and v is not None
         }
-        _emit(result, command, params, seed, args.out, args.pretty, t0)
+        command = f"construct {args.kind}" if args.command == "construct" else args.command
+        _emit(result, command, params, params.get("seed"), args.out, args.pretty, t0)
     except (InputParseError, SizeGuardError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, InputParseError):

@@ -50,7 +50,7 @@ from itertools import repeat
 
 from .gf import Field, _json_int
 from .matgf import _rref_rows
-from .subspace import Subspace, all_vectors, checked_gaussian_binomial, enumerate_subspaces
+from .subspace import Subspace, checked_gaussian_binomial, enumerate_subspaces, span_step
 
 # compute_L_as enumerates every (k+1)-subspace; refuse above this count
 # unless the caller overrides the guard.
@@ -184,9 +184,14 @@ def coset_hits_bruteforce(fam: Family, i: int, u) -> int:
 
 
 def _lex_smallest_outside(S: Subspace) -> tuple[int, ...]:
-    for v in all_vectors(S.field, S.n):
-        if not S.contains(v):
-            return tuple(v)
+    """The lexicographically first vector of GF(q)^n outside S: the unit
+    vector e_c for the largest c with e_c not in S.  Every vector before
+    e_c in lex order lies in span(e_{c+1}, ..., e_{n-1}), which S
+    contains."""
+    for c in range(S.n - 1, -1, -1):
+        e = tuple(int(i == c) for i in range(S.n))
+        if not S.contains(e):
+            return e
     raise AssertionError("subspace covers the whole space")
 
 
@@ -201,12 +206,7 @@ def _leading_one_combinations(rows, add, mul):
     for p in range(len(rows) - 1, -1, -1):
         layer = [rows[p]]
         for r in rows[p + 1 :]:
-            # e + c*r for c = 0, 1, ..., q-1, one coordinate column at a time
-            layer = [
-                v
-                for e in layer
-                for v in zip(*[map(add[a].__getitem__, mul[b]) for a, b in zip(e, r)])
-            ]
+            layer = span_step(layer, r, add, mul)
         yield from layer
 
 

@@ -26,6 +26,7 @@ factor_order and field_from_order bounds q^2, not q.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 DEFAULT_SIZE_GUARD = 1 << 20
@@ -60,18 +61,7 @@ def _json_int(x) -> int:
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return p >= 2 and _prime_factors(p) == [p]
 
 
 def _poly_divides(div: tuple[int, ...], poly: tuple[int, ...], p: int) -> bool:
@@ -103,14 +93,8 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
         return False
     for d in range(1, deg // 2 + 1):
         # monic candidates of degree d: coefficients c_0..c_{d-1} free
-        for packed in range(p**d):
-            cand = []
-            t = packed
-            for _ in range(d):
-                cand.append(t % p)
-                t //= p
-            cand.append(1)
-            if _poly_divides(tuple(cand), poly, p):
+        for low in itertools.product(range(p), repeat=d):
+            if _poly_divides(low + (1,), poly, p):
                 return False
     return True
 
@@ -120,21 +104,8 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
 
     Coefficient tuples (a_0, ..., a_{m-1}, 1) are compared low-degree-first.
     """
-    if m == 1:
-        return (0, 1)  # the polynomial x
-    digits = [0] * m
-    while True:
-        poly = tuple(digits) + (1,)
-        if _is_irreducible(poly, p):
-            return poly
-        # lexicographic successor: last coefficient varies fastest
-        for i in range(m - 1, -1, -1):
-            digits[i] += 1
-            if digits[i] < p:
-                break
-            digits[i] = 0
-        else:
-            raise AssertionError("no irreducible polynomial found")
+    # itertools.product varies the last coefficient fastest
+    return next(low + (1,) for low in itertools.product(range(p), repeat=m) if _is_irreducible(low + (1,), p))
 
 
 def _power(a: int, e: int, mul) -> int:

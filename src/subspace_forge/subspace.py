@@ -46,6 +46,12 @@ def checked_gaussian_binomial(work: str, n: int, k: int, q: int, guard: int | No
     return count
 
 
+def span_step(layer, row, add, mul) -> list[tuple[int, ...]]:
+    """e + c*row for each e in layer and then c = 0, 1, ..., q-1, built one
+    coordinate column at a time from the rows of the add and mul tables."""
+    return [v for e in layer for v in zip(*[map(add[a].__getitem__, mul[b]) for a, b in zip(e, row)])]
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A k-dimensional subspace of GF(q)^n in canonical RREF basis form."""
@@ -139,16 +145,14 @@ class Subspace:
             raise ValueError("ambient space mismatch")
         return Subspace.from_generators(self.field, self.n, self.basis.row_list() + other.basis.row_list())
 
-    def vectors(self):
-        """All q^k vectors of the subspace (coefficient order lexicographic)."""
+    def vectors(self) -> list[tuple[int, ...]]:
+        """All q^k vectors sum(c_t * row_t) of the subspace, in
+        itertools.product order of the coefficient vectors c."""
         f = self.field
-        rows = self.basis.row_list()
-        for coeffs in itertools.product(f.elements(), repeat=self.k):
-            v = [0] * self.n
-            for c, row in zip(coeffs, rows):
-                if c:
-                    v = [f.add(x, f.mul(c, b)) for x, b in zip(v, row)]
-            yield tuple(v)
+        layer = [(0,) * self.n]
+        for row in self.basis.row_list():
+            layer = span_step(layer, row, f.add_table, f.mul_table)
+        return layer
 
     def key(self) -> tuple[int, ...]:
         """Hashable identity of the subspace (its RREF basis entries)."""

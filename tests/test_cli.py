@@ -54,7 +54,7 @@ def exit_of(capsys, *argv):
 READS = {
     ("construct", "rs"): {"kind", "n", "k", "q"},
     ("construct", "random"): {"kind", "n", "k", "q", "L", "seed", "max_rounds"},
-    ("construct", "code-based"): {"kind", "n", "k", "q", "matrix", "vandermonde_rows"},
+    ("construct", "code-based"): {"kind", "n", "k", "q", "matrix"},
     ("verify", None): {"family", "properties"},
     ("bounds", None): {"n", "k", "L", "q"},
     ("search", "exhaustive"): {"n", "k", "L", "q", "mode", "node_budget", "no_symmetry_break"},
@@ -63,7 +63,8 @@ READS = {
     ("batch", "sampled"): {"family", "s", "mode", "layout", "trials", "seed"},
 }
 
-# One value for every option of every command; None marks a flag.
+# One value for every option of every command, and for the removed
+# --vandermonde-rows, which no command reads; None marks a flag.
 OPTION_VALUES = {
     "--n": "3", "--k": "1", "--q": "5", "--L": "1", "--seed": "1", "--max-rounds": "1",
     "--matrix": "@H", "--vandermonde-rows": "3", "--family": "@family", "--properties": "spread",
@@ -81,6 +82,19 @@ BASE_ARGV = {
     ("search", "greedy"): ["search", "--mode", "greedy", "--n", "3", "--k", "1", "--L", "1", "--q", "3"],
     ("batch", "exhaustive"): ["batch", "--family", "@family", "--s", "2"],
     ("batch", "sampled"): ["batch", "--mode", "sampled", "--family", "@family"],
+}
+
+# The manifest command of each run in BASE_ARGV.
+COMMAND = {
+    ("construct", "rs"): "construct rs",
+    ("construct", "random"): "construct random",
+    ("construct", "code-based"): "construct code-based",
+    ("verify", None): "verify",
+    ("bounds", None): "bounds",
+    ("search", "exhaustive"): "search",
+    ("search", "greedy"): "search",
+    ("batch", "exhaustive"): "batch",
+    ("batch", "sampled"): "batch",
 }
 
 # H's columns are the four lines of FOUR_LINES.
@@ -118,7 +132,7 @@ def test_option_that_the_mode_does_not_read_exits_2(capsys, inputs, argv, option
     [
         (["construct", "random", "--n", "5", "--k", "1", "--q", "5"], "the following arguments are required: --L"),
         (["construct", "code-based", "--n", "3", "--k", "1", "--q", "2", "--matrix", "@H", "--vandermonde-rows", "3"],
-         "argument --vandermonde-rows: not allowed with argument --matrix"),
+         "unrecognized arguments: --vandermonde-rows 3"),
         (["search", "--n", "3", "--k", "1", "--L", "1", "--q", "2", "--seed", "99"],
          "--seed applies only to greedy search, not exhaustive"),
         (["batch", "--family", "@family", "--trials", "0", "--seed", "9"],
@@ -166,6 +180,7 @@ def test_manifest_parameters_are_the_options_the_run_read(capsys, inputs, key, e
     files = dict(zip(["@family", "@H"], inputs(["@family", "@H"])))
     assert manifest["parameters"] == {k: files.get(v, v) for k, v in parameters.items()}
     assert set(parameters) <= READS[key]
+    assert manifest["command"] == COMMAND[key]
     assert manifest["seed"] == parameters.get("seed")
 
 
@@ -265,13 +280,13 @@ def test_construct_without_q_exits_2():
 
 
 def test_construct_code_based_vandermonde(capsys):
-    code, out, _ = run_cli(
-        capsys, "construct", "code-based", "--n", "3", "--k", "1", "--q", "5",
-        "--vandermonde-rows", "3",
-    )
+    # with no --matrix the parity check is the n x q Vandermonde; it used
+    # to exit 2 without --vandermonde-rows n
+    code, out, _ = run_cli(capsys, "construct", "code-based", "--n", "3", "--k", "1", "--q", "5")
     assert code == 0
     fam = Family.from_json(result_of(out)["family"])
     assert len(fam) == 5
+    assert json.loads(out)["manifest"]["parameters"] == {"kind": "code-based", "n": 3, "k": 1, "q": 5}
 
 
 def test_construct_code_based_matrix_file(capsys, tmp_path):
@@ -286,38 +301,37 @@ def test_construct_code_based_matrix_file(capsys, tmp_path):
     assert len(result_of(out)["family"]["members"]) == 4
 
 
-def test_construct_code_based_needs_source(capsys):
-    # argparse refuses it before any handler runs
-    with pytest.raises(SystemExit) as exc:
-        main(["construct", "code-based", "--n", "3", "--k", "1", "--q", "5"])
-    assert exc.value.code == 2
-
-
-@pytest.mark.parametrize("source", ["vandermonde", "matrix"])
-def test_construct_code_based_n_must_match_matrix_rows(capsys, tmp_path, source):
+def test_construct_code_based_n_must_match_matrix_rows(capsys, tmp_path):
     # the family lives in GF(q)^rows; --n 99 used to be recorded and ignored
-    if source == "matrix":
-        path = tmp_path / "H.json"
-        path.write_text(json.dumps({"rows": 3, "cols": 4, "entries": [1, 1, 1, 1, 0, 1, 2, 3, 0, 1, 4, 4]}))
-        argv = ["--q", "5", "--matrix", str(path)]
-        rows = "3"
-    else:
-        argv = ["--q", "7", "--vandermonde-rows", "4"]
-        rows = "4"
-    code, out, err = run_cli(capsys, "construct", "code-based", "--n", "99", "--k", "1", *argv)
+    path = tmp_path / "H.json"
+    path.write_text(json.dumps({"rows": 3, "cols": 4, "entries": [1, 1, 1, 1, 0, 1, 2, 3, 0, 1, 4, 4]}))
+    code, out, err = run_cli(
+        capsys, "construct", "code-based", "--n", "99", "--k", "1", "--q", "5", "--matrix", str(path)
+    )
     assert code == 2 and out == ""
-    assert "99" in err and f"{rows} rows" in err
+    assert "--n 99 differs from the parity-check matrix's 3 rows" in err
 
 
 def test_construct_code_based_checks_rows_before_building_the_matrix():
-    # the 99,999 x 257 Vandermonde matrix took 93 s to build before the check
+    # the 99,999 x 257 Vandermonde matrix took 93 s to build, with no guard
     t0 = time.perf_counter()
-    proc = run_cli_process(
-        "construct", "code-based", "--n", "3", "--k", "1", "--q", "257", "--vandermonde-rows", "99999"
-    )
+    proc = run_cli_process("construct", "code-based", "--n", "99999", "--k", "1", "--q", "257")
     assert time.perf_counter() - t0 < 2
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert "--n 3 differs from the parity-check matrix's 99999 rows" in proc.stderr
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert "25699743 parity-check entries" in proc.stderr and "guard 200000" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "2", "--k", "1"], "need 2k < n, got k=1, n=2"),
+        (["--n", "99999", "--k", "0"], "need k >= 1, got k=0"),
+    ],
+)
+def test_construct_code_based_parameter_errors_beat_the_guard(capsys, argv, message):
+    code, out, err = run_cli(capsys, "construct", "code-based", *argv, "--q", "257")
+    assert code == 2 and out == ""
+    assert message in err
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +355,30 @@ def test_construct_verify_round_trip(capsys, tmp_path):
     assert report["L_as"] == 2
     assert report["bound_satisfied"] is True
     assert report["relations_ok"] is True
+
+
+@pytest.mark.parametrize(
+    "n, k, digest",
+    [
+        (33, 16, "678fa5c40273f37ef4d296cd1a2dbc6ac55f60a2b15d38c32e230648e13ab7c0"),
+        (41, 20, "09bd8f4519404aa53e67f9b073355d1eb973caeceb4e4f4c2486b410510814ed"),
+    ],
+)
+def test_verify_one_member_family_is_prompt(tmp_path, n, k, digest):
+    # the AAD witness u was found by walking GF(2)^n from 0 past the q^k
+    # vectors of the member span(e_(n-k), ..., e_(n-1)): 2.1 s at n = 33
+    # and 40 s at n = 41; the digests are those of that walk
+    member = {"n": n, "k": k, "basis": [[int(c == n - k + r) for c in range(n)] for r in range(k)]}
+    field = {"p": 2, "m": 1, "modulus": [0, 1], "gamma": 1}
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"field": field, "n": n, "k": k, "members": [member]}))
+    t0 = time.perf_counter()
+    proc = run_cli_process("verify", "--family", str(path), "--properties", "aad")
+    assert time.perf_counter() - t0 < 2
+    assert proc.returncode == 0
+    envelope = json.loads(proc.stdout)
+    assert envelope["manifest"]["digest"] == f"sha256:{digest}"
+    assert envelope["result"]["report"]["aad_witness"]["u"] == [int(c == n - k - 1) for c in range(n)]
 
 
 def test_verify_accepts_bare_family_json(capsys, tmp_path, four_line_family):
@@ -1056,9 +1094,7 @@ def test_round_trip_all_builders(capsys, tmp_path):
     commands = {
         "rs": ["construct", "rs", "--n", "3", "--k", "1", "--q", "5"],
         "random": ["construct", "random", "--n", "5", "--k", "1", "--L", "7", "--q", "5", "--seed", "2"],
-        "code-based": [
-            "construct", "code-based", "--n", "3", "--k", "1", "--q", "5", "--vandermonde-rows", "3",
-        ],
+        "code-based": ["construct", "code-based", "--n", "3", "--k", "1", "--q", "5"],
         "search": ["search", "--n", "3", "--k", "1", "--L", "1", "--q", "2"],
     }
     for name, argv in commands.items():

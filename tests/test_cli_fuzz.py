@@ -38,7 +38,6 @@ OPTIONS = {
     "--seed": st.sampled_from(["0", "1", "7", "-3"]),
     "--max-rounds": st.sampled_from(["0", "1", "4", "-1"]),
     "--matrix": st.sampled_from(["@H", "@H", "@missing"]),
-    "--vandermonde-rows": st.sampled_from(["3", "4", "5", "2", "0", "-1"]),
     "--family": st.sampled_from(["@family", "@family", "@missing"]),
     "--properties": PROPERTIES.map(",".join),
     "--node-budget": st.one_of(st.sampled_from(["100", "2000", "1", "0", "-2"]), st.integers(-2, 2000).map(str)),
@@ -54,8 +53,7 @@ OPTIONS = {
 COMMANDS = [
     (["construct", "rs"], "--n --k --q", "--pretty"),
     (["construct", "random"], "--n --k --q --L", "--seed --max-rounds"),
-    (["construct", "code-based"], "--n --k --q --matrix", ""),
-    (["construct", "code-based"], "--n --k --q --vandermonde-rows", ""),
+    (["construct", "code-based"], "--n --k --q", "--matrix"),
     (["verify"], "--family", "--properties"),
     (["bounds"], "--n --k --L --q", ""),
     (["search"], "--n --k --L --q", "--node-budget --no-symmetry-break"),
@@ -163,6 +161,9 @@ def low_guard():
 @example(case=(["batch", "--family", "@family", "--trials", "0", "--seed", "9"], FOUR_LINES, FOUR_LINES_H))
 @example(case=(["search", "--mode", "greedy", "--n", "3", "--k", "1", "--L", "1", "--q", "3", "--s", "2"],
                FOUR_LINES, FOUR_LINES_H))
+# the Vandermonde parity check: over the guard of 500 entries, and within it
+@example(case=(["construct", "code-based", "--n", "200", "--k", "1", "--q", "3"], FOUR_LINES, FOUR_LINES_H))
+@example(case=(["construct", "code-based", "--n", "3", "--k", "1", "--q", "5"], FOUR_LINES, FOUR_LINES_H))
 # main builds every subparser for these, and only the command's otherwise
 @example(case=(["-h"], FOUR_LINES, FOUR_LINES_H))
 @example(case=(["--version"], FOUR_LINES, FOUR_LINES_H))

@@ -87,20 +87,17 @@ options:
 
 CODE_BASED_HELP = """\
 usage: subspace-forge construct code-based [-h] --n N --k K --q Q [--out OUT]
-                                           [--pretty]
-                                           (--matrix MATRIX | --vandermonde-rows VANDERMONDE_ROWS)
+                                           [--pretty] [--matrix MATRIX]
 
 options:
-  -h, --help            show this help message and exit
+  -h, --help       show this help message and exit
   --n N
   --k K
-  --q Q                 field order (prime power)
-  --out OUT             write the JSON envelope to this file instead of stdout
-  --pretty              indent the JSON output
-  --matrix MATRIX       parity-check MatrixGF JSON file
-  --vandermonde-rows VANDERMONDE_ROWS
-                        build the parity check as the rows x q Vandermonde
-                        over GF(q)
+  --q Q            field order (prime power)
+  --out OUT        write the JSON envelope to this file instead of stdout
+  --pretty         indent the JSON output
+  --matrix MATRIX  parity-check MatrixGF JSON file (default: the n x q
+                   Vandermonde over GF(q))
 """
 
 VERIFY_HELP = """\

@@ -505,6 +505,30 @@ def test_L_aad_single_member(f2):
     assert coset_hits(fam, i, u) == 0
 
 
+@st.composite
+def proper_subspaces(draw):
+    """A proper subspace of GF(q)^n, q <= 5, n <= 5: random generators,
+    or the span of the last unit vectors with random rows added."""
+    field = FIELDS[draw(st.sampled_from([2, 3, 4, 5]))]
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    vector = st.tuples(*[st.integers(0, field.q - 1)] * n)
+    tail = [tuple(int(c == i) for c in range(n)) for i in range(n - draw(st.integers(0, k)), n)]
+    gens = tail + draw(st.lists(vector, min_size=k - len(tail), max_size=k - len(tail)))
+    assume(any(map(any, gens)))
+    S = Subspace.from_generators(field, n, gens)
+    assume(S.k < n)
+    return S
+
+
+@settings(max_examples=300, deadline=None)
+@given(proper_subspaces())
+def test_lex_smallest_outside_matches_the_walk(S):
+    # the walk over all_vectors that it replaced: q^k steps for a tail span
+    walk = next(tuple(v) for v in all_vectors(S.field, S.n) if not S.contains(v))
+    assert _lex_smallest_outside(S) == walk
+
+
 def test_L_aad_requires_spread(f2):
     e = [tuple(1 if i == j else 0 for i in range(5)) for j in range(5)]
     A = Subspace.from_generators(f2, 5, [e[0], e[1]])

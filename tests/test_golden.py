@@ -69,7 +69,7 @@ RUNS = [
     ),
     (
         "construct-code-based",
-        ["construct", "code-based", "--n", "3", "--k", "1", "--q", "5", "--vandermonde-rows", "3"],
+        ["construct", "code-based", "--n", "3", "--k", "1", "--q", "5"],
         "28737a9ac3b8dfbefea17dd360f061a722ac5af8314843a9c07baf807ee18f4a",
     ),
     (
