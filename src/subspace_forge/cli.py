@@ -9,7 +9,7 @@ seed gives a byte-identical result (only the manifest wall time varies).
 Each command, construct kind and mode accepts only the options it reads;
 any other exits 2 (abbreviations are refused):
   construct rs          --n --k --q
-  construct random      --n --k --q --L [--seed 0] [--max-rounds]
+  construct random      --n --k --q --L [--seed 0]
   construct code-based  --n --k --q [--matrix]; with no --matrix the
                         parity check is the n x q Vandermonde over GF(q)
   verify                --family [--properties]
@@ -215,7 +215,6 @@ def _add_construct(sub) -> None:
     pr = _add_command(kinds, "random", _cmd_random, "a seeded random AS family", nkq)
     pr.add_argument("--L", type=int, required=True, help="AS target")
     pr.add_argument("--seed", type=int, default=0, help="64-bit seed")
-    pr.add_argument("--max-rounds", type=int, help="AS pruning round cap (default: the sample size)")
     pcb = _add_command(kinds, "code-based", _cmd_code_based, "the column groups of a parity-check matrix", nkq)
     pcb.add_argument("--matrix", help="parity-check MatrixGF JSON file (default: the n x q Vandermonde over GF(q))")
 
@@ -304,10 +303,7 @@ def _cmd_rs(args, field_guard: int, enum_guard: int):
 def _cmd_random(args, field_guard: int, enum_guard: int):
     field = field_from_order(args.q, field_guard)
     _check_powers(args.n, args.k, args.L, args.q)
-    res = build_random_family(
-        args.n, args.k, args.L, field, args.seed, max_rounds=args.max_rounds, as_enum_guard=enum_guard
-    )
-    return res.to_json()
+    return build_random_family(args.n, args.k, args.L, field, args.seed, as_enum_guard=enum_guard).to_json()
 
 
 def _cmd_code_based(args, field_guard: int, enum_guard: int):

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .gf import Field
 from .matgf import MatrixGF, kernel_basis, rref
 from .subspace import Subspace
-from .family import Family, check_as_guard, compute_L_as, count_L_aad
+from .family import DEFAULT_AS_ENUM_GUARD, Family, check_as_guard, compute_L_as, count_L_aad
 
 
 # -- bounds -------------------------------------------------------------
@@ -205,9 +205,7 @@ class RandomFamilyResult:
     family: Family
     sampled: int
     spread_deletions: int
-    as_deletions: int
     rounds_used: int
-    achieved: bool
 
     def to_json(self) -> dict:
         return {
@@ -215,9 +213,7 @@ class RandomFamilyResult:
             "diagnostics": {
                 "sampled": self.sampled,
                 "spread_deletions": self.spread_deletions,
-                "as_deletions": self.as_deletions,
                 "rounds_used": self.rounds_used,
-                "achieved": self.achieved,
             },
         }
 
@@ -240,22 +236,23 @@ def build_random_family(
     L: int,
     field: Field,
     seed: int,
-    max_rounds: int | None = None,
-    as_enum_guard: int | None = None,
+    as_enum_guard: int | None = DEFAULT_AS_ENUM_GUARD,
 ) -> RandomFamilyResult:
     """Seeded random AS-family builder.
 
     Samples M = floor(q^{n-2k-(n-k)(k+1)/(L+1)}) uniform k-subspaces,
     deletes one member of every non-trivially-intersecting pair, then
-    repeatedly deletes a member hit by a worst (k+1)-subspace witness
-    until the exact AS parameter is at most L or max_rounds runs out
-    (best-effort, flagged in the diagnostics).  Deterministic per seed.
+    deletes, one per round, the highest-indexed member that a worst
+    (k+1)-subspace witness meets, until the exact AS parameter is at most
+    L.  The loop ends: a (k+1)-subspace meets at most every member, so
+    L_as > L needs more than L members, and as each round deletes one,
+    at most M - spread_deletions - L rounds run.  Deterministic per seed.
+    The AS count refuses above as_enum_guard (None: no guard), checked
+    before anything is sampled.
     """
     check_parameters(n, k, L)
     if L < 1:
         raise ValueError("L must be >= 1")
-    if max_rounds is not None and max_rounds < 0:
-        raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
     M = random_sample_size(n, k, L, field.q)
     if M < 1:
         raise ValueError(f"sample size M = {M} < 1 for these parameters")
@@ -270,11 +267,7 @@ def build_random_family(
             kept.append(S)
     spread_deletions = M - len(kept)
 
-    if max_rounds is None:
-        max_rounds = M
     rounds = 0
-    as_deletions = 0
-    achieved = False
     while True:
         fam = Family(field, n, k, tuple(kept))
         # for k = 1 the AS count stops at the first plane attaining
@@ -282,25 +275,8 @@ def build_random_family(
         L_aad = count_L_aad(fam)[0] if k == 1 else None
         L_as, V = compute_L_as(fam, enum_guard=as_enum_guard, L_aad=L_aad)
         if L_as <= L:
-            achieved = True
-            break
-        if rounds >= max_rounds:
-            break
-        # delete the highest-indexed member met by the witness
-        victim = None
-        for idx in range(len(kept) - 1, -1, -1):
-            if not V.trivially_intersects(kept[idx]):
-                victim = idx
-                break
-        assert victim is not None
+            return RandomFamilyResult(fam, M, spread_deletions, rounds)
+        # V meets L_as > L members: delete the highest-indexed one
+        victim = next(i for i in reversed(range(len(kept))) if not V.trivially_intersects(kept[i]))
         del kept[victim]
-        as_deletions += 1
         rounds += 1
-    return RandomFamilyResult(
-        family=Family(field, n, k, tuple(kept)),
-        sampled=M,
-        spread_deletions=spread_deletions,
-        as_deletions=as_deletions,
-        rounds_used=rounds,
-        achieved=achieved,
-    )

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -53,7 +54,7 @@ def exit_of(capsys, *argv):
 # --out and --pretty go to every command and are not parameters.
 READS = {
     ("construct", "rs"): {"kind", "n", "k", "q"},
-    ("construct", "random"): {"kind", "n", "k", "q", "L", "seed", "max_rounds"},
+    ("construct", "random"): {"kind", "n", "k", "q", "L", "seed"},
     ("construct", "code-based"): {"kind", "n", "k", "q", "matrix"},
     ("verify", None): {"family", "properties"},
     ("bounds", None): {"n", "k", "L", "q"},
@@ -64,7 +65,8 @@ READS = {
 }
 
 # One value for every option of every command, and for the removed
-# --vandermonde-rows, which no command reads; None marks a flag.
+# --vandermonde-rows and --max-rounds, which no command reads; None marks
+# a flag.
 OPTION_VALUES = {
     "--n": "3", "--k": "1", "--q": "5", "--L": "1", "--seed": "1", "--max-rounds": "1",
     "--matrix": "@H", "--vandermonde-rows": "3", "--family": "@family", "--properties": "spread",
@@ -133,6 +135,8 @@ def test_option_that_the_mode_does_not_read_exits_2(capsys, inputs, argv, option
         (["construct", "random", "--n", "5", "--k", "1", "--q", "5"], "the following arguments are required: --L"),
         (["construct", "code-based", "--n", "3", "--k", "1", "--q", "2", "--matrix", "@H", "--vandermonde-rows", "3"],
          "unrecognized arguments: --vandermonde-rows 3"),
+        (["construct", "random", "--n", "5", "--k", "1", "--L", "7", "--q", "5", "--max-rounds", "1"],
+         "unrecognized arguments: --max-rounds 1"),
         (["search", "--n", "3", "--k", "1", "--L", "1", "--q", "2", "--seed", "99"],
          "--seed applies only to greedy search, not exhaustive"),
         (["batch", "--family", "@family", "--trials", "0", "--seed", "9"],
@@ -141,7 +145,14 @@ def test_option_that_the_mode_does_not_read_exits_2(capsys, inputs, argv, option
         (["search", "--mode", "greedy", "--n", "3", "--k", "1", "--L", "1", "--q", "3", "--s", "2"],
          "unrecognized arguments: --s 2"),
     ],
-    ids=["random-without-L", "code-based-two-sources", "exhaustive-search-seed", "exhaustive-batch-trials", "abbrev"],
+    ids=[
+        "random-without-L",
+        "code-based-two-sources",
+        "random-max-rounds",
+        "exhaustive-search-seed",
+        "exhaustive-batch-trials",
+        "abbrev",
+    ],
 )
 def test_construct_and_mode_option_errors_exit_2(capsys, inputs, argv, message):
     code, out, err = exit_of(capsys, *inputs(argv))
@@ -154,8 +165,7 @@ def test_construct_and_mode_option_errors_exit_2(capsys, inputs, argv, message):
     [
         (("construct", "rs"), [], {"kind": "rs", "n": 3, "k": 1, "q": 5}),
         (("construct", "random"), [], {"kind": "random", "n": 4, "k": 1, "L": 3, "q": 3, "seed": 1}),
-        (("construct", "random"), ["--max-rounds", "2"],
-         {"kind": "random", "n": 4, "k": 1, "L": 3, "q": 3, "seed": 1, "max_rounds": 2}),
+        (("construct", "random"), ["--seed", "7"], {"kind": "random", "n": 4, "k": 1, "L": 3, "q": 3, "seed": 7}),
         (("construct", "code-based"), [], {"kind": "code-based", "n": 3, "k": 1, "q": 2, "matrix": "@H"}),
         (("verify", None), [], {"family": "@family", "properties": "spread,aad"}),
         (("bounds", None), [], {"n": 3, "k": 1, "L": 1, "q": 2}),
@@ -182,6 +192,22 @@ def test_manifest_parameters_are_the_options_the_run_read(capsys, inputs, key, e
     assert set(parameters) <= READS[key]
     assert manifest["command"] == COMMAND[key]
     assert manifest["seed"] == parameters.get("seed")
+
+
+def test_readme_option_table_matches_reads():
+    # each row of README's `| command | options |` table names the options
+    # that READS gives for its command, kind or mode, less the kind and mode
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    table = {}
+    for line in lines[lines.index("| command | options |") + 2 :]:  # past the header and its rule
+        if not line.startswith("|"):
+            break
+        name, options = line.strip("|").split("|")
+        words = re.search(r"`([^`]*)`", name).group(1).split()
+        mode = re.search(r"--mode ([\w-]+)", name)
+        key = (words[0], words[1] if words[0] == "construct" else mode.group(1) if mode else None)
+        table[key] = {o[2:].replace("-", "_") for o in re.findall(r"--[A-Za-z][\w-]*", options)}
+    assert table == {key: dests - {"kind", "mode"} for key, dests in READS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +275,6 @@ def test_construct_random_with_huge_L_exits_2_promptly(capsys):
     assert time.perf_counter() - t0 < 2.0
     assert code == 2 and out == ""
     assert "over Python's limit of" in err
-
-
-def test_construct_random_negative_max_rounds_exits_2(capsys):
-    # it used to exit 0, record -5 and act as 0
-    code, out, err = run_cli(
-        capsys, "construct", "random", "--n", "5", "--k", "1", "--L", "7", "--q", "5", "--max-rounds", "-5"
-    )
-    assert code == 2 and out == ""
-    assert "max_rounds must be >= 0, got -5" in err
 
 
 def test_construct_random_reproducible(capsys):

@@ -36,7 +36,6 @@ OPTIONS = {
     "--q": st.sampled_from(["5", "4", "3", "2"]),
     "--L": st.sampled_from(["1", "2", "0", "3", "4", "-1"]),
     "--seed": st.sampled_from(["0", "1", "7", "-3"]),
-    "--max-rounds": st.sampled_from(["0", "1", "4", "-1"]),
     "--matrix": st.sampled_from(["@H", "@H", "@missing"]),
     "--family": st.sampled_from(["@family", "@family", "@missing"]),
     "--properties": PROPERTIES.map(",".join),
@@ -52,7 +51,7 @@ OPTIONS = {
 # those it may take
 COMMANDS = [
     (["construct", "rs"], "--n --k --q", "--pretty"),
-    (["construct", "random"], "--n --k --q --L", "--seed --max-rounds"),
+    (["construct", "random"], "--n --k --q --L", "--seed"),
     (["construct", "code-based"], "--n --k --q", "--matrix"),
     (["verify"], "--family", "--properties"),
     (["bounds"], "--n --k --L --q", ""),

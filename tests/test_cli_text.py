@@ -70,19 +70,16 @@ options:
 RANDOM_HELP = """\
 usage: subspace-forge construct random [-h] --n N --k K --q Q [--out OUT]
                                        [--pretty] --L L [--seed SEED]
-                                       [--max-rounds MAX_ROUNDS]
 
 options:
-  -h, --help            show this help message and exit
+  -h, --help   show this help message and exit
   --n N
   --k K
-  --q Q                 field order (prime power)
-  --out OUT             write the JSON envelope to this file instead of stdout
-  --pretty              indent the JSON output
-  --L L                 AS target
-  --seed SEED           64-bit seed
-  --max-rounds MAX_ROUNDS
-                        AS pruning round cap (default: the sample size)
+  --q Q        field order (prime power)
+  --out OUT    write the JSON envelope to this file instead of stdout
+  --pretty     indent the JSON output
+  --L L        AS target
+  --seed SEED  64-bit seed
 """
 
 CODE_BASED_HELP = """\

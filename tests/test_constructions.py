@@ -319,7 +319,6 @@ def test_random_family_acceptance_point(f5):
     assert check_partial_spread(fam)[0]
     L_as, _ = compute_L_as(fam)
     assert L_as <= 7
-    assert res.achieved
 
 
 def test_random_family_deterministic(f5):
@@ -335,23 +334,25 @@ def test_random_family_rejects_m_below_one(f2):
         build_random_family(3, 1, 1, f2, seed=0)  # exponent -1
 
 
-def test_random_family_rejects_negative_max_rounds(f5):
-    # -5 used to act as 0; 0 still stops before the first pruning round
-    with pytest.raises(ValueError, match="max_rounds must be >= 0, got -5"):
-        build_random_family(5, 1, 7, f5, seed=1, max_rounds=-5)
-    assert build_random_family(5, 1, 7, f5, seed=1, max_rounds=0).rounds_used == 0
+def test_random_family_prunes_to_target(monkeypatch):
+    # more samples than the formula draws force AS pruning rounds, for
+    # k = 1 and k = 2; each round deletes one member, and a round runs
+    # only while more than L members are left
+    from subspace_forge import constructions
 
-
-def test_random_family_prunes_to_target(f3):
-    # (5,1,L=8,q=3): exponent 3 - 8/9, M = floor(3^(19/9)) = 10; small L
-    # values force actual pruning on some seeds
-    res = build_random_family(5, 1, 8, f3, seed=3)
-    fam = res.family
-    assert check_partial_spread(fam)[0]
-    L_as, _ = compute_L_as(fam)
-    assert L_as <= 8
-    assert res.achieved
-    assert len(fam) + res.spread_deletions + res.as_deletions == res.sampled
+    rounds = 0
+    for n, k, L, q, M in [(5, 1, 3, 3, 40), (4, 1, 3, 3, 30), (5, 2, 2, 2, 40), (5, 2, 3, 2, 60)]:
+        field = field_from_order(q)
+        monkeypatch.setattr(constructions, "random_sample_size", lambda *args, M=M: M)
+        for seed in range(1, 5):
+            res = build_random_family(n, k, L, field, seed)
+            fam = res.family
+            assert check_partial_spread(fam)[0]
+            assert compute_L_as(fam, None)[0] <= L
+            assert len(fam) + res.spread_deletions + res.rounds_used == res.sampled == M
+            assert res.rounds_used <= max(0, res.sampled - res.spread_deletions - L)
+            rounds += res.rounds_used
+    assert rounds > 0
 
 
 @pytest.mark.parametrize("n, L, q, M", [(3, 2, 3, 13), (4, 2, 2, 15), (4, 3, 3, 30), (3, 3, 5, 25)])
@@ -364,7 +365,7 @@ def test_random_family_pruning_matches_full_as_enumeration(n, L, q, M, monkeypat
     field = field_from_order(q)
     monkeypatch.setattr(constructions, "random_sample_size", lambda *args: M)
     fast = build_random_family(n, 1, L, field, seed=7)
-    assert fast.as_deletions > 0
+    assert fast.rounds_used > 0
 
     def full_as(fam, enum_guard=None, L_aad=None):
         return compute_L_as(fam, enum_guard)
@@ -376,12 +377,14 @@ def test_random_family_pruning_matches_full_as_enumeration(n, L, q, M, monkeypat
 def test_random_k1_spread_pass_matches_the_pairwise_scan(f3):
     # the spread pass keeps what a pairwise rank scan of the same draws
     # keeps.  (6,1,30,3) draws 56 of the 364 lines, so some seeds draw a
-    # line twice; the pinned deletions are those repeats.
+    # line twice; the pinned deletions are those repeats.  No seed runs
+    # an AS pruning round.
     from subspace_forge.constructions import _random_subspace
 
     deletions = []
     for seed in range(1, 11):
-        res = build_random_family(6, 1, 30, f3, seed, max_rounds=0)
+        res = build_random_family(6, 1, 30, f3, seed)
+        assert res.rounds_used == 0
         rng = random.Random(seed)
         kept = []
         for S in (_random_subspace(f3, 6, 1, rng) for _ in range(res.sampled)):
@@ -404,11 +407,7 @@ def test_random_family_over_guard_refuses_before_sampling(f3, monkeypatch):
     monkeypatch.setattr(constructions, "count_L_aad", forbidden)
     with pytest.raises(SizeGuardError):
         build_random_family(5, 1, 8, f3, seed=3, as_enum_guard=100)
-
-
-def test_random_family_best_effort_flag(f3):
-    # max_rounds=0 forbids AS pruning; the flag reports whether the
-    # sampled spread already met the target
-    res = build_random_family(5, 1, 8, f3, seed=3, max_rounds=0)
-    L_as, _ = compute_L_as(res.family)
-    assert res.achieved == (L_as <= 8)
+    # with no guard argument the default guard applies: the 6,865,251
+    # planes of GF(7)^6 used to be enumerated, past a 60 s timeout
+    with pytest.raises(SizeGuardError, match="6865251"):
+        build_random_family(6, 1, 3, field_from_order(7), seed=2)

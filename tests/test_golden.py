@@ -75,7 +75,7 @@ RUNS = [
     (
         "construct-random",
         ["construct", "random", "--n", "5", "--k", "1", "--L", "7", "--q", "5", "--seed", "1"],
-        "ccc70c53d61979aef35f26ef7086fe645bbc435b81fe144fb48c28c72cc093b5",
+        "c70250ebf2cbd73d298a1cda9420db1190bc1dc28f39f2a68bfb62d21224e474",
     ),
     (
         "search-greedy-k2",
@@ -184,7 +184,7 @@ RUNS = [
     (
         "construct-random-5-1-3-4",
         ["construct", "random", "--n", "5", "--k", "1", "--L", "3", "--q", "4", "--seed", "2"],
-        "1815939469e72892deccb3dfb8ee6d7c397278df0601f1934bddf4bf0c4808d6",
+        "76ee259c54289a0db66ecdf53d5e9a8f9bb022cac1ade43a10590702c7b1d194",
     ),
     # k = 3 over GF(25): the AAD witness u is a raw residue combination
     # whose leading entry is not 1.
