@@ -11,7 +11,7 @@ parameters, and demonstrates the batch-code application.
 __version__ = "0.1.0"
 
 from .gf import Field, SizeGuardError, field_from_order, make_field
-from .matgf import MatrixGF, kernel_basis, rank_of_stack, rref
+from .matgf import kernel_basis, rank_of_stack, rref
 from .subspace import Subspace, enumerate_subspaces, gaussian_binomial
 from .family import (
     Family,
@@ -43,7 +43,6 @@ __all__ = [
     "SizeGuardError",
     "make_field",
     "field_from_order",
-    "MatrixGF",
     "rref",
     "kernel_basis",
     "rank_of_stack",

@@ -10,7 +10,9 @@ Each command, construct kind and mode accepts only the options it reads;
 any other exits 2 (abbreviations are refused):
   construct rs          --n --k --q
   construct random      --n --k --q --L [--seed 0]
-  construct code-based  --n --k --q [--matrix]; with no --matrix the
+  construct code-based  --n --k --q [--matrix]; --matrix is a JSON file
+                        {"rows", "cols", "entries"} with rows = n and
+                        row-major codes of GF(q); with no --matrix the
                         parity check is the n x q Vandermonde over GF(q)
   verify                --family [--properties]
   bounds                --n --k --L --q
@@ -63,7 +65,6 @@ from .gf import (
     factor_order,
     field_from_order,
 )
-from .matgf import MatrixGF
 from .family import DEFAULT_AS_ENUM_GUARD, Family, build_report
 from .subspace import checked_gaussian_binomial
 from .constructions import (
@@ -127,6 +128,21 @@ def _load_family(path: str, field_guard: int) -> Family:
         return Family.from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputParseError(f"malformed family in {path}: {exc}") from exc
+
+
+def _load_matrix(path: str, q: int) -> list[list[int]]:
+    """The rows of the {"rows", "cols", "entries"} matrix file at path,
+    whose row-major entries are codes of GF(q)."""
+    obj = _load_json_file(path)
+    try:
+        rows, cols, entries = _json_int(obj["rows"]), _json_int(obj["cols"]), list(map(_json_int, obj["entries"]))
+        if min(rows, cols) < 0 or len(entries) != rows * cols:
+            raise ValueError("entry count does not match dimensions")
+        if any(not 0 <= e < q for e in entries):
+            raise ValueError("entry out of field range")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputParseError(f"malformed matrix in {path}: {exc}") from exc
+    return [entries[r * cols : (r + 1) * cols] for r in range(rows)]
 
 
 def _emit(result: dict, command: str, params: dict, seed, out, pretty: bool, t0: float) -> None:
@@ -216,7 +232,9 @@ def _add_construct(sub) -> None:
     pr.add_argument("--L", type=int, required=True, help="AS target")
     pr.add_argument("--seed", type=int, default=0, help="64-bit seed")
     pcb = _add_command(kinds, "code-based", _cmd_code_based, "the column groups of a parity-check matrix", nkq)
-    pcb.add_argument("--matrix", help="parity-check MatrixGF JSON file (default: the n x q Vandermonde over GF(q))")
+    pcb.add_argument(
+        "--matrix", help='parity-check JSON file {"rows", "cols", "entries"} (default: the n x q Vandermonde over GF(q))'
+    )
 
 
 def _add_verify(sub) -> None:
@@ -313,15 +331,11 @@ def _cmd_code_based(args, field_guard: int, enum_guard: int):
         check_guard("construct code-based", args.n * field.q, "parity-check entries", enum_guard)
         H = vandermonde_matrix(field, args.n)
     else:
-        obj = _load_json_file(args.matrix)
-        try:
-            H = MatrixGF.from_json(field, obj)
-        except (KeyError, TypeError) as exc:
-            raise InputParseError(f"malformed matrix in {args.matrix}: {exc}") from exc
+        H = _load_matrix(args.matrix, field.q)
         # the family lives in GF(q)^rows, so --n must name that space
-        if H.rows != args.n:
-            raise ValueError(f"--n {args.n} differs from the parity-check matrix's {H.rows} rows")
-    return _construct_result(build_code_based_family(H, args.k))
+        if len(H) != args.n:
+            raise ValueError(f"--n {args.n} differs from the parity-check matrix's {len(H)} rows")
+    return _construct_result(build_code_based_family(field, H, args.k))
 
 
 def _cmd_verify(args, field_guard: int, enum_guard: int):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gf import Field
-from .matgf import MatrixGF, kernel_basis, rref
+from .matgf import kernel_basis, rref
 from .subspace import Subspace
 from .family import DEFAULT_AS_ENUM_GUARD, Family, check_as_guard, compute_L_as, count_L_aad
 
@@ -152,49 +152,48 @@ def build_rs_family(n: int, k: int, field: Field) -> Family:
     """
     check_rs_parameters(n, k, field.q)
     f, g, length = field, field.gamma, n - k - 1
-    H = MatrixGF(f, k - 1, length, tuple(f.pow(g, col * t) for t in range(k - 1) for col in range(length)))
-    G = kernel_basis(H)  # in RREF, so the message order is reproducible
+    H = [[f.pow(g, col * t) for col in range(length)] for t in range(k - 1)]
+    G = kernel_basis(f, H, length)  # in RREF, so the message order is reproducible
     twists = [[f.pow(g, p * j) for p in range(1, length + 1)] for j in range(k)]
     members = []
-    for c in Subspace(f, length, G.rows, G).vectors():
+    for c in Subspace(f, length, len(G), tuple(x for row in G for x in row)).vectors():
         entries = []
         for j in range(k):
             entries += (int(i == j) for i in range(k))
             entries += map(f.mul, twists[j], c)
             entries.append(functools.reduce(f.add, (f.pow(v, j * length + p + 1) for p, v in enumerate(c, 1))))
-        members.append(Subspace._trusted(f, n, k, MatrixGF(f, k, n, tuple(entries)), tuple(range(k))))
+        members.append(Subspace._trusted(f, n, k, tuple(entries), tuple(range(k))))
     return Family(field, n, k, tuple(members))
 
 
 # -- code-column construction ---------------------------------------------
 
 
-def build_code_based_family(H: MatrixGF, k: int) -> Family:
+def build_code_based_family(field: Field, H, k: int) -> Family:
     """Family spanned by consecutive k-column groups of a parity-check
-    matrix.  With minimum code distance >= 3k+1 the result has exact AAD
-    parameter at most 1.
+    matrix H, given as its rows.  With minimum code distance >= 3k+1 the
+    result has exact AAD parameter at most 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    ncols = H.cols
-    groups = ncols // k
+    cols = list(zip(*H))
+    groups = len(cols) // k
     if groups < 1:
         raise ValueError("matrix has fewer than k columns")
-    field = H.field
-    n = H.rows
-    cols = [tuple(H.entry(r, c) for r in range(n)) for c in range(ncols)]
+    n = len(H)
     members = []
     for g in range(groups):
-        R, rk, pivots = rref(MatrixGF.from_rows(field, cols[g * k : (g + 1) * k]))
+        R, rk, pivots = rref(field, cols[g * k : (g + 1) * k])
         if rk != k:
             raise ValueError(f"column group {g} is linearly dependent")
-        members.append(Subspace._trusted(field, n, k, R, pivots))
+        members.append(Subspace._trusted(field, n, k, tuple(x for row in R for x in row), pivots))
     return Family(field, n, k, tuple(members))
 
 
-def vandermonde_matrix(field: Field, rows: int) -> MatrixGF:
-    """rows x q matrix with columns (1, a, a^2, ...) over all field elements."""
-    return MatrixGF.from_rows(field, [[field.pow(a, r) for a in field.elements()] for r in range(rows)])
+def vandermonde_matrix(field: Field, rows: int) -> list[list[int]]:
+    """The rows of the rows x q matrix with columns (1, a, a^2, ...) over
+    all field elements."""
+    return [[field.pow(a, r) for a in field.elements()] for r in range(rows)]
 
 
 # -- random construction ----------------------------------------------------
@@ -224,10 +223,9 @@ def _random_subspace(field: Field, n: int, k: int, rng: random.Random) -> Subspa
     # generator matrices, so the result is uniform.
     q = field.q
     while True:
-        entries = [rng.randrange(q) for _ in range(k * n)]
-        R, rk, pivots = rref(MatrixGF(field, k, n, tuple(entries)))
+        R, rk, pivots = rref(field, [[rng.randrange(q) for _ in range(n)] for _ in range(k)])
         if rk == k:
-            return Subspace._trusted(field, n, k, R, pivots)
+            return Subspace._trusted(field, n, k, tuple(x for row in R for x in row), pivots)
 
 
 def build_random_family(

@@ -234,7 +234,7 @@ def _quotient_point_counts(fam: Family):
     not fit, q > 256 or n - k > 8, and the tests take it as that path's
     oracle.
     """
-    member_rows = [T.basis.row_list() for T in fam.members]
+    member_rows = [T.row_list() for T in fam.members]
     for i, S in enumerate(fam.members):
         project = operator.itemgetter(*_free_columns(S))
         counts = Counter()
@@ -318,12 +318,12 @@ def _packed_quotient_point_counts(fam: Family):
         tables.append(bytes(range(q)) * q)
         base = [[tables[q]] * q] + [list(map(tables.__getitem__, mul[f.inv_table[x]])) for x in range(1, q)]
         scale = [mul_pad[:q]] + [[mul_pad[x]] * q for x in range(1, q)]
-    columns = [bytes(col) for col in zip(*(T.basis.entries for T in fam.members))]
+    columns = [bytes(col) for col in zip(*(T.entries for T in fam.members))]
     # the value of each basis entry that is the same in every member, else
     # None; all pivot columns are constant where the members share pivots
     constant = [col[0] if col == col[:1] * m else None for col in columns]
     for i, S in enumerate(fam.members):
-        b, pivots, free = S.basis.entries, S.pivots, _free_columns(S)
+        b, pivots, free = S.entries, S.pivots, _free_columns(S)
         # residues[s][t]: free column t of the residues of row s, one byte per pair
         residues = []
         for s in range(k):
@@ -446,7 +446,7 @@ def _packed_line_point_counts(fam: Family):
     q, mul, neg = f.q, f.mul_table, f.neg_table
     add_rows = _padded_add_rows(f)
     lane_tables = _log_lane_tables(f)
-    entries = [T.basis.entries for T in fam.members]
+    entries = [T.entries for T in fam.members]
     groups = {}
     for c in {T.pivots[0] for T in fam.members}:
         by_value = [[] for _ in range(q)]
@@ -501,7 +501,7 @@ def _line_point_counts(lines):
     """
     f = lines[0].field
     add, mul, neg, inv = f.add_table, f.mul_table, f.neg_table, f.inv_table
-    entries = [T.basis.entries for T in lines]
+    entries = [T.entries for T in lines]
     # lists, not tuples: the per-member slices then raise peak RSS less
     columns = [list(col) for col in zip(*entries)]
     getitem = operator.getitem
@@ -538,7 +538,7 @@ def _first_attaining_coset(fam: Family, i: int, attaining: set, add, mul, inv):
     for j, T in enumerate(fam.members):
         if j == i:
             continue
-        proj = [project(w) for w in map(S.reduce, T.basis.row_list())]
+        proj = [project(w) for w in map(S.reduce, T.row_list())]
         for v in _leading_one_combinations(proj, add, mul):
             lead = next(filter(None, v))
             key = v if lead == 1 else tuple(map(mul[inv[lead]].__getitem__, v))
@@ -659,7 +659,7 @@ def compute_L_as(
     add, mul = f.add_table, f.mul_table
     owner = {}
     for idx, S in enumerate(fam.members):
-        for pt in _leading_one_combinations(S.basis.row_list(), add, mul):
+        for pt in _leading_one_combinations(S.row_list(), add, mul):
             if owner.setdefault(pt, idx) != idx:
                 raise NotAPartialSpread(check_partial_spread(fam)[1])
     m = len(fam.members)
@@ -668,7 +668,7 @@ def compute_L_as(
     best = -1
     best_V = None
     for V in enumerate_subspaces(f, fam.n, fam.k + 1):
-        met = {owner.get(pt) for pt in _leading_one_combinations(V.basis.row_list(), add, mul)}
+        met = {owner.get(pt) for pt in _leading_one_combinations(V.row_list(), add, mul)}
         hits = len(met) - (None in met)
         if hits > best:
             best, best_V = hits, V

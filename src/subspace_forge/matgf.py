@@ -1,55 +1,15 @@
 """Dense exact linear algebra over GF(q).
 
-Matrices are immutable row-major tuples of element codes.  Ambient
-dimensions stay tiny (n <= 8 in practice), so everything is plain
-Gauss-Jordan elimination; the RREF is the canonical form that the
+A matrix is a list of rows of element codes, all of one length.  The
+codes are trusted: the subspace layer and the CLI check them on input.
+Ambient dimensions stay tiny (n <= 8 in practice), so everything is
+plain Gauss-Jordan elimination; the RREF is the canonical form that the
 subspace layer relies on for equality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .gf import Field, _json_int
-
-
-@dataclass(frozen=True)
-class MatrixGF:
-    field: Field
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-        q = self.field.q
-        if any(not 0 <= e < q for e in self.entries):
-            raise ValueError("entry out of field range")
-
-    @classmethod
-    def from_rows(cls, field: Field, rows) -> "MatrixGF":
-        rows = [tuple(int(x) for x in r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(field, len(rows), ncols, tuple(x for r in rows for x in r))
-
-    def entry(self, r: int, c: int) -> int:
-        return self.entries[r * self.cols + c]
-
-    def row(self, r: int) -> tuple[int, ...]:
-        return self.entries[r * self.cols : (r + 1) * self.cols]
-
-    def row_list(self) -> list[tuple[int, ...]]:
-        return [self.row(r) for r in range(self.rows)]
-
-    def to_json(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols, "entries": list(self.entries)}
-
-    @classmethod
-    def from_json(cls, field: Field, obj: dict) -> "MatrixGF":
-        return cls(field, _json_int(obj["rows"]), _json_int(obj["cols"]), tuple(map(_json_int, obj["entries"])))
+from .gf import Field
 
 
 def _rref_rows(field: Field, rows: list[list[int]], ncols: int):
@@ -88,50 +48,45 @@ def _rref_rows(field: Field, rows: list[list[int]], ncols: int):
     return r, tuple(pivots)
 
 
-def rref(M: MatrixGF) -> tuple[MatrixGF, int, tuple[int, ...]]:
-    """Reduced row echelon form of M.
+def rref(field: Field, rows) -> tuple[list[tuple[int, ...]], int, tuple[int, ...]]:
+    """Reduced row echelon form of the matrix with these rows.
 
-    Returns (R, rank, pivots): R has the same shape as M with zero rows
-    at the bottom, rank is the number of nonzero rows, and pivots is the
+    Returns (R, rank, pivots): R has as many rows, with the zero rows at
+    the bottom, rank is the number of nonzero rows, and pivots is the
     strictly increasing tuple of pivot column indices.
     """
-    rows = [list(M.row(r)) for r in range(M.rows)]
-    rank, pivots = _rref_rows(M.field, rows, M.cols)
-    R = MatrixGF(M.field, M.rows, M.cols, tuple(x for r in rows for x in r))
-    return R, rank, pivots
+    R = [list(r) for r in rows]
+    rank, pivots = _rref_rows(field, R, len(R[0]) if R else 0)
+    return list(map(tuple, R)), rank, pivots
 
 
-def kernel_basis(M: MatrixGF) -> MatrixGF:
-    """Canonical basis of the right null space {v : M v^T = 0}.
+def kernel_basis(field: Field, rows, ncols: int) -> list[tuple[int, ...]]:
+    """Canonical basis of the right null space {v : M v^T = 0} of the
+    matrix M with these rows and ncols columns.
 
-    The output has cols(M) - rank(M) rows and is itself in RREF, so two
-    equal kernels compare equal entry-wise.
+    The output has ncols - rank(M) rows and is itself in RREF, so two
+    equal kernels compare equal row by row.
     """
-    field = M.field
-    R, rk, pivots = rref(M)
+    R, _, pivots = rref(field, rows)
     pivot_set = set(pivots)
-    free = [c for c in range(M.cols) if c not in pivot_set]
+    free = [c for c in range(ncols) if c not in pivot_set]
     gens = []
     for fc in free:
-        v = [0] * M.cols
+        v = [0] * ncols
         v[fc] = 1
         for r_idx, pc in enumerate(pivots):
-            v[pc] = field.neg(R.entry(r_idx, fc))
+            v[pc] = field.neg(R[r_idx][fc])
         gens.append(v)
-    if not gens:
-        return MatrixGF(field, 0, M.cols, ())
-    nrank, _ = _rref_rows(field, gens, M.cols)
+    nrank, _ = _rref_rows(field, gens, ncols)
     assert nrank == len(free)
-    return MatrixGF(field, len(gens), M.cols, tuple(x for r in gens for x in r))
+    return list(map(tuple, gens))
 
 
-def rank_of_stack(A: MatrixGF, B: MatrixGF) -> int:
-    """Rank of the vertical concatenation of A and B."""
-    if A.field != B.field:
-        raise ValueError("field mismatch")
-    if A.cols != B.cols:
+def rank_of_stack(field: Field, A, B) -> int:
+    """Rank of the vertical concatenation of the row lists A and B."""
+    if A and B and len(A[0]) != len(B[0]):
         raise ValueError("column count mismatch")
-    rows = [list(A.row(r)) for r in range(A.rows)]
-    rows += [list(B.row(r)) for r in range(B.rows)]
-    r, _ = _rref_rows(A.field, rows, A.cols)
+    rows = [list(r) for r in A]
+    rows += [list(r) for r in B]
+    r, _ = _rref_rows(field, rows, len(rows[0]) if rows else 0)
     return r

@@ -88,7 +88,7 @@ class _Chosen:
 
     def push(self, cand: Subspace) -> None:
         if self.k >= 2:
-            rows = cand.basis.row_list()
+            rows = cand.row_list()
             project = operator.itemgetter(*_free_columns(cand))
             for S, (_, S_project, counts) in zip(self.members, self.tallies):
                 counts.update(_quotient_points(S, S_project, rows))
@@ -99,7 +99,7 @@ class _Chosen:
         cand = self.members.pop()
         if self.k >= 2:
             self.tallies.pop()
-            rows = cand.basis.row_list()
+            rows = cand.row_list()
             for S, (_, project, counts) in zip(self.members, self.tallies):
                 for pt in _quotient_points(S, project, rows):
                     counts[pt] -= 1
@@ -129,7 +129,7 @@ def _feasible(chosen: _Chosen, cand: Subspace) -> bool:
     if chosen.k == 1:
         tally = _line_point_counts([cand, *chosen.members])
         return max(next(tally).values(), default=0) <= chosen.L
-    rows = cand.basis.row_list()
+    rows = cand.row_list()
     for S, (_, project, counts) in zip(chosen.members, chosen.tallies):
         points = _quotient_points(S, project, rows)
         if points is None or max(map(counts.get, points, repeat(0))) >= chosen.L:

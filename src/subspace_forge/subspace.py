@@ -1,11 +1,11 @@
 """Canonical subspaces of GF(q)^n and exhaustive subspace enumeration.
 
-A Subspace is stored as its unique RREF basis, so equality is plain
-entry-wise comparison and the basis tuple can serve as a dict key.  The
-enumeration iterates pivot-column patterns in lexicographic order and
-fills the free cells row-major with codes counted lexicographically,
-which pins a reproducible canonical order used by the search and test
-layers.
+A Subspace is stored as the row-major entries of its unique RREF basis,
+so equality is plain entry-wise comparison and the entries tuple can
+serve as a dict key.  The enumeration iterates pivot-column patterns in
+lexicographic order and fills the free cells row-major with codes
+counted lexicographically, which pins a reproducible canonical order
+used by the search and test layers.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 
 from .gf import Field, _json_int, check_guard
-from .matgf import MatrixGF, rank_of_stack, rref
+from .matgf import rank_of_stack, rref
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -54,21 +54,25 @@ def span_step(layer, row, add, mul) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A k-dimensional subspace of GF(q)^n in canonical RREF basis form."""
+    """A k-dimensional subspace of GF(q)^n, held as the k x n row-major
+    entries of its canonical RREF basis."""
 
     field: Field
     n: int
     k: int
-    basis: MatrixGF
+    entries: tuple[int, ...]
 
     def __post_init__(self):
-        if self.basis.rows != self.k or self.basis.cols != self.n:
+        q = self.field.q
+        if any(not 0 <= e < q for e in self.entries):
+            raise ValueError("entry out of field range")
+        if len(self.entries) != self.k * self.n:
             raise ValueError("basis shape does not match (k, n)")
         if self.k < 1 or self.k > self.n:
             raise ValueError(f"subspace dimension must be in [1, n], got k={self.k}")
         # canonical rank-k RREF: each row's first nonzero entry is a 1, the
         # pivots strictly increase, and every other row is 0 in each pivot
-        rows = self.basis.row_list()
+        rows = self.row_list()
         pivots = tuple(next(filter(row.__getitem__, range(self.n)), self.n) for row in rows)
         if not (
             all(map(operator.lt, pivots, pivots[1:]))
@@ -79,12 +83,12 @@ class Subspace:
         object.__setattr__(self, "_pivots", pivots)
 
     @classmethod
-    def _trusted(cls, field: Field, n: int, k: int, basis: MatrixGF, pivots: tuple[int, ...]) -> "Subspace":
-        """A subspace whose basis is already its canonical RREF with the
-        given pivot columns.  Skips the rref check of __post_init__, so
-        only callers that build the canonical form themselves may use it."""
+    def _trusted(cls, field: Field, n: int, k: int, entries: tuple[int, ...], pivots: tuple[int, ...]) -> "Subspace":
+        """A subspace whose entries are already its canonical RREF basis
+        with the given pivot columns.  Skips the checks of __post_init__,
+        so only callers that build the canonical form themselves may use it."""
         S = object.__new__(cls)
-        for name, value in (("field", field), ("n", n), ("k", k), ("basis", basis), ("_pivots", pivots)):
+        for name, value in (("field", field), ("n", n), ("k", k), ("entries", entries), ("_pivots", pivots)):
             object.__setattr__(S, name, value)
         return S
 
@@ -96,16 +100,21 @@ class Subspace:
             raise ValueError("empty generator set")
         if any(len(v) != n for v in vectors):
             raise ValueError("generator length does not match ambient dimension")
-        M = MatrixGF.from_rows(field, vectors)
-        R, rk, pivots = rref(M)
+        if any(not 0 <= x < field.q for v in vectors for x in v):
+            raise ValueError("entry out of field range")
+        R, rk, pivots = rref(field, vectors)
         if rk == 0:
             raise ValueError("generators span only the zero space")
-        basis = MatrixGF(field, rk, n, R.entries[: rk * n])
-        return cls._trusted(field, n, rk, basis, pivots)
+        return cls._trusted(field, n, rk, tuple(x for row in R[:rk] for x in row), pivots)
 
     @property
     def pivots(self) -> tuple[int, ...]:
         return self._pivots
+
+    def row_list(self) -> list[tuple[int, ...]]:
+        """The k basis rows."""
+        n, e = self.n, self.entries
+        return [e[i : i + n] for i in range(0, self.k * n, n)]
 
     def reduce(self, v) -> tuple[int, ...]:
         """Residue of v modulo this subspace: the unique coset member with
@@ -121,7 +130,7 @@ class Subspace:
         if len(r) != n:
             raise ValueError("vector length mismatch")
         add, mul, neg = f.add_table, f.mul_table, f.neg_table
-        entries = self.basis.entries
+        entries = self.entries
         for row_idx, p in enumerate(self._pivots):
             c = r[p]
             if c:
@@ -137,34 +146,40 @@ class Subspace:
         """True iff the two subspaces meet only in the zero vector."""
         if self.n != other.n or self.field != other.field:
             raise ValueError("ambient space mismatch")
-        return rank_of_stack(self.basis, other.basis) == self.k + other.k
+        return rank_of_stack(self.field, self.row_list(), other.row_list()) == self.k + other.k
 
     def sum(self, other: "Subspace") -> "Subspace":
         """Canonical span of the union of both subspaces."""
         if self.n != other.n or self.field != other.field:
             raise ValueError("ambient space mismatch")
-        return Subspace.from_generators(self.field, self.n, self.basis.row_list() + other.basis.row_list())
+        return Subspace.from_generators(self.field, self.n, self.row_list() + other.row_list())
 
     def vectors(self) -> list[tuple[int, ...]]:
         """All q^k vectors sum(c_t * row_t) of the subspace, in
         itertools.product order of the coefficient vectors c."""
         f = self.field
         layer = [(0,) * self.n]
-        for row in self.basis.row_list():
+        for row in self.row_list():
             layer = span_step(layer, row, f.add_table, f.mul_table)
         return layer
 
     def key(self) -> tuple[int, ...]:
         """Hashable identity of the subspace (its RREF basis entries)."""
-        return self.basis.entries
+        return self.entries
 
     def to_json(self) -> dict:
-        return {"n": self.n, "k": self.k, "basis": [list(r) for r in self.basis.row_list()]}
+        return {"n": self.n, "k": self.k, "basis": [list(r) for r in self.row_list()]}
 
     @classmethod
     def from_json(cls, field: Field, obj: dict) -> "Subspace":
-        basis = MatrixGF.from_rows(field, [list(map(_json_int, row)) for row in obj["basis"]])
-        return cls(field, _json_int(obj["n"]), _json_int(obj["k"]), basis)
+        rows = [tuple(map(_json_int, row)) for row in obj["basis"]]
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("ragged rows")
+        n = _json_int(obj["n"])
+        # rows of length n make the entry count k * n only for k rows
+        if rows and len(rows[0]) != n:
+            raise ValueError("basis shape does not match (k, n)")
+        return cls(field, n, _json_int(obj["k"]), tuple(x for row in rows for x in row))
 
 
 def enumerate_subspaces(field: Field, n: int, k: int):
@@ -179,25 +194,14 @@ def enumerate_subspaces(field: Field, n: int, k: int):
     q = field.q
     for pattern in itertools.combinations(range(n), k):
         pivot_set = set(pattern)
-        free_cells = [
-            (r, c)
-            for r in range(k)
-            for c in range(n)
-            if c not in pivot_set and c > pattern[r]
-        ]
-        base = [[0] * n for _ in range(k)]
+        free_cells = [r * n + c for r in range(k) for c in range(n) if c not in pivot_set and c > pattern[r]]
+        base = [0] * (k * n)
         for r, p in enumerate(pattern):
-            base[r][p] = 1
+            base[r * n + p] = 1
         for assignment in itertools.product(range(q), repeat=len(free_cells)):
-            rows = [row[:] for row in base]
-            for (r, c), val in zip(free_cells, assignment):
-                rows[r][c] = val
-            basis = MatrixGF(field, k, n, tuple(x for row in rows for x in row))
+            entries = base[:]
+            for i, val in zip(free_cells, assignment):
+                entries[i] = val
             # unit pivots, zeros in other pivot columns and left of each
             # pivot: the basis is canonical RREF by construction
-            yield Subspace._trusted(field, n, k, basis, pattern)
-
-
-def all_vectors(field: Field, n: int):
-    """All q^n vectors of GF(q)^n in lexicographic code order."""
-    return itertools.product(field.elements(), repeat=n)
+            yield Subspace._trusted(field, n, k, tuple(entries), pattern)

@@ -14,7 +14,6 @@ import pytest
 from subspace_forge.gf import field_from_order, make_field
 from subspace_forge.subspace import (
     Subspace,
-    all_vectors,
     enumerate_subspaces,
     gaussian_binomial,
 )
@@ -39,6 +38,7 @@ from subspace_forge.constructions import (
 )
 from subspace_forge.search import exhaustive_max_family, greedy_max_family
 from subspace_forge.batch import BatchCode, batch_s, verify_batch
+from test_subspace import all_vectors
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -92,7 +92,7 @@ def code_based():
     for q in (5, 7):
         t0 = time.perf_counter()
         field = field_from_order(q)
-        fam = build_code_based_family(vandermonde_matrix(field, 3), 1)
+        fam = build_code_based_family(field, vandermonde_matrix(field, 3), 1)
         L, _ = compute_L_aad(fam)
         dt = time.perf_counter() - t0
         out[q] = {"family": fam, "L": L, "seconds": dt}

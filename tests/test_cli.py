@@ -463,6 +463,29 @@ def test_verify_invariant_breaking_family_exits_3(capsys, tmp_path, f2):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "family, member, fault, message",
+    [
+        (NON_SPREAD, 2, {"basis": [[0, 0, 0, 1, 0], [0, 0, 0, 0, 2]]}, "entry out of field range"),
+        (FOUR_LINES, 3, {"basis": [[1, 1]]}, "basis shape does not match (k, n)"),
+        (NON_SPREAD, 0, {"basis": [[1, 0, 0, 0, 0]]}, "basis shape does not match (k, n)"),
+        (NON_SPREAD, 1, {"basis": [[0, 1, 0, 0, 0], [0, 0, 1, 0]]}, "ragged rows"),
+        (NON_SPREAD, 0, {"basis": [[1, 1, 0, 0, 0], [0, 1, 0, 0, 0]]}, "basis is not a canonical rank-k RREF matrix"),
+        (FOUR_LINES, 3, {"n": 4, "basis": [[1, 1, 1, 0]]}, "member 3 has mismatched parameters"),
+        (FOUR_LINES, 3, {"basis": [[1, 0, 0]]}, "member 3 duplicates an earlier member"),
+    ],
+    ids=["out-of-range", "short-row", "too-few-rows", "ragged", "non-canonical", "member-n", "duplicate"],
+)
+def test_verify_malformed_member_exits_3(capsys, tmp_path, family, member, fault, message):
+    fam = json.loads(json.dumps(family))
+    fam["members"][member].update(fault)
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(fam))
+    code, out, err = run_cli(capsys, "verify", "--family", str(path))
+    assert (code, out) == (3, "")
+    assert f"malformed family in {path}: {message}" in err
+
+
 # paths of FOUR_LINES that hold an int
 FOUR_LINES_INTS = [
     ("field", "p"), ("field", "m"), ("field", "gamma"), ("field", "modulus", 1), ("n",), ("k",),
@@ -501,6 +524,27 @@ def test_construct_code_based_non_integer_matrix_exits_3(capsys, tmp_path):
         )
         assert (code, out) == (3, ""), spoiled
         assert "expected an integer" in err
+
+
+@pytest.mark.parametrize(
+    "spoiled, message",
+    [
+        ({"entries": [1] * 11}, "entry count does not match dimensions"),
+        ({"rows": -3, "cols": -4}, "entry count does not match dimensions"),
+        ({"entries": [1] * 11 + [5]}, "entry out of field range"),
+        ({"entries": [1] * 11 + [-1]}, "entry out of field range"),
+    ],
+    ids=["short", "negative-dimensions", "code-q", "negative-code"],
+)
+def test_construct_code_based_malformed_matrix_exits_3(capsys, tmp_path, spoiled, message):
+    # both used to exit 2 with a bare message that named no file
+    path = tmp_path / "H.json"
+    path.write_text(json.dumps({"rows": 3, "cols": 4, "entries": [1] * 12, **spoiled}))
+    code, out, err = run_cli(
+        capsys, "construct", "code-based", "--n", "3", "--k", "1", "--q", "5", "--matrix", str(path)
+    )
+    assert (code, out) == (3, "")
+    assert f"malformed matrix in {path}: {message}" in err
 
 
 def test_verify_modulus_outside_the_field_exits_3(capsys, tmp_path):

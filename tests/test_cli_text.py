@@ -93,8 +93,8 @@ options:
   --q Q            field order (prime power)
   --out OUT        write the JSON envelope to this file instead of stdout
   --pretty         indent the JSON output
-  --matrix MATRIX  parity-check MatrixGF JSON file (default: the n x q
-                   Vandermonde over GF(q))
+  --matrix MATRIX  parity-check JSON file {"rows", "cols", "entries"}
+                   (default: the n x q Vandermonde over GF(q))
 """
 
 VERIFY_HELP = """\

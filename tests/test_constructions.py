@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from subspace_forge.gf import SizeGuardError, field_from_order, make_field
-from subspace_forge.matgf import MatrixGF
 from subspace_forge.subspace import Subspace, enumerate_subspaces
 from subspace_forge.family import Family, check_partial_spread, compute_L_aad, compute_L_as
 from subspace_forge.constructions import (
@@ -104,7 +103,7 @@ def rs_members(n, k, q):
 def codewords(n, k, q):
     """The codeword c of each RS member, in member order: row 0 holds
     e_0 | c | power sum, as the j = 0 twist is the identity."""
-    return [S.basis.row(0)[k : n - 1] for S in rs_members(n, k, q)[1]]
+    return [S.row_list()[0][k : n - 1] for S in rs_members(n, k, q)[1]]
 
 
 def test_rs_codewords_k1_are_all_messages():
@@ -125,11 +124,11 @@ def test_make_rs_code_parity_rows_are_gamma_powers():
     # are q^(n-2k) distinct codewords, the size of that null space
     f23 = field_from_order(23)
     g = f23.gamma
-    H = MatrixGF.from_rows(f23, [(1, 1, 1), (1, g, f23.mul(g, g))])
+    H = [(1, 1, 1), (1, g, f23.mul(g, g))]
     words = codewords(7, 3, 23)
     assert len(set(words)) == len(words) == 23
     for w in words:
-        assert mat_vec(H, w) == (0, 0)
+        assert mat_vec(f23, H, w) == (0, 0)
 
 
 def test_rs_codewords_satisfy_parity():
@@ -137,11 +136,11 @@ def test_rs_codewords_satisfy_parity():
     for n, k, q in [(6, 2, 13), (7, 3, 23)]:
         field = field_from_order(q)
         g = field.gamma
-        H = MatrixGF.from_rows(field, [[field.pow(g, c * t) for c in range(n - k - 1)] for t in range(k - 1)])
+        H = [[field.pow(g, c * t) for c in range(n - k - 1)] for t in range(k - 1)]
         words = codewords(n, k, q)
         assert len(set(words)) == len(words) == q ** (n - 2 * k)
         for w in words:
-            assert mat_vec(H, w) == (0,) * (k - 1)
+            assert mat_vec(field, H, w) == (0,) * (k - 1)
 
 
 def test_rs_code_min_weight_is_mds():
@@ -172,7 +171,7 @@ def test_twist_codeword_j1_identity():
     f11, members = rs_members(5, 2, 11)
     for a, S in enumerate(members):
         b = f11.neg(a)
-        assert S.basis.row(0) == (1, 0, a, b, (a**2 + b**3) % 11)
+        assert S.row_list()[0] == (1, 0, a, b, (a**2 + b**3) % 11)
 
 
 def test_twist_codeword_j2_powers():
@@ -181,29 +180,29 @@ def test_twist_codeword_j2_powers():
     g = f11.gamma
     for a, S in enumerate(members):
         b = f11.neg(a)
-        assert S.basis.row(1)[:4] == (0, 1, f11.mul(g, a), f11.mul(f11.mul(g, g), b))
+        assert S.row_list()[1][:4] == (0, 1, f11.mul(g, a), f11.mul(f11.mul(g, g), b))
 
 
 def test_twist_codeword_zero():
     _, members = rs_members(5, 2, 11)
-    assert members[0].basis.row_list() == [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)]
+    assert members[0].row_list() == [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)]
 
 
 def test_power_sum_k1_square():
     for c, S in enumerate(rs_members(3, 1, 5)[1]):
-        assert S.basis.row(0)[2] == pow(c, 2, 5)
+        assert S.row_list()[0][2] == pow(c, 2, 5)
 
 
 def test_power_sum_zero():
     _, members = rs_members(5, 2, 11)
-    assert [row[-1] for row in members[0].basis.row_list()] == [0, 0]
+    assert [row[-1] for row in members[0].row_list()] == [0, 0]
 
 
 def test_power_sum_k2_exponents():
     # exponents are p + 1 in row 0 and (n-k-1) + p + 1 in row 1: 2, 3 and 4, 5
     _, members = rs_members(5, 2, 11)
     for S in members:
-        (_, _, a, b, s0), (_, _, _, _, s1) = S.basis.row_list()
+        (_, _, a, b, s0), (_, _, _, _, s1) = S.row_list()
         assert s0 == (pow(a, 2, 11) + pow(b, 3, 11)) % 11
         assert s1 == (pow(a, 4, 11) + pow(b, 5, 11)) % 11
 
@@ -217,7 +216,7 @@ def test_build_rs_family_hand_expansion(f5):
     # k=1, n=3: members are the lines through (1, c, c^2)
     fam = build_rs_family(3, 1, f5)
     expected = {(1, c, pow(c, 2, 5)) for c in range(5)}
-    assert {S.basis.row(0) for S in fam.members} == expected
+    assert {S.row_list()[0] for S in fam.members} == expected
 
 
 def test_build_rs_family_spread_at_smallest_q():
@@ -240,9 +239,9 @@ def test_rs_members_equal_checked_construction(n, k, q):
     # members are built trusted: each basis must already be canonical RREF
     field, members = rs_members(n, k, q)
     for S in members:
-        T = Subspace.from_generators(field, n, S.basis.row_list())
+        T = Subspace.from_generators(field, n, S.row_list())
         assert T == S and T.pivots == S.pivots == tuple(range(k))
-        assert Subspace(field, n, k, S.basis) == S
+        assert Subspace(field, n, k, S.entries) == S
 
 
 def test_build_rs_family_rejects_small_q():
@@ -266,7 +265,7 @@ def test_build_rs_family_deterministic(f5):
 def test_code_based_vandermonde_families(f5, f7):
     for field in (f5, f7):
         H = vandermonde_matrix(field, 3)
-        fam = build_code_based_family(H, 1)
+        fam = build_code_based_family(field, H, 1)
         assert len(fam) == field.q
         assert check_partial_spread(fam)[0]
         L, _ = compute_L_aad(fam)
@@ -274,22 +273,22 @@ def test_code_based_vandermonde_families(f5, f7):
 
 
 def test_code_based_repeated_column_fails(f5):
-    H = MatrixGF.from_rows(f5, [[1, 1, 0], [0, 0, 1], [0, 0, 0]])
+    H = [[1, 1, 0], [0, 0, 1], [0, 0, 0]]
     # first two columns span the same line: duplicate members
     with pytest.raises(ValueError):
-        build_code_based_family(H, 1)
+        build_code_based_family(f5, H, 1)
 
 
 def test_code_based_dependent_group_fails(f5):
-    H = MatrixGF.from_rows(f5, [[1, 0], [0, 0], [0, 0]])
+    H = [[1, 0], [0, 0], [0, 0]]
     with pytest.raises(ValueError, match="column group 1 is linearly dependent"):  # second column is zero
-        build_code_based_family(H, 1)
+        build_code_based_family(f5, H, 1)
 
 
 def test_code_based_k2_grouping(f2):
     # 6 columns of an identity-like matrix in GF(2)^6: three disjoint planes
-    H = MatrixGF.from_rows(f2, [[int(r == c) for c in range(6)] for r in range(6)])
-    fam = build_code_based_family(H, 2)
+    H = [[int(r == c) for c in range(6)] for r in range(6)]
+    fam = build_code_based_family(f2, H, 2)
     assert len(fam) == 3
     assert fam.k == 2
     assert check_partial_spread(fam)[0]
@@ -298,13 +297,13 @@ def test_code_based_k2_grouping(f2):
 def test_code_based_members_equal_checked_construction(f7):
     # members are built trusted from one rref of each column group
     H = vandermonde_matrix(f7, 5)
-    fam = build_code_based_family(H, 2)
+    fam = build_code_based_family(f7, H, 2)
     assert len(fam) == 3
     for g, S in enumerate(fam.members):
-        gens = [[H.entry(r, c) for r in range(5)] for c in (2 * g, 2 * g + 1)]
+        gens = [[H[r][c] for r in range(5)] for c in (2 * g, 2 * g + 1)]
         T = Subspace.from_generators(f7, 5, gens)
         assert T == S and T.pivots == S.pivots
-        assert Subspace(f7, 5, 2, S.basis) == S
+        assert Subspace(f7, 5, 2, S.entries) == S
 
 
 # ---------------------------------------------------------------------------

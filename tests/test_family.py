@@ -12,7 +12,7 @@ from hypothesis import Phase, assume, given, settings, strategies as st
 
 from subspace_forge.gf import SizeGuardError, field_from_order, make_field
 from subspace_forge.matgf import rank_of_stack
-from subspace_forge.subspace import Subspace, all_vectors, enumerate_subspaces
+from subspace_forge.subspace import Subspace, enumerate_subspaces
 from subspace_forge import family as family_mod
 from subspace_forge.family import (
     _leading_one_combinations,
@@ -33,6 +33,7 @@ from subspace_forge.family import (
     count_L_aad,
     coset_hits_bruteforce,
 )
+from test_subspace import all_vectors
 
 
 def line(field, v):
@@ -68,7 +69,7 @@ def exhaustive_L_as_oracle(fam):
         hits = sum(
             1
             for S in fam.members
-            if rank_of_stack(V.basis, S.basis) < V.k + S.k
+            if rank_of_stack(V.field, V.row_list(), S.row_list()) < V.k + S.k
         )
         best = max(best, hits)
     return best
@@ -264,7 +265,7 @@ def _reference_L_aad(fam):
         return i, tuple(u)
 
     add, mul, inv = f.add_table, f.mul_table, f.inv_table
-    member_rows = [T.basis.row_list() for T in members]
+    member_rows = [T.row_list() for T in members]
     best = 0
     best_witness = None
     for i, S in enumerate(members):
@@ -577,7 +578,7 @@ def test_L_aad_differential(fam):
 def test_L_as_differential(fam):
     L, V = compute_L_as(fam)
     assert L == exhaustive_L_as_oracle(fam)
-    assert L == sum(1 for S in fam.members if rank_of_stack(V.basis, S.basis) < V.k + S.k)
+    assert L == sum(1 for S in fam.members if rank_of_stack(V.field, V.row_list(), S.row_list()) < V.k + S.k)
 
 
 @DIFFERENTIAL
@@ -613,7 +614,7 @@ def test_report_draws_74_planes_on_rs_5_1_7(monkeypatch):
     report = build_report(fam)
     assert drawn == 74
     assert (report.L_aad, report.L_as, report.relations_ok) == (3, 4, True)
-    assert report.as_witness.basis.row_list() == [(1, 0, 0, 0, 0), (0, 1, 1, 3, 3)]
+    assert report.as_witness.row_list() == [(1, 0, 0, 0, 0), (0, 1, 1, 3, 3)]
 
 
 def test_as_only_report_runs_no_aad_count(monkeypatch):
@@ -673,7 +674,7 @@ def test_L_as_four_line_family(four_line_family):
     hits = sum(
         1
         for S in four_line_family.members
-        if rank_of_stack(V.basis, S.basis) < V.k + S.k
+        if rank_of_stack(V.field, V.row_list(), S.row_list()) < V.k + S.k
     )
     assert hits == L
 
@@ -781,7 +782,7 @@ def test_build_report_full(four_line_family):
     hits = sum(
         1
         for S in four_line_family.members
-        if rank_of_stack(V.basis, S.basis) < V.k + S.k
+        if rank_of_stack(V.field, V.row_list(), S.row_list()) < V.k + S.k
     )
     assert hits == report.L_as
     obj = report.to_json()

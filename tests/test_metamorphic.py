@@ -25,7 +25,7 @@ from subspace_forge.family import (
     coset_hits,
 )
 from subspace_forge.gf import field_from_order
-from subspace_forge.matgf import MatrixGF, rref
+from subspace_forge.matgf import rref
 from subspace_forge.subspace import Subspace
 
 
@@ -37,9 +37,9 @@ def rs(n, k, q):
 def random_invertible(field, n, rng):
     """The rows of a uniform n x n matrix over the field with rank n."""
     while True:
-        g = MatrixGF(field, n, n, tuple(rng.randrange(field.q) for _ in range(n * n)))
-        if rref(g)[1] == n:
-            return g.row_list()
+        g = [tuple(rng.randrange(field.q) for _ in range(n)) for _ in range(n)]
+        if rref(field, g)[1] == n:
+            return g
 
 
 def linear_map(field, g):
@@ -68,7 +68,7 @@ def mapped(fam, image, rng):
     order = list(range(len(fam)))
     rng.shuffle(order)
     members = tuple(
-        Subspace.from_generators(fam.field, fam.n, [image(r) for r in fam.members[i].basis.row_list()])
+        Subspace.from_generators(fam.field, fam.n, [image(r) for r in fam.members[i].row_list()])
         for i in order
     )
     position = {old: new for new, old in enumerate(order)}
@@ -122,7 +122,7 @@ def test_gl_image_names_the_mapped_meeting_pair(seed):
     # map is the first of the images of those meeting pairs
     fam = rs(6, 2, 13)
     f = fam.field
-    extra = Subspace.from_generators(f, 6, [fam.members[3].basis.row(0), fam.members[7].basis.row(1)])
+    extra = Subspace.from_generators(f, 6, [fam.members[3].row_list()[0], fam.members[7].row_list()[1]])
     spoiled = Family(f, 6, 2, fam.members + (extra,))
     x = len(fam)
     met = [j for j in range(x) if not fam.members[j].trivially_intersects(extra)]

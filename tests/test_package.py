@@ -13,7 +13,6 @@ PUBLIC_API = [
     "BatchCode",
     "Family",
     "Field",
-    "MatrixGF",
     "NotAPartialSpread",
     "RecoveryPlan",
     "SearchResult",
@@ -67,3 +66,26 @@ def test_only_gf_constructs_size_guard_errors():
                 if name == "SizeGuardError":
                     built.append(f"{path.relative_to(root)}:{node.lineno}")
     assert built and all(site.startswith("gf.py:") for site in built), built
+
+
+def test_every_public_definition_is_exported_or_used():
+    # a public top-level function or class that is neither in __all__ nor
+    # read anywhere in the package is dead code
+    root = Path(subspace_forge.__file__).parent
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in sorted(root.rglob("*.py"))}
+    used = {
+        getattr(node, "id", None) or getattr(node, "attr", None)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    unused = [
+        f"{path.relative_to(root)}:{node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in subspace_forge.__all__
+        and node.name not in used
+    ]
+    assert not unused

@@ -6,14 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from subspace_forge import constructions
 from subspace_forge.gf import SizeGuardError, check_guard, field_from_order, make_field
-from subspace_forge.matgf import MatrixGF, kernel_basis, rank_of_stack, rref
+from subspace_forge.matgf import kernel_basis, rank_of_stack, rref
 from subspace_forge.subspace import (
     Subspace,
-    all_vectors,
     checked_gaussian_binomial,
     enumerate_subspaces,
     gaussian_binomial,
 )
+
+
+def all_vectors(field, n):
+    """All q^n vectors of GF(q)^n in lexicographic code order."""
+    return itertools.product(field.elements(), repeat=n)
 
 
 # ---------------------------------------------------------------------------
@@ -23,13 +27,13 @@ from subspace_forge.subspace import (
 
 def test_from_generators_scales_to_pivot_one(f5):
     S = Subspace.from_generators(f5, 3, [(2, 4, 0)])
-    assert S.basis.row_list() == [(1, 2, 0)]
+    assert S.row_list() == [(1, 2, 0)]
     assert S.k == 1
 
 
 def test_from_generators_reduces(f2):
     S = Subspace.from_generators(f2, 3, [(1, 0, 0), (1, 1, 0)])
-    assert S.basis.row_list() == [(1, 0, 0), (0, 1, 0)]
+    assert S.row_list() == [(1, 0, 0), (0, 1, 0)]
     assert S.k == 2
 
 
@@ -47,9 +51,23 @@ def test_from_generators_rejects_zero_span(f5):
 
 def test_direct_constructor_rejects_non_canonical(f5):
     with pytest.raises(ValueError):
-        Subspace(f5, 3, 1, MatrixGF.from_rows(f5, [(2, 4, 0)]))  # not RREF
+        Subspace(f5, 3, 1, (2, 4, 0))  # not RREF
     with pytest.raises(ValueError):
-        Subspace(f5, 3, 2, MatrixGF.from_rows(f5, [(1, 0, 0), (1, 0, 0)]))  # rank 1
+        Subspace(f5, 3, 2, (1, 0, 0, 1, 0, 0))  # rank 1
+
+
+def test_subspace_checks_its_entries(f3):
+    with pytest.raises(ValueError, match="entry out of field range"):
+        Subspace(f3, 2, 1, (1, 3))
+    with pytest.raises(ValueError, match="entry out of field range"):
+        Subspace.from_generators(f3, 2, [(1, -1)])
+    with pytest.raises(ValueError, match=r"basis shape does not match \(k, n\)"):
+        Subspace(f3, 2, 1, (1, 0, 0))
+    # four entries are k * n, but as two rows of two, not one row of four
+    with pytest.raises(ValueError, match=r"basis shape does not match \(k, n\)"):
+        Subspace.from_json(f3, {"n": 4, "k": 1, "basis": [[1, 0], [0, 1]]})
+    with pytest.raises(ValueError, match="ragged rows"):
+        Subspace.from_json(f3, {"n": 2, "k": 2, "basis": [[1, 0], [1]]})
 
 
 @st.composite
@@ -62,22 +80,21 @@ def near_canonical_matrices(draw):
     n = draw(st.integers(1, 6))
     k = draw(st.integers(1, n))
     entries = draw(st.lists(st.integers(0, q - 1), min_size=k * n, max_size=k * n))
-    M = MatrixGF(field, k, n, tuple(entries))
     if draw(st.booleans()):
-        entries = list(rref(M)[0].entries)
+        entries = [x for row in rref(field, [entries[i : i + n] for i in range(0, k * n, n)])[0] for x in row]
         for _ in range(draw(st.integers(0, 2))):
             entries[draw(st.integers(0, k * n - 1))] = draw(st.integers(0, q - 1))
-        M = MatrixGF(field, k, n, tuple(entries))
-    return M
+    return field, n, k, tuple(entries)
 
 
 @settings(max_examples=400, deadline=None)
 @given(near_canonical_matrices())
 def test_canonical_check_matches_rref_oracle(M):
-    R, rk, pivots = rref(M)
-    canonical = R.entries == M.entries and rk == M.rows
+    field, n, k, entries = M
+    R, rk, pivots = rref(field, [entries[i : i + n] for i in range(0, k * n, n)])
+    canonical = tuple(x for row in R for x in row) == entries and rk == k
     try:
-        S = Subspace(M.field, M.cols, M.rows, M)
+        S = Subspace(field, n, k, entries)
     except ValueError as exc:
         assert not canonical
         assert str(exc) == "basis is not a canonical rank-k RREF matrix"
@@ -89,7 +106,7 @@ def test_canonical_check_matches_rref_oracle(M):
 def test_canonicality_fixed_point(f3):
     # rebuilding any enumerated subspace from its own basis is the identity
     for S in itertools.islice(enumerate_subspaces(f3, 4, 2), 50):
-        assert Subspace.from_generators(f3, 4, S.basis.row_list()) == S
+        assert Subspace.from_generators(f3, 4, S.row_list()) == S
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +152,8 @@ def test_trivially_intersects_matches_kernel_route():
         kb = rng.randrange(1, n)
         A = _random_subspace(field, n, ka, rng)
         B = _random_subspace(field, n, kb, rng)
-        KA, KB = kernel_basis(A.basis), kernel_basis(B.basis)
-        if KA.rows == 0 and KB.rows == 0:
-            dim_int = n
-        else:
-            dim_int = kernel_basis(MatrixGF.from_rows(field, KA.row_list() + KB.row_list())).rows
+        KA, KB = kernel_basis(field, A.row_list(), n), kernel_basis(field, B.row_list(), n)
+        dim_int = len(kernel_basis(field, KA + KB, n))
         assert A.trivially_intersects(B) == (dim_int == 0)
 
 
@@ -169,7 +183,7 @@ def test_sum_dimension_formula():
         n = rng.randrange(2, 6)
         A = _random_subspace(field, n, rng.randrange(1, n + 1), rng)
         B = _random_subspace(field, n, rng.randrange(1, n + 1), rng)
-        dim_int = A.k + B.k - rank_of_stack(A.basis, B.basis)
+        dim_int = A.k + B.k - rank_of_stack(field, A.row_list(), B.row_list())
         assert A.sum(B).k == A.k + B.k - dim_int
 
 
@@ -198,7 +212,7 @@ def test_enumerate_planes_f5_4(f5):
 def test_enumerate_full_space(f3):
     subs = list(enumerate_subspaces(f3, 3, 3))
     assert len(subs) == 1
-    assert subs[0].basis == MatrixGF.from_rows(f3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert subs[0].entries == (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
 
 def test_enumerate_no_duplicates_and_deterministic(f3):
@@ -238,7 +252,7 @@ def test_enumerated_subspaces_equal_checked_construction(n, k, q):
             generated.append(Subspace.from_generators(field, n, rows + [dependent, rows[0]]))
     sampled = [constructions._random_subspace(field, n, k, rng) for _ in range(30)]
     for S in enumerated + generated + sampled:
-        checked = Subspace(S.field, S.n, S.k, S.basis)
+        checked = Subspace(S.field, S.n, S.k, S.entries)
         assert S == checked and hash(S) == hash(checked)
         assert S.pivots == checked.pivots
         assert vars(S) == vars(checked)
@@ -347,7 +361,7 @@ def _raw_residue(S, v):
     """reduce's elimination in the field's raw polynomial arithmetic."""
     f = S.field
     r = list(v)
-    for row, p in zip(S.basis.row_list(), S.pivots):
+    for row, p in zip(S.row_list(), S.pivots):
         c = r[p]
         r = [f._add_raw(x, f._neg_raw(f._mul_raw(c, b))) for x, b in zip(r, row)]
     return tuple(r)
@@ -364,7 +378,7 @@ def test_reduce_reads_tables_like_raw_arithmetic(p, m):
         r = _raw_residue(S, v)
         assert S.reduce(v) == r
         assert S.contains(v) == (not any(r))
-        inside = S.basis.row(0)
+        inside = S.row_list()[0]
         assert S.contains(inside) and not any(S.reduce(inside))
 
 
