@@ -30,7 +30,11 @@ other members at once, builds the points as bytes columns, and
 _packed_point_counts scales them to a leading 1 in log lanes and keys
 each by one int that packs its coordinates a byte each.  Elsewhere each
 residue basis is brought to RREF, whose combinations are already
-normalized, and the keys are tuples of codes.
+normalized, and the keys are tuples of codes.  For n = 2k + 1, k >= 3
+and 16 <= q <= m <= 256, m the number of members, count_L_aad tallies
+no points: each (S_i + S_j)/S_i is a hyperplane of the quotient, and
+_hyperplane_count sums the counts from the hyperplanes' normals in the
+byte lanes of Python ints.
 
 The partial-spread check is the precondition of both verifiers.  Each
 finds a non-spread family in its own loop, at residues of rank below k
@@ -231,8 +235,8 @@ def _quotient_point_counts(fam: Family):
     raises NotAPartialSpread.
 
     count_L_aad takes this path where _packed_quotient_point_counts does
-    not fit, q > 256 or n - k > 8, and the tests take it as that path's
-    oracle.
+    not fit, q > 256 or n - k > 8, and the tests take it as the oracle of
+    that path and of _hyperplane_count.
     """
     member_rows = [T.row_list() for T in fam.members]
     for i, S in enumerate(fam.members):
@@ -273,12 +277,8 @@ def _packed_quotient_point_counts(fam: Family):
     same quotient points, keyed as _packed_point_counts keys them.
 
     One pass per member covers every other member at once, with no
-    per-pair reduce or RREF.  Residues: free column t of the residue of
-    row s of every S_j, j != i, is formed over all j together from the
-    columns of the members' basis rows, as x[t] - sum_p x[c_p]*b_p[t]
-    over S_i's pivots c_p and basis rows b_p; where x[c_p] is the same
-    in every member, as when all members share their pivots, a term is
-    one translate.
+    per-pair reduce or RREF: _packed_residues forms the residues of all
+    pairs (S_i, S_j) together, a bytes column each.
 
     Points: the leading-1 coefficient combinations of a pair's k residue
     rows r_0, ..., r_{k-1}, unreduced, are built a column at a time as
@@ -303,9 +303,9 @@ def _packed_quotient_point_counts(fam: Family):
     The points come in another order than _quotient_points yields them,
     which no count depends on.
     """
-    f, n = fam.field, fam.n
+    f = fam.field
     q, k, d = f.q, fam.k, fam.n - fam.k
-    add, mul, neg = f.add_table, f.mul_table, f.neg_table
+    mul = f.mul_table
     add_rows = _padded_add_rows(f)
     mul_rows = [bytes(row) for row in mul]
     lane_tables = _log_lane_tables(f)
@@ -318,30 +318,7 @@ def _packed_quotient_point_counts(fam: Family):
         tables.append(bytes(range(q)) * q)
         base = [[tables[q]] * q] + [list(map(tables.__getitem__, mul[f.inv_table[x]])) for x in range(1, q)]
         scale = [mul_pad[:q]] + [[mul_pad[x]] * q for x in range(1, q)]
-    columns = [bytes(col) for col in zip(*(T.entries for T in fam.members))]
-    # the value of each basis entry that is the same in every member, else
-    # None; all pivot columns are constant where the members share pivots
-    constant = [col[0] if col == col[:1] * m else None for col in columns]
-    for i, S in enumerate(fam.members):
-        b, pivots, free = S.entries, S.pivots, _free_columns(S)
-        # residues[s][t]: free column t of the residues of row s, one byte per pair
-        residues = []
-        for s in range(k):
-            rows = [col[:i] + col[i + 1 :] for col in columns[s * n : s * n + n]]
-            res = []
-            for t in free:
-                acc = rows[t]
-                for p, c in enumerate(pivots):
-                    minus_b = neg[b[p * n + t]]
-                    if not minus_b:
-                        continue
-                    x = constant[s * n + c]
-                    if x is None:
-                        acc = bytes(map(getitem, map(add.__getitem__, acc), translate(rows[c], mul_pad[minus_b])))
-                    elif x:
-                        acc = translate(acc, add_rows[mul[minus_b][x]])
-                res.append(acc)
-            residues.append(res)
+    for residues in _packed_residues(fam, add_rows, mul_pad):
         points = []
         for t in range(d):
             ys = residues[k - 1][t]
@@ -365,6 +342,48 @@ def _packed_quotient_point_counts(fam: Family):
         if counts is None:
             raise NotAPartialSpread(check_partial_spread(fam)[1])
         yield counts
+
+
+def _packed_residues(fam: Family, add_rows, mul_pad):
+    """Yield, for each member S_i in order, residues[s][t]: free column t
+    of the residues modulo S_i of basis row s of every S_j, j != i, one
+    byte per pair in member order.  `add_rows` and `mul_pad` are the
+    field's add and mul table rows as bytes.translate tables.
+
+    One pass per member covers every other member at once, with no
+    per-pair reduce or RREF: the column is formed over all j together
+    from the columns of the members' basis rows, as x[t] - sum_p
+    x[c_p]*b_p[t] over S_i's pivots c_p and basis rows b_p; where x[c_p]
+    is the same in every member, as when all members share their pivots,
+    a term is one translate.
+    """
+    n, k, m = fam.n, fam.k, len(fam.members)
+    add, mul, neg = fam.field.add_table, fam.field.mul_table, fam.field.neg_table
+    translate, getitem = bytes.translate, operator.getitem
+    columns = [bytes(col) for col in zip(*(T.entries for T in fam.members))]
+    # the value of each basis entry that is the same in every member, else
+    # None; all pivot columns are constant where the members share pivots
+    constant = [col[0] if col == col[:1] * m else None for col in columns]
+    for i, S in enumerate(fam.members):
+        b, pivots, free = S.entries, S.pivots, _free_columns(S)
+        residues = []
+        for s in range(k):
+            rows = [col[:i] + col[i + 1 :] for col in columns[s * n : s * n + n]]
+            res = []
+            for t in free:
+                acc = rows[t]
+                for p, c in enumerate(pivots):
+                    minus_b = neg[b[p * n + t]]
+                    if not minus_b:
+                        continue
+                    x = constant[s * n + c]
+                    if x is None:
+                        acc = bytes(map(getitem, map(add.__getitem__, acc), translate(rows[c], mul_pad[minus_b])))
+                    elif x:
+                        acc = translate(acc, add_rows[mul[minus_b][x]])
+                res.append(acc)
+            residues.append(res)
+        yield residues
 
 
 def _padded_add_rows(f: Field) -> list[bytes]:
@@ -430,6 +449,129 @@ def _packed_point_counts(columns, q: int, lane_tables) -> Counter | None:
             v -= (q - 1) * (((v + high) >> 15) & ones)
         packed[d - 1 - t :: 8] = (v & nz).to_bytes(w * size, "little")[::w].translate(exp)
     return Counter(memoryview(packed).cast("Q"))
+
+
+def _hyperplane_count(fam: Family) -> tuple[int, int, set]:
+    """count_L_aad for n = 2k + 1, q <= 256 and m <= 256, by the normals
+    of the hyperplanes W_j = (S_i + S_j)/S_i: returns the same (L, i,
+    attaining), with no Counter.
+
+    Proof that W_j is a hyperplane: S_i meets S_j trivially, so
+    dim(S_i + S_j) = 2k = n - 1, and W_j has dimension k in the
+    (k+1)-dimensional quotient by S_i.  So W_j is the kernel of one
+    normal a_j, and the count of a quotient point x is the number of
+    j != i with a_j . x = 0.  _packed_residues forms every pair's k
+    residue rows, and _rref_rows brings them to RREF: its one free
+    column c gives a_j[c] = 1 and a_j[c_r] = -R[r][c] at the pivot c_r
+    of row r.  Rank below k means S_i meets S_j, and NotAPartialSpread
+    carries check_partial_spread's pair.
+
+    On the chart x_0 = 1 of PG(k, q), point (1, y, v) lies on W_j
+    exactly when a_j[k] v = -(a_j[0] + a_j[1:k] . y).  Where a_j[k] != 0,
+    W_j is the graph v = F_j(y) of an affine function, and the count of
+    (1, y, v) is the number of graphs through it, plus the normals with
+    a_j[k] = 0 whose affine part vanishes at y, which hold (1, y, v) for
+    every v.  The part x_0 = 0 is the same count one dimension down, and
+    so on to the chart of PG(1, q) and the point e_k, which lies on W_j
+    exactly when a_j[k] = 0.  _hyperplane_lanes sums these counts one
+    value v at a time in the byte lanes of a Python int; a count is at
+    most m - 1 <= 255, so no lane carries.
+
+    A first pass keeps, member by member, the largest lane above the best
+    so far, read from what is left of the lanes after bytes.translate
+    deletes every count at or below it.  The winning member's lanes are
+    summed again, and the lanes equal to L are its attaining points.
+    """
+    f, k = fam.field, fam.k
+    neg = f.neg_table
+    add_rows = _padded_add_rows(f)
+    mul_pad = [bytes(row) + bytes(256 - f.q) for row in f.mul_table]
+    best, best_i, best_normals = 0, 0, []
+    for i, residues in enumerate(_packed_residues(fam, add_rows, mul_pad)):
+        normals = []
+        # one pair's k residue rows, each of the k + 1 free coordinates
+        for pair in zip(*(zip(*res) for res in residues)):
+            rows = list(map(list, pair))
+            rank, pivots = _rref_rows(f, rows, k + 1)
+            if rank < k:
+                raise NotAPartialSpread(check_partial_spread(fam)[1])
+            c = next(c for c in range(k + 1) if c not in pivots)
+            a = [0] * (k + 1)
+            a[c] = 1
+            for row, p in zip(rows, pivots):
+                a[p] = neg[row[c]]
+            normals.append(a)
+        top = best
+        for lanes in _hyperplane_lanes(f, k, normals, add_rows):
+            above = lanes.translate(None, bytes(range(top + 1)))
+            if above:
+                top = max(above)
+        if top > best:
+            best, best_i, best_normals = top, i, normals
+    attaining = set()
+    if best:
+        for v, lanes in enumerate(_hyperplane_lanes(f, k, best_normals, add_rows)):
+            c = lanes.find(best)
+            while c >= 0:
+                attaining.add(_cell_point(c, f.q, k) + (v,) if v < f.q else (0,) * k + (1,))
+                c = lanes.find(best, c + 1)
+    return best, best_i, attaining
+
+
+def _hyperplane_lanes(f: Field, k: int, normals, add_rows):
+    """Yield, for v = 0, 1, ..., q-1, the counts of the points (x, v) of
+    PG(k, q) as bytes, lane c the count of x = _cell_point(c), then the
+    count of e_k as one byte.  The count of a point is the number of
+    `normals` a with a . (x, v) = 0.
+
+    Each normal with a[k] != 0 is scaled to a[k] = -1, so that it holds
+    (x, v) exactly when v = a[:k] . x, one bytes string of values over
+    the cells; a normal with a[k] = 0 holds (x, v) for every v where
+    a[:k] . x = 0, and those indicators are summed once.  Per v each
+    string is translated to the indicator of v and summed as an int, so
+    only the strings, (m-1)(q^k-1)/(q-1) bytes, and one sum are held.
+    """
+    q, mul, inv = f.q, f.mul_table, f.inv_table
+    eq = [bytes(v) + b"\x01" + bytes(255 - v) for v in range(q)]
+    graphs, every_v = [], 0
+    for a in normals:
+        if a[k]:
+            scale = mul[f.neg_table[inv[a[k]]]]
+            graphs.append(_linear_form_values(list(map(scale.__getitem__, a[:k])), mul, add_rows))
+        else:
+            every_v += int.from_bytes(_linear_form_values(a[:k], mul, add_rows).translate(eq[0]), "little")
+    cells = (q**k - 1) // (q - 1)
+    for e in eq:
+        lanes = sum(map(int.from_bytes, map(bytes.translate, graphs, repeat(e)), repeat("little")), every_v)
+        yield lanes.to_bytes(cells, "little")
+    yield bytes([len(normals) - len(graphs)])
+
+
+def _linear_form_values(a, mul, add_rows) -> bytes:
+    """The values of x -> a . x over the points x of PG(k-1, q), k =
+    len(a), in _cell_point order, a byte each.  Part p, the points with
+    x_p = 1, is a[p] plus the form of a[p+1:] over GF(q)^(k-1-p), and that
+    form joins, for x_p = 0, 1, ..., q-1, its successor shifted by
+    a[p] x_p."""
+    form, parts = b"\0", []
+    for p in range(len(a) - 1, -1, -1):
+        parts.append(form.translate(add_rows[a[p]]))
+        if p:
+            form = b"".join([form.translate(add_rows[c]) for c in mul[a[p]]])
+    return b"".join(reversed(parts))
+
+
+def _cell_point(c: int, q: int, k: int) -> tuple[int, ...]:
+    """The point of PG(k-1, q) in lane c of _hyperplane_lanes: the lanes
+    run over x_0 = 1, then x_0 = 0 and x_1 = 1, and so on, and within a
+    part x_p = 1 the later coordinates count up with x_{p+1} the most
+    significant."""
+    for p in range(k):
+        size = q ** (k - 1 - p)
+        if c < size:
+            return (0,) * p + (1,) + tuple(c // q**e % q for e in range(k - 2 - p, -1, -1))
+        c -= size
+    raise AssertionError("lane past the last point")
 
 
 def _packed_line_point_counts(fam: Family):
@@ -558,15 +700,22 @@ def count_L_aad(fam: Family) -> tuple[int, int, set]:
     pair is visited, so a return certifies that the family is a partial
     spread; otherwise NotAPartialSpread is raised.
 
-    With q <= 256 and n - k <= 8 the points are tallied by
+    For n = 2k + 1, k >= 3 and 16 <= q <= m <= 256, m the number of
+    members, _hyperplane_count sums the counts in byte lanes with no
+    Counter.  The Counter is faster at q < 16 and, from q = 64, at small
+    m < q, and above m = 256 a count does not fit its byte.  Elsewhere,
+    with q <= 256 and n - k <= 8, the points are tallied by
     _packed_line_point_counts (k = 1) or _packed_quotient_point_counts,
     one pass per member with no per-pair reduce or RREF, keyed by packed
     ints; only the attaining keys of S_i are turned back into tuples.
     Above that limit a code or a point does not fit its byte or word, and
     _line_point_counts or _quotient_point_counts tallies tuples.
     """
+    q, m = fam.field.q, len(fam.members)
+    if fam.n == 2 * fam.k + 1 and fam.k >= 3 and 16 <= q <= m <= 256:
+        return _hyperplane_count(fam)
     d = fam.n - fam.k
-    packed = fam.field.q <= 256 and d <= 8
+    packed = q <= 256 and d <= 8
     if fam.k == 1 and packed:
         per_member = _packed_line_point_counts(fam)
     elif fam.k == 1:
@@ -599,7 +748,9 @@ def compute_L_aad(fam: Family) -> tuple[int, tuple[int, tuple[int, ...]]]:
     each pair's residues as bytes columns, scales them to a leading 1 in
     log lanes and packs one int per point; otherwise each S_j's residues
     are brought to RREF, whose leading-1 combinations are already
-    normalized, as tuples.  A collections.Counter tallies the points (see
+    normalized, as tuples.  A collections.Counter tallies the points, but
+    for n = 2k + 1, k >= 3 and 16 <= q <= m <= 256 the counts are summed
+    from the normals of the hyperplanes (S_i + S_j)/S_i (see
     count_L_aad).  For k = 1 the point of S_j over S_i is the plane
     S_i + S_j, whose count is the same from each of its lines, so S_i
     counts only the later lines j > i, and each

@@ -94,8 +94,10 @@ class Subspace:
 
     @classmethod
     def from_generators(cls, field: Field, n: int, vectors) -> "Subspace":
-        """Canonical subspace spanned by the given vectors."""
-        vectors = [tuple(int(x) for x in v) for v in vectors]
+        """Canonical subspace spanned by the given vectors.  A coordinate
+        must be an int: 1.7, "3" and True raise TypeError, as in from_json,
+        instead of reading as 1, 3 and 1."""
+        vectors = [tuple(map(_json_int, v)) for v in vectors]
         if not vectors:
             raise ValueError("empty generator set")
         if any(len(v) != n for v in vectors):

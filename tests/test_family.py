@@ -15,6 +15,7 @@ from subspace_forge.matgf import rank_of_stack
 from subspace_forge.subspace import Subspace, enumerate_subspaces
 from subspace_forge import family as family_mod
 from subspace_forge.family import (
+    _hyperplane_count,
     _leading_one_combinations,
     _lex_smallest_outside,
     _line_point_counts,
@@ -103,6 +104,9 @@ REFERENCE_NON_SPREAD_GRID = [(k, n, q) for k, n, q in REFERENCE_GRID if k >= 2]
 PACKED_GRID = [(k, 2 * k + 1, q) for k in (2, 3) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 32)] + [
     (2, 6, 2), (2, 6, 3), (2, 6, 4), (2, 6, 5), (2, 5, 131), (4, 9, 2),
 ]
+# n = 2k + 1 points for the hyperplane kernel of the AAD count, called
+# outside its selection (q >= 16)
+HYPERPLANE_GRID = [(k, 2 * k + 1, q) for k in (3, 4) for q in (2, 3, 4, 5, 8, 9)]
 # k = 1 points for the early-stopping AS count
 LINE_GRID = [
     (1, 3, 2), (1, 4, 2), (1, 5, 2), (1, 3, 3), (1, 4, 3), (1, 3, 4),
@@ -111,12 +115,15 @@ LINE_GRID = [
 
 
 @st.composite
-def families(draw, grid, spread=True):
+def families(draw, grid, spread=True, coordinate_pair=False):
     """Distinct k-subspaces kept from up to six uniform random draws.
     With spread=True, a draw is kept only if it meets every kept one
     trivially.  With spread=False and k >= 2, three families in four get
     one more member, spanned by a point of a kept member and k-1 random
-    rows, so that most are not spreads."""
+    rows, so that most are not spreads.  With coordinate_pair=True and
+    n = 2k + 1, one family in two starts with span(e_0, ..., e_{k-1}) and
+    span(e_{k+1}, ..., e_{2k}): over the first, (S_0 + S_1)/S_0 is the
+    hyperplane x_0 = 0, whose normal e_0 has last coordinate 0."""
     k, n, q = draw(st.sampled_from(grid))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     field = FIELDS[q]
@@ -132,6 +139,9 @@ def families(draw, grid, spread=True):
             return
         members.append(S)
 
+    if coordinate_pair and draw(st.booleans()):
+        for first in (0, k + 1):
+            keep([[int(c == first + r) for c in range(n)] for r in range(k)])
     for _ in range(draw(st.integers(1, 6))):
         keep([[rng.randrange(q) for _ in range(n)] for _ in range(k)])
     assume(members)
@@ -354,6 +364,40 @@ def test_packed_counts_match_quotient_point_counts(fam):
     assert (unpacked, pair) == _member_tallies(_quotient_point_counts(fam))
 
 
+def _count_of(tallies):
+    """count_L_aad's (L, i, attaining) read off per-member tallies keyed
+    by coordinate tuples."""
+    best, best_i, attaining = 0, 0, set()
+    for i, counts in enumerate(tallies):
+        top = max(counts.values(), default=0)
+        if top > best:
+            best, best_i, attaining = top, i, {key for key, cnt in counts.items() if cnt == top}
+    return best, best_i, attaining
+
+
+@settings(max_examples=100, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(
+    st.one_of(
+        families(HYPERPLANE_GRID, coordinate_pair=True),
+        families(HYPERPLANE_GRID, spread=False, coordinate_pair=True),
+    )
+)
+def test_hyperplane_count_matches_quotient_point_counts(fam):
+    # the kernel outside its selection, at q < 16 and m < q: the tally's
+    # value, member and attaining points, the reference's value and
+    # member, and the same NotAPartialSpread pair
+    try:
+        L, (i, _) = _reference_L_aad(fam)
+    except NotAPartialSpread as exc:
+        with pytest.raises(NotAPartialSpread) as got:
+            _hyperplane_count(fam)
+        assert got.value.pair == exc.pair == _member_tallies(_quotient_point_counts(fam))[1]
+        return
+    expected = _count_of(_quotient_point_counts(fam))
+    assert _hyperplane_count(fam) == expected
+    assert expected[:2] == (L, i)
+
+
 def _random_spread(field, n, k, size, seed):
     rng = random.Random(seed)
     members = []
@@ -392,6 +436,50 @@ def test_count_path_at_the_byte_limits(monkeypatch, n, k, q, other_path):
     expected = _reference_L_aad(fam)
     monkeypatch.setattr(family_mod, other_path, _refuse)
     assert compute_L_aad(fam) == expected
+
+
+@pytest.mark.parametrize(
+    "n, k, q, m, path",
+    [
+        # n = 2k + 1, k >= 3 and 16 <= q <= m <= 256: the hyperplane kernel
+        (7, 3, 16, 16, "_hyperplane_count"),
+        (9, 4, 16, 16, "_hyperplane_count"),
+        (7, 3, 16, 256, "_hyperplane_count"),
+        (7, 3, 256, 256, "_hyperplane_count"),
+        # fewer members than field elements: the Counter is faster
+        (7, 3, 16, 15, "_packed_quotient_point_counts"),
+        # the two-member GF(256) family of the memory bound below
+        (7, 3, 256, 2, "_packed_quotient_point_counts"),
+        # below q = 16 the Counter is faster
+        (7, 3, 13, 13, "_packed_quotient_point_counts"),
+        # a count of 256 does not fit a byte lane
+        (7, 3, 16, 257, "_packed_quotient_point_counts"),
+        # (S_i + S_j)/S_i is no hyperplane, or k < 3
+        (8, 3, 16, 16, "_packed_quotient_point_counts"),
+        (5, 2, 16, 16, "_packed_quotient_point_counts"),
+        # a code above 255 does not fit a byte
+        (7, 3, 257, 257, "_quotient_point_counts"),
+    ],
+)
+def test_count_selects_the_hyperplane_kernel(monkeypatch, n, k, q, m, path):
+    # the selection reads only (n, k, q, m): the first m subspaces in
+    # enumeration order, not a spread, and no count runs
+    field = FIELDS.get(q) or field_from_order(q)
+    fam = Family(field, n, k, tuple(itertools.islice(enumerate_subspaces(field, n, k), m)))
+    taken = []
+    stubs = {"_hyperplane_count": (0, 0, set()), "_packed_quotient_point_counts": [], "_quotient_point_counts": []}
+    for name, result in stubs.items():
+        monkeypatch.setattr(family_mod, name, lambda fam, name=name, result=result: taken.append(name) or result)
+    assert count_L_aad(fam) == (0, 0, set())
+    assert taken == [path]
+
+
+@pytest.mark.parametrize("q, L", [(23, 6), (25, 8), (27, 6), (29, 7)])
+def test_rs_7_3_exact_L_aad(q, L):
+    # the exact L_aad of the atlas rows for (7, 3) below q = 31
+    from subspace_forge.constructions import build_rs_family
+
+    assert count_L_aad(build_rs_family(7, 3, field_from_order(q)))[:2] == (L, 0)
 
 
 def test_rs_5_1_11_count_budget():

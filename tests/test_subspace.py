@@ -49,6 +49,13 @@ def test_from_generators_rejects_zero_span(f5):
         Subspace.from_generators(f5, 3, [])
 
 
+@pytest.mark.parametrize("x", [1.7, 2.0, "3", True])
+def test_from_generators_refuses_non_int_coordinates(f5, x):
+    # the rule of the JSON readers: no coordinate is coerced to an int
+    with pytest.raises(TypeError, match="expected an integer"):
+        Subspace.from_generators(f5, 2, [(x, 0)])
+
+
 def test_direct_constructor_rejects_non_canonical(f5):
     with pytest.raises(ValueError):
         Subspace(f5, 3, 1, (2, 4, 0))  # not RREF
