@@ -24,17 +24,16 @@ the witness is walked again point by point, and count_L_aad, for callers
 that read only the value, walks none.  For k = 1 the quotient point of
 S_j over S_i is the plane S_i + S_j, and L_aad is the most family lines
 on one plane, minus one: the count visits each unordered pair i < j
-once, at its first member.  Where codes and points fit a byte path,
-q <= 256 and n - k <= 8, one pass per member forms the residues of all
-other members at once, builds the points as bytes columns, and
-_packed_point_counts scales them to a leading 1 in log lanes and keys
-each by one int that packs its coordinates a byte each.  Elsewhere each
-residue basis is brought to RREF, whose combinations are already
-normalized, and the keys are tuples of codes.  For n = 2k + 1, k >= 3
-and 16 <= q <= m <= 256, m the number of members, count_L_aad tallies
-no points: each (S_i + S_j)/S_i is a hyperplane of the quotient, and
-_hyperplane_count sums the counts from the hyperplanes' normals in the
-byte lanes of Python ints.
+once, at its first member.  The byte path forms the residues of all
+other members in one pass per member, builds the points as bytes
+columns, and _packed_point_counts scales them to a leading 1 in log
+lanes and keys each by one int that packs its coordinates a byte each.
+The tuple path brings each residue basis to RREF, whose combinations
+are already normalized, and keys the points by tuples of codes.  Where
+each (S_i + S_j)/S_i is a hyperplane of the quotient, _hyperplane_count
+tallies no points and sums the counts from the hyperplanes' normals in
+the byte lanes of Python ints.  count_L_aad states which inputs take
+which path.
 
 The partial-spread check is the precondition of both verifiers.  Each
 finds a non-spread family in its own loop, at residues of rank below k
@@ -156,7 +155,7 @@ def coset_hits(fam: Family, i: int, u) -> int:
     u lies in S_i + S_j.  S_i itself is never counted; u outside S_i
     makes the coset disjoint from S_i, so there is nothing to count.
     """
-    u = tuple(int(x) for x in u)
+    u = tuple(u)
     S = fam.members[i]
     if S.contains(u):
         raise ValueError("u must lie outside the member subspace")
@@ -175,7 +174,7 @@ def coset_hits_bruteforce(fam: Family, i: int, u) -> int:
     """
     f = fam.field
     S = fam.members[i]
-    u = tuple(int(x) for x in u)
+    u = tuple(u)
     if S.contains(u):
         raise ValueError("u must lie outside the member subspace")
     hit = set()
@@ -234,9 +233,9 @@ def _quotient_point_counts(fam: Family):
     Counter.update tallies them in C.  Rank below k means S_i meets S_j:
     raises NotAPartialSpread.
 
-    count_L_aad takes this path where _packed_quotient_point_counts does
-    not fit, q > 256 or n - k > 8, and the tests take it as the oracle of
-    that path and of _hyperplane_count.
+    count_L_aad takes this path above the byte limits, and the tests take
+    it as the oracle of _packed_quotient_point_counts and of
+    _hyperplane_count.
     """
     member_rows = [T.row_list() for T in fam.members]
     for i, S in enumerate(fam.members):
@@ -264,7 +263,7 @@ def _quotient_points(S: Subspace, project, rows):
     points.
     """
     f = S.field
-    residues = [list(project(w)) for w in map(S.reduce, rows)]
+    residues = [list(project(w)) for w in map(S._reduce, rows)]
     if _rref_rows(f, residues, S.n - S.k)[0] < len(rows):
         return None
     # tuples: the last row is yielded as it is, and keys must hash
@@ -282,16 +281,13 @@ def _packed_quotient_point_counts(fam: Family):
 
     Points: the leading-1 coefficient combinations of a pair's k residue
     rows r_0, ..., r_{k-1}, unreduced, are built a column at a time as
-    bytes.  Layer p, the combinations whose first nonzero coefficient is
-    on r_p, is r_p plus the span of r_{p+1}, ...: the span of r_{k-1} is
-    the mul-table row of r_{k-1}[t], and bytes.translate with the padded
-    add-table row of r_p[t] shifts a span to layer p.  A longer span
-    joins its q translates per pair.  For k >= 3, where the (m-1)(n-k)
-    pair columns outnumber q, the span of (x, y) = (r_{k-2}[t],
-    r_{k-1}[t]) is instead x times the q^2 values a + b*y/x, or y times
-    the values b when x = 0, so q + 1 tables of q^2 bytes per count serve
-    every pair.  Layer k-1, then k-2, ..., 0 each hold every pair in
-    member order.
+    bytes; the layer loop is _leading_one_combinations over bytes
+    columns, every pair at once.  Layer p, the combinations whose first
+    nonzero coefficient is on r_p, is r_p plus the span of r_{p+1}, ...:
+    the span of r_{k-1} is the mul-table row of r_{k-1}[t],
+    bytes.translate with the padded add-table row of r_p[t] shifts a span
+    to layer p, and a longer span joins its q translates per pair.  Layer
+    k-1, then k-2, ..., 0 each hold every pair in member order.
 
     These combinations are the points, each once.  For independent rows
     the map from coefficient vectors to the span is injective, and the
@@ -305,20 +301,11 @@ def _packed_quotient_point_counts(fam: Family):
     """
     f = fam.field
     q, k, d = f.q, fam.k, fam.n - fam.k
-    mul = f.mul_table
     add_rows = _padded_add_rows(f)
-    mul_rows = [bytes(row) for row in mul]
+    mul_rows = [bytes(row) for row in f.mul_table]
     lane_tables = _log_lane_tables(f)
-    translate, getitem, join = bytes.translate, operator.getitem, b"".join
-    m = len(fam.members)
-    mul_pad = [row + bytes(256 - q) for row in mul_rows]
-    span_tables = k >= 3 and (m - 1) * d > q
-    if span_tables:
-        tables = [join([translate(row, add_rows[a]) for a in range(q)]) for row in mul_rows]
-        tables.append(bytes(range(q)) * q)
-        base = [[tables[q]] * q] + [list(map(tables.__getitem__, mul[f.inv_table[x]])) for x in range(1, q)]
-        scale = [mul_pad[:q]] + [[mul_pad[x]] * q for x in range(1, q)]
-    for residues in _packed_residues(fam, add_rows, mul_pad):
+    translate, join = bytes.translate, b"".join
+    for residues in _packed_residues(fam, add_rows):
         points = []
         for t in range(d):
             ys = residues[k - 1][t]
@@ -327,15 +314,7 @@ def _packed_quotient_point_counts(fam: Family):
             for p in range(k - 2, -1, -1):
                 xs = residues[p][t]
                 layers.append(join(map(translate, spans, map(add_rows.__getitem__, xs))))
-                if p == k - 2 and p and span_tables:
-                    spans = list(
-                        map(
-                            translate,
-                            map(getitem, map(base.__getitem__, xs), ys),
-                            map(getitem, map(scale.__getitem__, xs), ys),
-                        )
-                    )
-                elif p:
+                if p:
                     spans = [join([translate(span, add_rows[a]) for a in mul_rows[x]]) for span, x in zip(spans, xs)]
             points.append(join(layers))
         counts = _packed_point_counts(points, q, lane_tables)
@@ -344,11 +323,11 @@ def _packed_quotient_point_counts(fam: Family):
         yield counts
 
 
-def _packed_residues(fam: Family, add_rows, mul_pad):
+def _packed_residues(fam: Family, add_rows):
     """Yield, for each member S_i in order, residues[s][t]: free column t
     of the residues modulo S_i of basis row s of every S_j, j != i, one
-    byte per pair in member order.  `add_rows` and `mul_pad` are the
-    field's add and mul table rows as bytes.translate tables.
+    byte per pair in member order.  `add_rows` is _padded_add_rows of the
+    family's field.
 
     One pass per member covers every other member at once, with no
     per-pair reduce or RREF: the column is formed over all j together
@@ -359,6 +338,7 @@ def _packed_residues(fam: Family, add_rows, mul_pad):
     """
     n, k, m = fam.n, fam.k, len(fam.members)
     add, mul, neg = fam.field.add_table, fam.field.mul_table, fam.field.neg_table
+    mul_pad = [bytes(row) + bytes(256 - fam.field.q) for row in mul]
     translate, getitem = bytes.translate, operator.getitem
     columns = [bytes(col) for col in zip(*(T.entries for T in fam.members))]
     # the value of each basis entry that is the same in every member, else
@@ -485,9 +465,8 @@ def _hyperplane_count(fam: Family) -> tuple[int, int, set]:
     f, k = fam.field, fam.k
     neg = f.neg_table
     add_rows = _padded_add_rows(f)
-    mul_pad = [bytes(row) + bytes(256 - f.q) for row in f.mul_table]
     best, best_i, best_normals = 0, 0, []
-    for i, residues in enumerate(_packed_residues(fam, add_rows, mul_pad)):
+    for i, residues in enumerate(_packed_residues(fam, add_rows)):
         normals = []
         # one pair's k residue rows, each of the k + 1 free coordinates
         for pair in zip(*(zip(*res) for res in residues)):
@@ -636,7 +615,7 @@ def _line_point_counts(lines):
     is scaled to a leading 1 by the row of 1/lead in the mul table.
     Distinct lines never meet, so every residue has a lead.
 
-    count_L_aad takes this pass for q > 256 or n > 9, and the tests take
+    count_L_aad takes this pass above the byte limits, and the tests take
     it as _packed_line_point_counts' oracle.  search._feasible keeps it:
     on a node's 3 to 30 lines the byte path's set-up costs more than it
     saves.
@@ -680,7 +659,7 @@ def _first_attaining_coset(fam: Family, i: int, attaining: set, add, mul, inv):
     for j, T in enumerate(fam.members):
         if j == i:
             continue
-        proj = [project(w) for w in map(S.reduce, T.row_list())]
+        proj = [project(w) for w in map(S._reduce, T.row_list())]
         for v in _leading_one_combinations(proj, add, mul):
             lead = next(filter(None, v))
             key = v if lead == 1 else tuple(map(mul[inv[lead]].__getitem__, v))
@@ -704,11 +683,12 @@ def count_L_aad(fam: Family) -> tuple[int, int, set]:
     members, _hyperplane_count sums the counts in byte lanes with no
     Counter.  The Counter is faster at q < 16 and, from q = 64, at small
     m < q, and above m = 256 a count does not fit its byte.  Elsewhere,
-    with q <= 256 and n - k <= 8, the points are tallied by
-    _packed_line_point_counts (k = 1) or _packed_quotient_point_counts,
-    one pass per member with no per-pair reduce or RREF, keyed by packed
-    ints; only the attaining keys of S_i are turned back into tuples.
-    Above that limit a code or a point does not fit its byte or word, and
+    within the byte limits q <= 256 and n - k <= 8, the points are
+    tallied by _packed_line_point_counts (k = 1) or
+    _packed_quotient_point_counts (every k >= 2), one pass per member
+    with no per-pair reduce or RREF, keyed by packed ints; only the
+    attaining keys of S_i are turned back into tuples.  Above the byte
+    limits a code or a point does not fit its byte or word, and
     _line_point_counts or _quotient_point_counts tallies tuples.
     """
     q, m = fam.field.q, len(fam.members)
@@ -743,20 +723,12 @@ def compute_L_aad(fam: Family) -> tuple[int, tuple[int, tuple[int, ...]]]:
     point of u in the quotient by S_i lies in (S_i + S_j)/S_i, the span
     of the residues of S_j's basis modulo S_i.  Counting, over all j, the
     points of those spans finds the quotient point that the most members
-    reach.  For q <= 256, n - k <= 8, one pass per member forms the
-    residues of every S_j at once, builds the leading-1 combinations of
-    each pair's residues as bytes columns, scales them to a leading 1 in
-    log lanes and packs one int per point; otherwise each S_j's residues
-    are brought to RREF, whose leading-1 combinations are already
-    normalized, as tuples.  A collections.Counter tallies the points, but
-    for n = 2k + 1, k >= 3 and 16 <= q <= m <= 256 the counts are summed
-    from the normals of the hyperplanes (S_i + S_j)/S_i (see
-    count_L_aad).  For k = 1 the point of S_j over S_i is the plane
-    S_i + S_j, whose count is the same from each of its lines, so S_i
-    counts only the later lines j > i, and each
-    unordered pair once (_line_point_counts proves that the value and
-    witness are unchanged).  count_L_aad is this count alone, for callers
-    that need no witness.
+    reach.  count_L_aad is this count alone, for callers that need no
+    witness, and its docstring states which path counts which input.
+    For k = 1 the point of S_j over S_i is the plane S_i + S_j, whose
+    count is the same from each of its lines, so S_i counts only the
+    later lines j > i, and each unordered pair once (_line_point_counts
+    proves that the value and witness are unchanged).
 
     The witness is the first member S_i, in member order, whose largest
     count is the maximum.  Only that member is walked again, over every

@@ -123,14 +123,25 @@ class Subspace:
         zeros in all pivot coordinates.  It is also the lexicographically
         smallest member of v + S, hence the coset's canonical representative.
 
+        A coordinate must be an int in [0, q): 1.7, "3" and True raise
+        TypeError, and -1 or q raise ValueError, instead of reading as codes.
+        """
+        r = tuple(map(_json_int, v))
+        if len(r) != self.n:
+            raise ValueError("vector length mismatch")
+        if any(not 0 <= x < self.field.q for x in r):
+            raise ValueError("entry out of field range")
+        return self._reduce(r)
+
+    def _reduce(self, r) -> tuple[int, ...]:
+        """reduce without its checks, for a vector r of n codes in [0, q),
+        such as a basis row of a subspace over the same field.
+
         Subtracting c times a basis row reads rows of the field's add, mul
         and neg tables.
         """
         f = self.field
         n = self.n
-        r = list(map(int, v))
-        if len(r) != n:
-            raise ValueError("vector length mismatch")
         add, mul, neg = f.add_table, f.mul_table, f.neg_table
         entries = self.entries
         for row_idx, p in enumerate(self._pivots):

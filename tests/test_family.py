@@ -99,10 +99,11 @@ REFERENCE_GRID = AAD_GRID + [
 ]
 REFERENCE_NON_SPREAD_GRID = [(k, n, q) for k, n, q in REFERENCE_GRID if k >= 2]
 # k >= 2 points for the byte path of the AAD count, which packs a point's
-# n - k coordinates a byte each: n - k > k + 1 at n = 6, two-byte log
-# lanes at q = 131, and spans joined per pair at k = 4
+# n - k coordinates a byte each: n - k > k + 1 at k = 2, n = 6 and
+# k = 3, n = 8, two-byte log lanes at q = 131, and three and four
+# residue rows per pair at k = 3 and 4
 PACKED_GRID = [(k, 2 * k + 1, q) for k in (2, 3) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 32)] + [
-    (2, 6, 2), (2, 6, 3), (2, 6, 4), (2, 6, 5), (2, 5, 131), (4, 9, 2),
+    (2, 6, 2), (2, 6, 3), (2, 6, 4), (2, 6, 5), (3, 8, 2), (3, 8, 4), (2, 5, 131), (4, 9, 2),
 ]
 # n = 2k + 1 points for the hyperplane kernel of the AAD count, called
 # outside its selection (q >= 16)
@@ -230,6 +231,23 @@ def test_coset_hits_rejects_inside_vector(four_line_family):
         coset_hits(four_line_family, 0, (1, 0, 0))
     with pytest.raises(ValueError):
         coset_hits_bruteforce(four_line_family, 0, (0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "u, error",
+    [
+        ((0, 1.0, 0), TypeError),
+        ((0, "1", 0), TypeError),
+        ((0, True, 0), TypeError),
+        ((0, 2, 0), ValueError),
+        ((0, -1, 0), ValueError),
+    ],
+)
+def test_coset_hits_refuse_a_coordinate_that_is_no_code(four_line_family, u, error):
+    # over GF(2), int() would read each of these but 2 as (0, 1, 0)
+    for count in (coset_hits, coset_hits_bruteforce):
+        with pytest.raises(error):
+            count(four_line_family, 0, u)
 
 
 def test_oracle_equivalence_seeded_families():
@@ -422,6 +440,9 @@ def _refuse(*args):
         (5, 2, 257, "_packed_quotient_point_counts"),
         # nine coordinates do not fit one 8-byte word
         (11, 2, 2, "_packed_quotient_point_counts"),
+        # k = 3: eight coordinates fit the word, nine do not
+        (11, 3, 2, "_quotient_point_counts"),
+        (12, 3, 2, "_packed_quotient_point_counts"),
         # k = 1: the same limit, with two-byte log lanes above q = 128
         (3, 1, 128, "_line_point_counts"),
         (3, 1, 131, "_line_point_counts"),
@@ -514,8 +535,8 @@ def test_rs_7_3_23_counts_on_the_byte_path(monkeypatch):
 
 
 def test_two_member_k3_count_builds_no_span_tables():
-    # (m - 1)(n - k) = 4 pair columns against q = 256: the spans are joined
-    # per pair; the (q + 1) q^2 bytes of span tables peaked at 31 MB
+    # a count with few pairs allocates no table whose size grows with q^2:
+    # at q = 256, (q + 1) q^2 bytes is 16.8 MB, over the bound, for one pair
     fam = _random_spread(field_from_order(256), 7, 3, 2, seed=1)
     tracemalloc.start()
     try:

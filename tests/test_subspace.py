@@ -318,6 +318,27 @@ def test_coset_rep_of_subspace_itself_is_zero(f5):
     assert S.reduce((3, 1, 0)) == (0, 0, 0)
 
 
+@pytest.mark.parametrize("v", [(1.7, 0), ("3", 0), (True, 2.9), (0, 2.0)])
+def test_reduce_and_contains_refuse_non_int_coordinates(f5, v):
+    # int() would read (1.7, 0) and ("3", 0) as members of span(e_0), and
+    # (True, 2.9) as (1, 2), whose residue is (0, 2)
+    S = Subspace.from_generators(f5, 2, [(1, 0)])
+    for call in (S.reduce, S.contains):
+        with pytest.raises(TypeError, match="expected an integer"):
+            call(v)
+
+
+@pytest.mark.parametrize("q, v", [(5, (0, 7)), (5, (5, 0)), (4, (1, -1, 0)), (4, (0, 0, 4))])
+def test_reduce_and_contains_refuse_codes_outside_the_field(q, v):
+    # a code outside [0, q) would index past a table row, or read -1 as
+    # the last entry, code 3 of GF(4)
+    f = field_from_order(q)
+    S = Subspace.from_generators(f, len(v), [(1,) + (0,) * (len(v) - 1)])
+    for call in (S.reduce, S.contains):
+        with pytest.raises(ValueError, match="entry out of field range"):
+            call(v)
+
+
 def _shifted(field, u, S):
     """Every point of the coset u + S."""
     return [tuple(field.add(a, b) for a, b in zip(u, v)) for v in S.vectors()]
