@@ -26,14 +26,16 @@ S_j over S_i is the plane S_i + S_j, and L_aad is the most family lines
 on one plane, minus one: the count visits each unordered pair i < j
 once, at its first member.  The byte path forms the residues of all
 other members in one pass per member, builds the points as bytes
-columns, and _packed_point_counts scales them to a leading 1 in log
-lanes and keys each by one int that packs its coordinates a byte each.
-The tuple path brings each residue basis to RREF, whose combinations
-are already normalized, and keys the points by tuples of codes.  Where
-each (S_i + S_j)/S_i is a hyperplane of the quotient, _hyperplane_count
-tallies no points and sums the counts from the hyperplanes' normals in
-the byte lanes of Python ints.  count_L_aad states which inputs take
-which path.
+columns, and _packed_point_keys scales them to a leading 1 in log
+lanes and keys each by one int that packs its coordinates a byte each;
+for k = 1 the residues of consecutive lines share one scaling pass, in
+blocks of about _BLOCK_LANES pairs.  The tuple path brings each residue
+basis to RREF, whose combinations are already normalized, and keys the
+points by tuples of codes.  Where each (S_i + S_j)/S_i is a hyperplane
+of the quotient, _hyperplane_count tallies no points and sums the counts
+from the hyperplanes' normals in the byte lanes of Python ints, two
+values of the last coordinate per pass, one in each nibble of a byte.
+count_L_aad states which inputs take which path.
 
 The partial-spread check is the precondition of both verifiers.  Each
 finds a non-spread family in its own loop, at residues of rank below k
@@ -58,6 +60,10 @@ from .subspace import Subspace, checked_gaussian_binomial, enumerate_subspaces, 
 # compute_L_as enumerates every (k+1)-subspace; refuse above this count
 # unless the caller overrides the guard.
 DEFAULT_AS_ENUM_GUARD = 200_000
+
+# _packed_line_point_counts scales the residues of consecutive lines
+# together, in blocks of at least this many pairs (or up to the last line)
+_BLOCK_LANES = 4096
 
 
 @dataclass(frozen=True)
@@ -273,7 +279,7 @@ def _quotient_points(S: Subspace, project, rows):
 def _packed_quotient_point_counts(fam: Family):
     """The byte path of _quotient_point_counts, for k >= 2, q <= 256 and
     n - k <= 8: yields, for each member S_i in order, a Counter of the
-    same quotient points, keyed as _packed_point_counts keys them.
+    same quotient points, keyed as _packed_point_keys keys them.
 
     One pass per member covers every other member at once, with no
     per-pair reduce or RREF: _packed_residues forms the residues of all
@@ -317,10 +323,10 @@ def _packed_quotient_point_counts(fam: Family):
                 if p:
                     spans = [join([translate(span, add_rows[a]) for a in mul_rows[x]]) for span, x in zip(spans, xs)]
             points.append(join(layers))
-        counts = _packed_point_counts(points, q, lane_tables)
-        if counts is None:
+        keys = _packed_point_keys(points, q, lane_tables)
+        if keys is None:
             raise NotAPartialSpread(check_partial_spread(fam)[1])
-        yield counts
+        yield Counter(keys)
 
 
 def _packed_residues(fam: Family, add_rows):
@@ -384,11 +390,12 @@ def _log_lane_tables(f: Field) -> tuple[bytes, bytes, bytes]:
     return bytes(f.log_table) + pad, nonzero, bytes([0, *f.exp_table[1:256]]).ljust(256, b"\0")
 
 
-def _packed_point_counts(columns, q: int, lane_tables) -> Counter | None:
-    """A Counter of the points whose coordinate t is byte s of columns[t],
-    s = 0, 1, ..., each scaled to a leading 1 and keyed by one int that
-    packs its d = len(columns) <= 8 coordinates a byte each, or None when
-    a point is zero.  Coordinate t is byte d - 1 - t in native byte
+def _packed_point_keys(columns, q: int, lane_tables) -> memoryview | None:
+    """The keys of the points whose coordinate t is byte s of columns[t],
+    s = 0, 1, ..., in that order, as a memoryview of 8-byte words: each
+    point scaled to a leading 1 and keyed by one int that packs its d =
+    len(columns) <= 8 coordinates a byte each, or None when a point is
+    zero.  Coordinate t is byte d - 1 - t in native byte
     order, so key.to_bytes(8, sys.byteorder)[d - 1 :: -1] gives them
     back.  The low byte, which picks a key's dict slot on a little-endian
     host, is then the last coordinate rather than the first, which is
@@ -402,7 +409,8 @@ def _packed_point_counts(columns, q: int, lane_tables) -> Counter | None:
     256-entry exp table, by subtracting q - 1 where it is at least q,
     read off the lane's top bit after adding 2^15 - q.  The exp table of
     _log_lane_tables, whose entry 0 takes the masked zero lanes, maps the
-    lanes back to codes, and Counter tallies the 8-byte words in C.
+    lanes back to codes.  A Counter of the words, or of a slice of them,
+    tallies the keys in C.
     """
     log, nonzero, exp = lane_tables
     d, size = len(columns), len(columns[0])
@@ -428,7 +436,7 @@ def _packed_point_counts(columns, q: int, lane_tables) -> Counter | None:
         if w == 2:
             v -= (q - 1) * (((v + high) >> 15) & ones)
         packed[d - 1 - t :: 8] = (v & nz).to_bytes(w * size, "little")[::w].translate(exp)
-    return Counter(memoryview(packed).cast("Q"))
+    return memoryview(packed).cast("Q")
 
 
 def _hyperplane_count(fam: Family) -> tuple[int, int, set]:
@@ -453,9 +461,10 @@ def _hyperplane_count(fam: Family) -> tuple[int, int, set]:
     a_j[k] = 0 whose affine part vanishes at y, which hold (1, y, v) for
     every v.  The part x_0 = 0 is the same count one dimension down, and
     so on to the chart of PG(1, q) and the point e_k, which lies on W_j
-    exactly when a_j[k] = 0.  _hyperplane_lanes sums these counts one
-    value v at a time in the byte lanes of a Python int; a count is at
-    most m - 1 <= 255, so no lane carries.
+    exactly when a_j[k] = 0.  _hyperplane_lanes sums these counts in the
+    byte lanes of Python ints, the values v and v + 1 in one pass over
+    the graphs, in the two nibbles of each byte; a count is at most
+    m - 1 <= 255, so no lane carries.
 
     A first pass keeps, member by member, the largest lane above the best
     so far, read from what is left of the lanes after bytes.translate
@@ -506,23 +515,39 @@ def _hyperplane_lanes(f: Field, k: int, normals, add_rows):
     Each normal with a[k] != 0 is scaled to a[k] = -1, so that it holds
     (x, v) exactly when v = a[:k] . x, one bytes string of values over
     the cells; a normal with a[k] = 0 holds (x, v) for every v where
-    a[:k] . x = 0, and those indicators are summed once.  Per v each
-    string is translated to the indicator of v and summed as an int, so
-    only the strings, (m-1)(q^k-1)/(q-1) bytes, and one sum are held.
+    a[:k] . x = 0, and those indicators are summed once.  The values v
+    and v + 1 share one pass: a string is translated to the indicator of
+    v in the low nibble of each byte and that of v + 1 in the high
+    nibble, and summed as an int in groups of at most 15 strings.  A
+    group adds at most 15 ones to a nibble, so no nibble carries into the
+    next, and one mask and one shift-and-mask split the group's sum into
+    the byte lanes of v and of v + 1.  For odd q the last pass has no
+    value v + 1, and its high lanes are dropped.  Only the strings,
+    (m-1)(q^k-1)/(q-1) bytes, and two sums are held.
     """
     q, mul, inv = f.q, f.mul_table, f.inv_table
-    eq = [bytes(v) + b"\x01" + bytes(255 - v) for v in range(q)]
     graphs, every_v = [], 0
     for a in normals:
         if a[k]:
             scale = mul[f.neg_table[inv[a[k]]]]
             graphs.append(_linear_form_values(list(map(scale.__getitem__, a[:k])), mul, add_rows))
         else:
-            every_v += int.from_bytes(_linear_form_values(a[:k], mul, add_rows).translate(eq[0]), "little")
+            zero = _linear_form_values(a[:k], mul, add_rows).translate(b"\x01" + bytes(255))
+            every_v += int.from_bytes(zero, "little")
     cells = (q**k - 1) // (q - 1)
-    for e in eq:
-        lanes = sum(map(int.from_bytes, map(bytes.translate, graphs, repeat(e)), repeat("little")), every_v)
-        yield lanes.to_bytes(cells, "little")
+    groups = [graphs[g : g + 15] for g in range(0, len(graphs), 15)]
+    nibbles = int.from_bytes(b"\x0f" * cells, "little")
+    translate, from_bytes = bytes.translate, int.from_bytes
+    for v in range(0, q, 2):
+        pair = bytes(v) + b"\x01\x10" + bytes(254 - v)
+        low = high = every_v
+        for group in groups:
+            both = sum(map(from_bytes, map(translate, group, repeat(pair)), repeat("little")))
+            low += both & nibbles
+            high += both >> 4 & nibbles
+        yield low.to_bytes(cells, "little")
+        if v + 1 < q:
+            yield high.to_bytes(cells, "little")
     yield bytes([len(normals) - len(graphs)])
 
 
@@ -555,13 +580,19 @@ def _cell_point(c: int, q: int, k: int) -> tuple[int, ...]:
 
 def _packed_line_point_counts(fam: Family):
     """The byte path of _line_point_counts, for q <= 256 and n <= 9: the
-    same Counters, keyed as _packed_point_counts keys them.
+    same Counters, keyed as _packed_point_keys keys them.
 
     Line S_i = <b> with pivot c takes the later lines <x> in groups of
     equal x[c] = a, built once per pivot column as ascending indices and
     one bytes column per coordinate; residue column t of a group,
     x[t] - a*b[t], is one translate by a padded add row.  Distinct lines
     never meet, so no residue is zero.
+
+    The residue columns of consecutive lines are joined into one block
+    until it holds _BLOCK_LANES pairs, or up to the last line, and
+    _packed_point_keys scales the whole block at once, so its set-up is
+    paid once per block; each line's Counter tallies its slice of the
+    block's keys.
     """
     f = fam.field
     q, mul, neg = f.q, f.mul_table, f.neg_table
@@ -578,15 +609,23 @@ def _packed_line_point_counts(fam: Family):
             for a, js in enumerate(by_value)
             if js
         ]
+    last = len(entries) - 1
+    block, ends = [[] for _ in range(fam.n - 1)], []
     for i, (S, b) in enumerate(zip(fam.members, entries)):
         free = _free_columns(S)
-        residues = [[] for _ in free]
+        lanes = ends[-1] if ends else 0
         for a, js, cols in groups[S.pivots[0]]:
             s = bisect_right(js, i)
             if s < len(js):
-                for out, t in zip(residues, free):
+                lanes += len(js) - s
+                for out, t in zip(block, free):
                     out.append(cols[t][s:].translate(add_rows[neg[mul[a][b[t]]]]))
-        yield _packed_point_counts(list(map(b"".join, residues)), q, lane_tables)
+        ends.append(lanes)
+        if lanes >= _BLOCK_LANES or i == last:
+            keys = _packed_point_keys(list(map(b"".join, block)), q, lane_tables)
+            for start, end in zip([0, *ends], ends):
+                yield Counter(keys[start:end])
+            block, ends = [[] for _ in block], []
 
 
 def _line_point_counts(lines):
@@ -681,8 +720,12 @@ def count_L_aad(fam: Family) -> tuple[int, int, set]:
 
     For n = 2k + 1, k >= 3 and 16 <= q <= m <= 256, m the number of
     members, _hyperplane_count sums the counts in byte lanes with no
-    Counter.  The Counter is faster at q < 16 and, from q = 64, at small
-    m < q, and above m = 256 a count does not fit its byte.  Elsewhere,
+    Counter; above m = 256 a count does not fit its byte.  The bounds on
+    q and m mark where the Counter beat a kernel with one pass per value
+    v: below q = 16, and from q = 64 at small m < q.  With two values
+    per pass the kernel also wins at q = 11 and 13 with m = q and at
+    (q, m) = (64, 8), and ties at q = 8 and at (128, 8); no workload
+    counts such inputs, so the bounds stay until one does.  Elsewhere,
     within the byte limits q <= 256 and n - k <= 8, the points are
     tallied by _packed_line_point_counts (k = 1) or
     _packed_quotient_point_counts (every k >= 2), one pass per member

@@ -6,6 +6,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
@@ -15,12 +16,15 @@ from subspace_forge.matgf import rank_of_stack
 from subspace_forge.subspace import Subspace, enumerate_subspaces
 from subspace_forge import family as family_mod
 from subspace_forge.family import (
+    _cell_point,
     _hyperplane_count,
+    _hyperplane_lanes,
     _leading_one_combinations,
     _lex_smallest_outside,
     _line_point_counts,
     _packed_line_point_counts,
     _packed_quotient_point_counts,
+    _padded_add_rows,
     _quotient_point_counts,
     Family,
     NotAPartialSpread,
@@ -122,9 +126,7 @@ def families(draw, grid, spread=True, coordinate_pair=False):
     trivially.  With spread=False and k >= 2, three families in four get
     one more member, spanned by a point of a kept member and k-1 random
     rows, so that most are not spreads.  With coordinate_pair=True and
-    n = 2k + 1, one family in two starts with span(e_0, ..., e_{k-1}) and
-    span(e_{k+1}, ..., e_{2k}): over the first, (S_0 + S_1)/S_0 is the
-    hyperplane x_0 = 0, whose normal e_0 has last coordinate 0."""
+    n = 2k + 1, one family in two starts with _coordinate_pair(field, k)."""
     k, n, q = draw(st.sampled_from(grid))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     field = FIELDS[q]
@@ -141,8 +143,8 @@ def families(draw, grid, spread=True, coordinate_pair=False):
         members.append(S)
 
     if coordinate_pair and draw(st.booleans()):
-        for first in (0, k + 1):
-            keep([[int(c == first + r) for c in range(n)] for r in range(k)])
+        for S in _coordinate_pair(field, k):
+            keep(S.row_list())
     for _ in range(draw(st.integers(1, 6))):
         keep([[rng.randrange(q) for _ in range(n)] for _ in range(k)])
     assume(members)
@@ -416,15 +418,70 @@ def test_hyperplane_count_matches_quotient_point_counts(fam):
     assert expected[:2] == (L, i)
 
 
-def _random_spread(field, n, k, size, seed):
+def _random_spread(field, n, k, size, seed, start=()):
+    """A partial spread of `size` k-subspaces: the members `start`, then
+    uniform random draws, each kept if it meets every kept one trivially."""
     rng = random.Random(seed)
-    members = []
+    members = list(start)
     while len(members) < size:
         rows = [[rng.randrange(field.q) for _ in range(n)] for _ in range(k)]
         S = Subspace.from_generators(field, n, rows)
         if S.k == k and all(S.trivially_intersects(T) for T in members):
             members.append(S)
     return Family(field, n, k, tuple(members))
+
+
+def _coordinate_pair(field, k):
+    """span(e_0, ..., e_{k-1}) and span(e_{k+1}, ..., e_{2k}) of
+    GF(q)^(2k+1): over the first, (S_0 + S_1)/S_0 is the hyperplane
+    x_0 = 0, whose normal has last coordinate 0."""
+    n = 2 * k + 1
+    units = [[int(c == r) for c in range(n)] for r in range(n)]
+    return [Subspace.from_generators(field, n, units[first : first + k]) for first in (0, k + 1)]
+
+
+@pytest.mark.parametrize(
+    "q, m, pair",
+    # m - 1 graphs per member: one full group of 15, one and a bit, two
+    # full groups, two and a bit; at even q every v is in a pair, at odd q
+    # the last v takes its own pass; the coordinate pair adds a normal with
+    # a[k] = 0 to both nibble lanes and to the last pass
+    [(q, m, False) for q in (4, 5) for m in (16, 17, 31, 32)] + [(5, 32, True)],
+)
+def test_hyperplane_count_over_full_nibble_groups(q, m, pair):
+    start = _coordinate_pair(FIELDS[q], 3) if pair else ()
+    fam = _random_spread(FIELDS[q], 7, 3, m, seed=q * m, start=start)
+    assert _hyperplane_count(fam) == _count_of(_quotient_point_counts(fam))
+
+
+@pytest.mark.parametrize("q", [4, 5])
+@pytest.mark.parametrize("size", [15, 16, 30, 31])
+def test_hyperplane_lanes_count_every_point(q, size):
+    # every lane against the count of its point, normal by normal: half the
+    # normals are one graph, which fills its nibbles in the first group,
+    # and one in four of the rest has a[k] = 0
+    field, k = FIELDS[q], 3
+    rng = random.Random(size)
+    normals = [[1, 2, 3, 1]] * (size // 2)
+    while len(normals) < size:
+        a = [rng.randrange(q) for _ in range(k)] + [rng.randrange(q) if rng.randrange(4) else 0]
+        if any(a):
+            normals.append(a)
+    add, mul = field.add_table, field.mul_table
+
+    def count(point):
+        hits = 0
+        for a in normals:
+            dot = 0
+            for x, y in zip(a, point):
+                dot = add[dot][mul[x][y]]
+            hits += dot == 0
+        return hits
+
+    cells = (q**k - 1) // (q - 1)
+    expected = [bytes(count(_cell_point(c, q, k) + (v,)) for c in range(cells)) for v in range(q)]
+    expected.append(bytes([count((0,) * k + (1,))]))
+    assert list(_hyperplane_lanes(field, k, normals, _padded_add_rows(field))) == expected
 
 
 def _refuse(*args):
@@ -467,11 +524,11 @@ def test_count_path_at_the_byte_limits(monkeypatch, n, k, q, other_path):
         (9, 4, 16, 16, "_hyperplane_count"),
         (7, 3, 16, 256, "_hyperplane_count"),
         (7, 3, 256, 256, "_hyperplane_count"),
-        # fewer members than field elements: the Counter is faster
+        # fewer members than field elements: outside the selection
         (7, 3, 16, 15, "_packed_quotient_point_counts"),
         # the two-member GF(256) family of the memory bound below
         (7, 3, 256, 2, "_packed_quotient_point_counts"),
-        # below q = 16 the Counter is faster
+        # below q = 16: outside the selection
         (7, 3, 13, 13, "_packed_quotient_point_counts"),
         # a count of 256 does not fit a byte lane
         (7, 3, 16, 257, "_packed_quotient_point_counts"),
@@ -495,9 +552,10 @@ def test_count_selects_the_hyperplane_kernel(monkeypatch, n, k, q, m, path):
     assert taken == [path]
 
 
-@pytest.mark.parametrize("q, L", [(23, 6), (25, 8), (27, 6), (29, 7)])
+@pytest.mark.parametrize("q, L", [(23, 6), (25, 8), (27, 6), (29, 7), (31, 7), (32, 7)])
 def test_rs_7_3_exact_L_aad(q, L):
-    # the exact L_aad of the atlas rows for (7, 3) below q = 31
+    # the exact L_aad of the atlas rows for (7, 3) up to q = 32; 31 and 32
+    # members give the kernel two full nibble groups and a remainder
     from subspace_forge.constructions import build_rs_family
 
     assert count_L_aad(build_rs_family(7, 3, field_from_order(q)))[:2] == (L, 0)
@@ -599,6 +657,32 @@ def test_packed_line_counts_match_line_point_counts(fam):
     # later lines as the table pass
     expected = _line_point_counts(fam.members)
     assert [_unpacked(counts, fam.n - 1) for counts in _packed_line_point_counts(fam)] == list(expected)
+
+
+@pytest.mark.parametrize("lanes", [1, 7])
+@settings(max_examples=60, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(fam=st.one_of(few_lines(), dense_lines()))
+def test_packed_line_counts_match_in_small_blocks(lanes, fam):
+    # blocks that end after every line, inside a group of lines with one
+    # pivot, after the last line with later lines and at the last line
+    expected = _line_point_counts(fam.members)
+    with mock.patch.object(family_mod, "_BLOCK_LANES", lanes):
+        assert [_unpacked(counts, fam.n - 1) for counts in _packed_line_point_counts(fam)] == list(expected)
+
+
+def test_rs_5_1_11_count_memory():
+    # the k = 1 blocks hold a few thousand pairs at a time, not the 885,115
+    # pairs of RS(5,1,11) at once (28.8 MB in one pass)
+    from subspace_forge.constructions import build_rs_family
+
+    fam = build_rs_family(5, 1, field_from_order(11))
+    tracemalloc.start()
+    try:
+        assert count_L_aad(fam)[:2] == (3, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"count_L_aad peaked at {peak / 2**10:.0f} KB"
 
 
 def test_L_aad_four_line_family(four_line_family):
