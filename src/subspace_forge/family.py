@@ -25,17 +25,19 @@ that read only the value, walks none.  For k = 1 the quotient point of
 S_j over S_i is the plane S_i + S_j, and L_aad is the most family lines
 on one plane, minus one: the count visits each unordered pair i < j
 once, at its first member.  The byte path forms the residues of all
-other members in one pass per member, builds the points as bytes
-columns, and _packed_point_keys scales them to a leading 1 in log
-lanes and keys each by one int that packs its coordinates a byte each;
-for k = 1 the residues of consecutive lines share one scaling pass, in
-blocks of about _BLOCK_LANES pairs.  The tuple path brings each residue
-basis to RREF, whose combinations are already normalized, and keys the
-points by tuples of codes.  Where each (S_i + S_j)/S_i is a hyperplane
-of the quotient, _hyperplane_count tallies no points and sums the counts
-from the hyperplanes' normals in the byte lanes of Python ints, two
-values of the last coordinate per pass, one in each nibble of a byte.
-count_L_aad states which inputs take which path.
+other members in one pass per member, with the translate tables of
+_byte_tables; for k >= 2 _leading_one_bytes, the bytes form of
+_leading_one_combinations, lists their points as bytes columns, and
+_packed_point_keys scales them to a leading 1 in log lanes and keys
+each by one int that packs its coordinates a byte each; for k = 1 the
+residues of consecutive lines share one scaling pass, in blocks of
+about _BLOCK_LANES pairs.  The tuple path brings each residue basis to
+RREF, whose combinations are already normalized, and keys the points
+by tuples of codes.  Where each (S_i + S_j)/S_i is a hyperplane of the
+quotient, _hyperplane_count tallies no points and sums the counts from
+the hyperplanes' normals in the byte lanes of Python ints, two values
+of the last coordinate per pass, one in each nibble of a byte, over
+the points in _leading_one_bytes' order.  count_L_aad states which inputs take which path.
 
 The partial-spread check is the precondition of both verifiers.  Each
 finds a non-spread family in its own loop, at residues of rank below k
@@ -49,7 +51,7 @@ from __future__ import annotations
 import operator
 import sys
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field as dc_field
 from itertools import repeat
 
@@ -76,7 +78,7 @@ class Family:
     members: tuple[Subspace, ...]
 
     def __post_init__(self):
-        if 2 * self.k >= self.n:
+        if 2 * _json_int(self.k) >= _json_int(self.n):
             raise ValueError(f"need 2k < n, got k={self.k}, n={self.n}")
         if not self.members:
             raise ValueError("family must have at least one member")
@@ -103,7 +105,7 @@ class Family:
     def from_json(cls, obj: dict) -> "Family":
         fld = Field.from_json(obj["field"])
         members = tuple(Subspace.from_json(fld, s) for s in obj["members"])
-        return cls(fld, _json_int(obj["n"]), _json_int(obj["k"]), members)
+        return cls(fld, obj["n"], obj["k"], members)
 
 
 @dataclass
@@ -219,6 +221,62 @@ def _leading_one_combinations(rows, add, mul):
         yield from layer
 
 
+_ByteTables = namedtuple("_ByteTables", "q add mul log nonzero exp")
+
+
+def _byte_tables(f: Field) -> _ByteTables:
+    """The bytes.translate tables of f, q <= 256, 256 entries each, read
+    off its add, mul, exp and log tables: add[a] maps code x < q to a + x
+    and mul[a] maps it to a*x; log maps a code to its log to base gamma
+    (0 for code 0), nonzero maps it to 0xff if nonzero else 0, and exp
+    maps e in [1, 2q - 3] to gamma^e, with entry 0 for the masked zero
+    lanes of _packed_point_keys.  Each byte kernel builds them once."""
+    pad = bytes(256 - f.q)
+    return _ByteTables(
+        f.q,
+        [bytes(row) + pad for row in f.add_table],
+        [bytes(row) + pad for row in f.mul_table],
+        bytes(f.log_table) + pad,
+        bytes(1) + b"\xff" * (f.q - 1) + pad,
+        bytes([0, *f.exp_table[1:256]]).ljust(256, b"\0"),
+    )
+
+
+def _leading_one_bytes(columns, tables: _ByteTables) -> bytes:
+    """The bytes form of _leading_one_combinations over many row sets of
+    k = len(columns) rows r_0, ..., r_{k-1} each: byte j of columns[s] is
+    one coordinate of r_s in row set j, and byte c of the result is that
+    coordinate of combination c.  Layer k-1 comes first, then k-2, ...,
+    0, and each layer holds row set by row set; within a row set the
+    combinations come in _leading_one_combinations' order.
+
+    Layer p, the combinations whose first nonzero coefficient is on r_p,
+    is r_p plus the span of r_{p+1}, ..., r_{k-1}.  The span of r_{k-1}
+    is the mul-table row of r_{k-1}, bytes.translate with the add-table
+    row of r_p shifts a span to layer p, and the span of r_p, ..., r_{k-1}
+    joins the q translates of the span of r_{p+1}, ... by the multiples
+    of r_p, one row set at a time.
+
+    For independent rows these combinations are the points of their span,
+    each once.  The map from coefficient vectors to the span is then
+    injective, and the vectors whose first nonzero entry is 1 hold one
+    scalar multiple of each nonzero vector of GF(q)^k, so their images
+    hold one multiple of each point of the span.  A zero combination
+    exists exactly when the rows are dependent.
+    """
+    q, add, mul = tables.q, tables.add, tables.mul
+    translate, join = bytes.translate, b"".join
+    ys = columns[-1]
+    layers = [ys]
+    spans = [mul[y][:q] for y in ys]
+    for p in range(len(columns) - 2, -1, -1):
+        xs = columns[p]
+        layers.append(join(map(translate, spans, map(add.__getitem__, xs))))
+        if p:
+            spans = [join([translate(span, add[a]) for a in mul[x][:q]]) for span, x in zip(spans, xs)]
+    return join(layers)
+
+
 class NotAPartialSpread(ValueError):
     """The family is not a partial spread: members `pair` = (i, j), i < j,
     the first pair check_partial_spread finds, meet non-trivially."""
@@ -283,56 +341,28 @@ def _packed_quotient_point_counts(fam: Family):
 
     One pass per member covers every other member at once, with no
     per-pair reduce or RREF: _packed_residues forms the residues of all
-    pairs (S_i, S_j) together, a bytes column each.
-
-    Points: the leading-1 coefficient combinations of a pair's k residue
-    rows r_0, ..., r_{k-1}, unreduced, are built a column at a time as
-    bytes; the layer loop is _leading_one_combinations over bytes
-    columns, every pair at once.  Layer p, the combinations whose first
-    nonzero coefficient is on r_p, is r_p plus the span of r_{p+1}, ...:
-    the span of r_{k-1} is the mul-table row of r_{k-1}[t],
-    bytes.translate with the padded add-table row of r_p[t] shifts a span
-    to layer p, and a longer span joins its q translates per pair.  Layer
-    k-1, then k-2, ..., 0 each hold every pair in member order.
-
-    These combinations are the points, each once.  For independent rows
-    the map from coefficient vectors to the span is injective, and the
-    vectors whose first nonzero entry is 1 hold one scalar multiple of
-    each nonzero vector of GF(q)^k, so their images hold one multiple of
-    each point of the span.  A zero combination exists exactly when the
-    rows are dependent, that is, when S_i meets S_j, and then
-    check_partial_spread names the pair that NotAPartialSpread carries.
-    The points come in another order than _quotient_points yields them,
-    which no count depends on.
+    pairs (S_i, S_j) together, a bytes column each, and
+    _leading_one_bytes builds the leading-1 combinations of every pair's
+    k residue rows, unreduced, one call per free coordinate.  For
+    independent rows they are the points, each once; a zero combination
+    exists exactly when S_i meets S_j, and then check_partial_spread names
+    the pair that NotAPartialSpread carries.  The points come in another
+    order than _quotient_points yields them, which no count depends on.
     """
-    f = fam.field
-    q, k, d = f.q, fam.k, fam.n - fam.k
-    add_rows = _padded_add_rows(f)
-    mul_rows = [bytes(row) for row in f.mul_table]
-    lane_tables = _log_lane_tables(f)
-    translate, join = bytes.translate, b"".join
-    for residues in _packed_residues(fam, add_rows):
-        points = []
-        for t in range(d):
-            ys = residues[k - 1][t]
-            layers = [ys]
-            spans = list(map(mul_rows.__getitem__, ys))
-            for p in range(k - 2, -1, -1):
-                xs = residues[p][t]
-                layers.append(join(map(translate, spans, map(add_rows.__getitem__, xs))))
-                if p:
-                    spans = [join([translate(span, add_rows[a]) for a in mul_rows[x]]) for span, x in zip(spans, xs)]
-            points.append(join(layers))
-        keys = _packed_point_keys(points, q, lane_tables)
+    d = fam.n - fam.k
+    tables = _byte_tables(fam.field)
+    for residues in _packed_residues(fam, tables):
+        points = [_leading_one_bytes([res[t] for res in residues], tables) for t in range(d)]
+        keys = _packed_point_keys(points, tables)
         if keys is None:
             raise NotAPartialSpread(check_partial_spread(fam)[1])
         yield Counter(keys)
 
 
-def _packed_residues(fam: Family, add_rows):
+def _packed_residues(fam: Family, tables: _ByteTables):
     """Yield, for each member S_i in order, residues[s][t]: free column t
     of the residues modulo S_i of basis row s of every S_j, j != i, one
-    byte per pair in member order.  `add_rows` is _padded_add_rows of the
+    byte per pair in member order.  `tables` is _byte_tables of the
     family's field.
 
     One pass per member covers every other member at once, with no
@@ -344,7 +374,6 @@ def _packed_residues(fam: Family, add_rows):
     """
     n, k, m = fam.n, fam.k, len(fam.members)
     add, mul, neg = fam.field.add_table, fam.field.mul_table, fam.field.neg_table
-    mul_pad = [bytes(row) + bytes(256 - fam.field.q) for row in mul]
     translate, getitem = bytes.translate, operator.getitem
     columns = [bytes(col) for col in zip(*(T.entries for T in fam.members))]
     # the value of each basis entry that is the same in every member, else
@@ -364,33 +393,15 @@ def _packed_residues(fam: Family, add_rows):
                         continue
                     x = constant[s * n + c]
                     if x is None:
-                        acc = bytes(map(getitem, map(add.__getitem__, acc), translate(rows[c], mul_pad[minus_b])))
+                        acc = bytes(map(getitem, map(add.__getitem__, acc), translate(rows[c], tables.mul[minus_b])))
                     elif x:
-                        acc = translate(acc, add_rows[mul[minus_b][x]])
+                        acc = translate(acc, tables.add[mul[minus_b][x]])
                 res.append(acc)
             residues.append(res)
         yield residues
 
 
-def _padded_add_rows(f: Field) -> list[bytes]:
-    """The rows of f's add table as bytes.translate tables: row a maps
-    code x < q to a + x."""
-    pad = bytes(256 - f.q)
-    return [bytes(row) + pad for row in f.add_table]
-
-
-def _log_lane_tables(f: Field) -> tuple[bytes, bytes, bytes]:
-    """bytes.translate tables for scaling points to a leading 1 in log
-    lanes, read off f's exp and log tables: code -> its log to base gamma
-    (0 for code 0), code -> 0xff if nonzero else 0, and e -> gamma^e for
-    e in [1, 2q - 3] with entry 0 for the masked zero lanes, cut to 256
-    entries."""
-    pad = bytes(256 - f.q)
-    nonzero = bytes(1) + b"\xff" * (f.q - 1) + pad
-    return bytes(f.log_table) + pad, nonzero, bytes([0, *f.exp_table[1:256]]).ljust(256, b"\0")
-
-
-def _packed_point_keys(columns, q: int, lane_tables) -> memoryview | None:
+def _packed_point_keys(columns, tables: _ByteTables) -> memoryview | None:
     """The keys of the points whose coordinate t is byte s of columns[t],
     s = 0, 1, ..., in that order, as a memoryview of 8-byte words: each
     point scaled to a leading 1 and keyed by one int that packs its d =
@@ -408,11 +419,11 @@ def _packed_point_keys(columns, q: int, lane_tables) -> memoryview | None:
     are two bytes wide, and each is brought to [1, q-1], inside the
     256-entry exp table, by subtracting q - 1 where it is at least q,
     read off the lane's top bit after adding 2^15 - q.  The exp table of
-    _log_lane_tables, whose entry 0 takes the masked zero lanes, maps the
+    _byte_tables, whose entry 0 takes the masked zero lanes, maps the
     lanes back to codes.  A Counter of the words, or of a slice of them,
     tallies the keys in C.
     """
-    log, nonzero, exp = lane_tables
+    q, log, nonzero, exp = tables.q, tables.log, tables.nonzero, tables.exp
     d, size = len(columns), len(columns[0])
     w = 1 if q <= 128 else 2  # bytes per log lane
     ones = int.from_bytes((b"\x01" + bytes(w - 1)) * size, "little")
@@ -469,13 +480,16 @@ def _hyperplane_count(fam: Family) -> tuple[int, int, set]:
     A first pass keeps, member by member, the largest lane above the best
     so far, read from what is left of the lanes after bytes.translate
     deletes every count at or below it.  The winning member's lanes are
-    summed again, and the lanes equal to L are its attaining points.
+    summed again, and the lanes equal to L are its attaining points:
+    coordinate s of the point x in lane c is byte c of _leading_one_bytes
+    on the unit rows e_0, ..., e_{k-1} of GF(q)^k, which lists the points
+    in the lanes' order.
     """
     f, k = fam.field, fam.k
     neg = f.neg_table
-    add_rows = _padded_add_rows(f)
+    tables = _byte_tables(f)
     best, best_i, best_normals = 0, 0, []
-    for i, residues in enumerate(_packed_residues(fam, add_rows)):
+    for i, residues in enumerate(_packed_residues(fam, tables)):
         normals = []
         # one pair's k residue rows, each of the k + 1 free coordinates
         for pair in zip(*(zip(*res) for res in residues)):
@@ -490,7 +504,7 @@ def _hyperplane_count(fam: Family) -> tuple[int, int, set]:
                 a[p] = neg[row[c]]
             normals.append(a)
         top = best
-        for lanes in _hyperplane_lanes(f, k, normals, add_rows):
+        for lanes in _hyperplane_lanes(f, k, normals, tables):
             above = lanes.translate(None, bytes(range(top + 1)))
             if above:
                 top = max(above)
@@ -498,23 +512,25 @@ def _hyperplane_count(fam: Family) -> tuple[int, int, set]:
             best, best_i, best_normals = top, i, normals
     attaining = set()
     if best:
-        for v, lanes in enumerate(_hyperplane_lanes(f, k, best_normals, add_rows)):
+        units = [_leading_one_bytes([bytes([r == s]) for r in range(k)], tables) for s in range(k)]
+        for v, lanes in enumerate(_hyperplane_lanes(f, k, best_normals, tables)):
             c = lanes.find(best)
             while c >= 0:
-                attaining.add(_cell_point(c, f.q, k) + (v,) if v < f.q else (0,) * k + (1,))
+                attaining.add(tuple(x[c] for x in units) + (v,) if v < f.q else (0,) * k + (1,))
                 c = lanes.find(best, c + 1)
     return best, best_i, attaining
 
 
-def _hyperplane_lanes(f: Field, k: int, normals, add_rows):
+def _hyperplane_lanes(f: Field, k: int, normals, tables: _ByteTables):
     """Yield, for v = 0, 1, ..., q-1, the counts of the points (x, v) of
-    PG(k, q) as bytes, lane c the count of x = _cell_point(c), then the
-    count of e_k as one byte.  The count of a point is the number of
-    `normals` a with a . (x, v) = 0.
+    PG(k, q) as bytes, lane c the count of the point x of PG(k-1, q) that
+    _leading_one_bytes lists c-th, then the count of e_k as one byte.
+    The count of a point is the number of `normals` a with a . (x, v) = 0.
 
     Each normal with a[k] != 0 is scaled to a[k] = -1, so that it holds
-    (x, v) exactly when v = a[:k] . x, one bytes string of values over
-    the cells; a normal with a[k] = 0 holds (x, v) for every v where
+    (x, v) exactly when v = a[:k] . x, whose values over the points x are
+    _leading_one_bytes of one row set of k one-byte rows a[0], ...,
+    a[k-1]; a normal with a[k] = 0 holds (x, v) for every v where
     a[:k] . x = 0, and those indicators are summed once.  The values v
     and v + 1 share one pass: a string is translated to the indicator of
     v in the low nibble of each byte and that of v + 1 in the high
@@ -530,9 +546,9 @@ def _hyperplane_lanes(f: Field, k: int, normals, add_rows):
     for a in normals:
         if a[k]:
             scale = mul[f.neg_table[inv[a[k]]]]
-            graphs.append(_linear_form_values(list(map(scale.__getitem__, a[:k])), mul, add_rows))
+            graphs.append(_leading_one_bytes([bytes([scale[x]]) for x in a[:k]], tables))
         else:
-            zero = _linear_form_values(a[:k], mul, add_rows).translate(b"\x01" + bytes(255))
+            zero = _leading_one_bytes([bytes([x]) for x in a[:k]], tables).translate(b"\x01" + bytes(255))
             every_v += int.from_bytes(zero, "little")
     cells = (q**k - 1) // (q - 1)
     groups = [graphs[g : g + 15] for g in range(0, len(graphs), 15)]
@@ -551,33 +567,6 @@ def _hyperplane_lanes(f: Field, k: int, normals, add_rows):
     yield bytes([len(normals) - len(graphs)])
 
 
-def _linear_form_values(a, mul, add_rows) -> bytes:
-    """The values of x -> a . x over the points x of PG(k-1, q), k =
-    len(a), in _cell_point order, a byte each.  Part p, the points with
-    x_p = 1, is a[p] plus the form of a[p+1:] over GF(q)^(k-1-p), and that
-    form joins, for x_p = 0, 1, ..., q-1, its successor shifted by
-    a[p] x_p."""
-    form, parts = b"\0", []
-    for p in range(len(a) - 1, -1, -1):
-        parts.append(form.translate(add_rows[a[p]]))
-        if p:
-            form = b"".join([form.translate(add_rows[c]) for c in mul[a[p]]])
-    return b"".join(reversed(parts))
-
-
-def _cell_point(c: int, q: int, k: int) -> tuple[int, ...]:
-    """The point of PG(k-1, q) in lane c of _hyperplane_lanes: the lanes
-    run over x_0 = 1, then x_0 = 0 and x_1 = 1, and so on, and within a
-    part x_p = 1 the later coordinates count up with x_{p+1} the most
-    significant."""
-    for p in range(k):
-        size = q ** (k - 1 - p)
-        if c < size:
-            return (0,) * p + (1,) + tuple(c // q**e % q for e in range(k - 2 - p, -1, -1))
-        c -= size
-    raise AssertionError("lane past the last point")
-
-
 def _packed_line_point_counts(fam: Family):
     """The byte path of _line_point_counts, for q <= 256 and n <= 9: the
     same Counters, keyed as _packed_point_keys keys them.
@@ -585,8 +574,8 @@ def _packed_line_point_counts(fam: Family):
     Line S_i = <b> with pivot c takes the later lines <x> in groups of
     equal x[c] = a, built once per pivot column as ascending indices and
     one bytes column per coordinate; residue column t of a group,
-    x[t] - a*b[t], is one translate by a padded add row.  Distinct lines
-    never meet, so no residue is zero.
+    x[t] - a*b[t], is one translate by an add row of _byte_tables.
+    Distinct lines never meet, so no residue is zero.
 
     The residue columns of consecutive lines are joined into one block
     until it holds _BLOCK_LANES pairs, or up to the last line, and
@@ -596,8 +585,7 @@ def _packed_line_point_counts(fam: Family):
     """
     f = fam.field
     q, mul, neg = f.q, f.mul_table, f.neg_table
-    add_rows = _padded_add_rows(f)
-    lane_tables = _log_lane_tables(f)
+    tables = _byte_tables(f)
     entries = [T.entries for T in fam.members]
     groups = {}
     for c in {T.pivots[0] for T in fam.members}:
@@ -619,10 +607,10 @@ def _packed_line_point_counts(fam: Family):
             if s < len(js):
                 lanes += len(js) - s
                 for out, t in zip(block, free):
-                    out.append(cols[t][s:].translate(add_rows[neg[mul[a][b[t]]]]))
+                    out.append(cols[t][s:].translate(tables.add[neg[mul[a][b[t]]]]))
         ends.append(lanes)
         if lanes >= _BLOCK_LANES or i == last:
-            keys = _packed_point_keys(list(map(b"".join, block)), q, lane_tables)
+            keys = _packed_point_keys(list(map(b"".join, block)), tables)
             for start, end in zip([0, *ends], ends):
                 yield Counter(keys[start:end])
             block, ends = [[] for _ in block], []
@@ -686,12 +674,14 @@ def _free_columns(S: Subspace) -> list[int]:
     return [c for c in range(S.n) if c not in pivot_set]
 
 
-def _first_attaining_coset(fam: Family, i: int, attaining: set, add, mul, inv):
+def _first_attaining_coset(fam: Family, i: int, attaining: set):
     """The witness (i, u) of compute_L_aad: walks S_i's residue
     combinations in raw order (every j != i in member order, then
     _leading_one_combinations of the unreduced residues) and returns the
     first combination u whose normalized point is in `attaining`, lifted
     to GF(q)^n with zeros in S_i's pivot columns."""
+    f = fam.field
+    add, mul, inv = f.add_table, f.mul_table, f.inv_table
     S = fam.members[i]
     free_cols = _free_columns(S)
     project = operator.itemgetter(*free_cols)
@@ -728,9 +718,10 @@ def count_L_aad(fam: Family) -> tuple[int, int, set]:
     counts such inputs, so the bounds stay until one does.  Elsewhere,
     within the byte limits q <= 256 and n - k <= 8, the points are
     tallied by _packed_line_point_counts (k = 1) or
-    _packed_quotient_point_counts (every k >= 2), one pass per member
-    with no per-pair reduce or RREF, keyed by packed ints; only the
-    attaining keys of S_i are turned back into tuples.  Above the byte
+    _packed_quotient_point_counts (every k >= 2, its points built by
+    _leading_one_bytes, as are the hyperplane kernel's), one pass per
+    member with no per-pair reduce or RREF, keyed by packed ints; only
+    the attaining keys of S_i are turned back into tuples.  Above the byte
     limits a code or a point does not fit its byte or word, and
     _line_point_counts or _quotient_point_counts tallies tuples.
     """
@@ -790,8 +781,7 @@ def compute_L_aad(fam: Family) -> tuple[int, tuple[int, tuple[int, ...]]]:
         u = _lex_smallest_outside(members[0])
         return 0, (0, u)
     best, best_i, attaining = count_L_aad(fam)
-    f = fam.field
-    return best, _first_attaining_coset(fam, best_i, attaining, f.add_table, f.mul_table, f.inv_table)
+    return best, _first_attaining_coset(fam, best_i, attaining)
 
 
 def check_as_guard(n: int, k: int, q: int, enum_guard: int | None) -> None:

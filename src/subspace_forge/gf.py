@@ -151,11 +151,11 @@ class Field:
     )
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...], gamma: int | None = None):
-        if not is_prime(p):
+        if not is_prime(_json_int(p)):
             raise ValueError(f"p must be prime, got {p}")
-        if m < 1:
+        if _json_int(m) < 1:
             raise ValueError(f"extension degree must be >= 1, got {m}")
-        modulus = tuple(modulus)
+        modulus = tuple(map(_json_int, modulus))
         if not all(0 <= c < p for c in modulus):
             raise ValueError(f"modulus coefficients must lie in [0, {p}), got {list(modulus)}")
         if len(modulus) != m + 1 or modulus[-1] != 1:
@@ -170,8 +170,7 @@ class Field:
         if gamma is None:
             gamma = self._find_primitive()
         else:
-            gamma = int(gamma)
-            if not self._is_primitive(gamma):
+            if not self._is_primitive(_json_int(gamma)):
                 raise ValueError(f"gamma={gamma} does not have order q-1")
         self.gamma = gamma
         self._build_tables()
@@ -318,9 +317,8 @@ class Field:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Field":
-        return cls(
-            _json_int(obj["p"]), _json_int(obj["m"]), tuple(map(_json_int, obj["modulus"])), _json_int(obj["gamma"])
-        )
+        # gamma is required here: None would pick the canonical one
+        return cls(obj["p"], obj["m"], obj["modulus"], _json_int(obj["gamma"]))
 
 
 def make_field(p: int, m: int = 1, size_guard: int | None = DEFAULT_SIZE_GUARD) -> Field:

@@ -63,6 +63,9 @@ class Subspace:
     entries: tuple[int, ...]
 
     def __post_init__(self):
+        # 1.0 and True would pass the checks below and reach the JSON
+        for x in (self.n, self.k, *self.entries):
+            _json_int(x)
         q = self.field.q
         if any(not 0 <= e < q for e in self.entries):
             raise ValueError("entry out of field range")
@@ -192,7 +195,7 @@ class Subspace:
         # rows of length n make the entry count k * n only for k rows
         if rows and len(rows[0]) != n:
             raise ValueError("basis shape does not match (k, n)")
-        return cls(field, n, _json_int(obj["k"]), tuple(x for row in rows for x in row))
+        return cls(field, n, obj["k"], tuple(x for row in rows for x in row))
 
 
 def enumerate_subspaces(field: Field, n: int, k: int):

@@ -16,15 +16,15 @@ from subspace_forge.matgf import rank_of_stack
 from subspace_forge.subspace import Subspace, enumerate_subspaces
 from subspace_forge import family as family_mod
 from subspace_forge.family import (
-    _cell_point,
+    _byte_tables,
     _hyperplane_count,
     _hyperplane_lanes,
+    _leading_one_bytes,
     _leading_one_combinations,
     _lex_smallest_outside,
     _line_point_counts,
     _packed_line_point_counts,
     _packed_quotient_point_counts,
-    _padded_add_rows,
     _quotient_point_counts,
     Family,
     NotAPartialSpread,
@@ -177,6 +177,13 @@ def test_family_rejects_ambient_violation(f2):
 def test_family_rejects_empty(f2):
     with pytest.raises(ValueError):
         Family(f2, 3, 1, ())
+
+
+@pytest.mark.parametrize("n, k", [(3.0, 1), (3, 1.0), (3, True)])
+def test_family_refuses_non_int_n_and_k(f5, n, k):
+    # the rule of from_json: "n": 3.0 would be written to the JSON
+    with pytest.raises(TypeError, match="expected an integer"):
+        Family(f5, n, k, (line(f5, (1, 2, 3)),))
 
 
 def test_family_rejects_mismatched_member(f2, f3):
@@ -478,10 +485,45 @@ def test_hyperplane_lanes_count_every_point(q, size):
             hits += dot == 0
         return hits
 
-    cells = (q**k - 1) // (q - 1)
-    expected = [bytes(count(_cell_point(c, q, k) + (v,)) for c in range(cells)) for v in range(q)]
+    # the lanes list the points in the order of the unit rows' combinations
+    units = [tuple(int(r == s) for s in range(k)) for r in range(k)]
+    cells = list(_leading_one_combinations(units, add, mul))
+    expected = [bytes(count(x + (v,)) for x in cells) for v in range(q)]
     expected.append(bytes([count((0,) * k + (1,))]))
-    assert list(_hyperplane_lanes(field, k, normals, _padded_add_rows(field))) == expected
+    assert list(_hyperplane_lanes(field, k, normals, _byte_tables(field))) == expected
+
+
+@st.composite
+def row_sets(draw):
+    """(q, sets): one to four sets of k = 1..4 rows of length 1..3 over
+    GF(q), with at most q^3 combinations per set."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 8, 9, 131, 256]))
+    k = draw(st.integers(1, 4 if q < 10 else 2))
+    length = draw(st.integers(1, 3))
+    row = st.lists(st.integers(0, q - 1), min_size=length, max_size=length).map(tuple)
+    sets = draw(st.lists(st.lists(row, min_size=k, max_size=k), min_size=1, max_size=4))
+    return q, sets
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_sets())
+def test_leading_one_bytes_match_leading_one_combinations(case):
+    # layer k-1 first, each layer row set by row set, and each row set's
+    # layer in the tuple path's order; the identity needs no independence
+    q, sets = case
+    f, k = FIELDS[q], len(sets[0])
+    combos = [list(_leading_one_combinations(rows, f.add_table, f.mul_table)) for rows in sets]
+    expected = []
+    for p in range(k - 1, -1, -1):
+        start, size = (q ** (k - 1 - p) - 1) // (q - 1), q ** (k - 1 - p)
+        for layers in combos:
+            expected += layers[start : start + size]
+    tables = _byte_tables(f)
+    columns = [
+        _leading_one_bytes([bytes(rows[s][t] for rows in sets) for s in range(k)], tables)
+        for t in range(len(sets[0][0]))
+    ]
+    assert list(zip(*columns)) == expected
 
 
 def _refuse(*args):

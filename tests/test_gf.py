@@ -281,6 +281,17 @@ def test_field_rejects_modulus_coefficients_outside_gf_p(modulus):
         Field.from_json({"p": 2, "m": 1, "modulus": list(modulus), "gamma": 1})
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(5.0, 1, (3, 1)), (5, True, (3, 1)), (3, 2, (2, 2, 1.0)), (5, 1, (3, 1), 2.7), (5, 1, (3, 1), 2.0)],
+)
+def test_field_refuses_non_int_input(args):
+    # the rule of from_json: gamma 2.7 would read as 2, and a float
+    # coefficient would reach to_json, whose output from_json refuses
+    with pytest.raises(TypeError, match="expected an integer"):
+        Field(*args)
+
+
 def test_from_json_rejects_reducible_modulus():
     obj = {"p": 2, "m": 2, "modulus": [0, 0, 1], "gamma": 2}  # x^2 factors
     with pytest.raises(ValueError):

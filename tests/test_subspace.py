@@ -56,6 +56,15 @@ def test_from_generators_refuses_non_int_coordinates(f5, x):
         Subspace.from_generators(f5, 2, [(x, 0)])
 
 
+@pytest.mark.parametrize(
+    "n, k, entries", [(3, 1, (1.0, 2, 3)), (3, 1, (True, 2, 3)), (3.0, 1, (1, 2, 3)), (3, True, (1, 2, 3))]
+)
+def test_direct_constructor_refuses_non_int_input(f5, n, k, entries):
+    # the rule of from_json: 1.0 and True would be written to the JSON
+    with pytest.raises(TypeError, match="expected an integer"):
+        Subspace(f5, n, k, entries)
+
+
 def test_direct_constructor_rejects_non_canonical(f5):
     with pytest.raises(ValueError):
         Subspace(f5, 3, 1, (2, 4, 0))  # not RREF
