@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 
 from .family import Family, _free_columns, count_L_aad
-from .gf import check_guard
+from .gf import _json_int, check_guard
 
 # ASCII "0" and "1" to the bits 0 and 1
 _BIT_OF_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
@@ -146,18 +146,20 @@ class BatchCode:
 
     def encode(self, x) -> list[int]:
         """Systematic encoding: information bits followed by one XOR
-        parity per (member, coset)."""
-        x = list(x)
+        parity per (member, coset).  A bit is 0, 1 or a bool: 1.0 and "1"
+        raise TypeError."""
+        # iter: bytes(K) would read an int as K zero bytes
+        x = bytes(iter(x))
         if len(x) != self.K:
             raise ValueError(f"information length must be {self.K}, got {len(x)}")
-        if x.count(0) + x.count(1) != self.K:
+        if x.translate(None, b"\0\1"):
             raise ValueError("information symbols must be bits")
         if self._words is None:
             self._words = self._parity_words()
         parity = functools.reduce(operator.xor, itertools.compress(self._words, x), 0)
         # format writes the top bit first; reversed, parity offset 0 leads
         digits = format(parity, f"0{self.N - self.K}b")[::-1]
-        return x + list(digits.encode().translate(_BIT_OF_DIGIT))
+        return list(x + digits.encode().translate(_BIT_OF_DIGIT))
 
     def _parity_words(self) -> list[int]:
         """One int per information point with bit a·q^(n−k) + r set for
@@ -187,9 +189,14 @@ class BatchCode:
         """1 + |F| candidate recovery sets for information bit idx: the
         direct read, plus per member the coset parity with the other
         coset points.  Candidates are pairwise disjoint."""
-        if not 0 <= idx < self.K:
-            raise ValueError(f"information index out of range: {idx}")
+        self._check_indices((idx,))
         return [self._candidate(idx, a) for a in range(1 + len(self.family))]
+
+    def _check_indices(self, indices) -> None:
+        """TypeError for a non-int index (gf._json_int), ValueError outside [0, K)."""
+        for idx in indices:
+            if not 0 <= _json_int(idx) < self.K:
+                raise ValueError(f"information index out of range: {idx}")
 
     def recover(self, y, positions) -> int:
         bit = 0
@@ -252,9 +259,7 @@ class BatchCode:
         request takes candidate 0 and none backtracks.
         """
         requests = sorted(requests)
-        if requests and (requests[0] < 0 or requests[-1] >= self.K):
-            bad = next(idx for idx in requests if not 0 <= idx < self.K)
-            raise ValueError(f"information index out of range: {bad}")
+        self._check_indices(requests)
         if len(set(requests)) < len(requests):
             found = self._assign(requests)
             if found is None:

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import repeat
 
 from .gf import Field, _json_int
-from .matgf import _rref_rows
+from .matgf import _rref_rows, kernel_basis
 from .subspace import Subspace, checked_gaussian_binomial, enumerate_subspaces, span_step
 
 # compute_L_as enumerates every (k+1)-subspace; refuse above this count
@@ -195,15 +195,14 @@ def coset_hits_bruteforce(fam: Family, i: int, u) -> int:
 
 
 def _lex_smallest_outside(S: Subspace) -> tuple[int, ...]:
-    """The lexicographically first vector of GF(q)^n outside S: the unit
-    vector e_c for the largest c with e_c not in S.  Every vector before
-    e_c in lex order lies in span(e_{c+1}, ..., e_{n-1}), which S
-    contains."""
-    for c in range(S.n - 1, -1, -1):
-        e = tuple(int(i == c) for i in range(S.n))
-        if not S.contains(e):
-            return e
-    raise AssertionError("subspace covers the whole space")
+    """The lexicographically first vector of GF(q)^n outside the proper
+    subspace S: e_c at S's last free column c.  Each column p > c is a
+    pivot, and its RREF row is e_p: 0 left of p and at the other pivots,
+    which are all the columns right of p.  So S holds the span of
+    e_{c+1}, ..., e_{n-1}, every vector before e_c in lex order, and e_c,
+    0 at every pivot, reduces to itself, not 0: it is not in S."""
+    c = _free_columns(S)[-1]
+    return tuple(int(i == c) for i in range(S.n))
 
 
 def _leading_one_combinations(rows, add, mul):
@@ -460,10 +459,10 @@ def _hyperplane_count(fam: Family) -> tuple[int, int, set]:
     (k+1)-dimensional quotient by S_i.  So W_j is the kernel of one
     normal a_j, and the count of a quotient point x is the number of
     j != i with a_j . x = 0.  _packed_residues forms every pair's k
-    residue rows, and _rref_rows brings them to RREF: its one free
-    column c gives a_j[c] = 1 and a_j[c_r] = -R[r][c] at the pivot c_r
-    of row r.  Rank below k means S_i meets S_j, and NotAPartialSpread
-    carries check_partial_spread's pair.
+    residue rows, and a_j is the one row of their kernel_basis: rank k
+    leaves a kernel of dimension (k + 1) - k = 1.  A larger kernel means
+    rank below k, so S_i meets S_j, and NotAPartialSpread carries
+    check_partial_spread's pair.  No count depends on a_j's scale.
 
     On the chart x_0 = 1 of PG(k, q), point (1, y, v) lies on W_j
     exactly when a_j[k] v = -(a_j[0] + a_j[1:k] . y).  Where a_j[k] != 0,
@@ -486,23 +485,16 @@ def _hyperplane_count(fam: Family) -> tuple[int, int, set]:
     in the lanes' order.
     """
     f, k = fam.field, fam.k
-    neg = f.neg_table
     tables = _byte_tables(f)
     best, best_i, best_normals = 0, 0, []
     for i, residues in enumerate(_packed_residues(fam, tables)):
         normals = []
         # one pair's k residue rows, each of the k + 1 free coordinates
         for pair in zip(*(zip(*res) for res in residues)):
-            rows = list(map(list, pair))
-            rank, pivots = _rref_rows(f, rows, k + 1)
-            if rank < k:
+            kernel = kernel_basis(f, pair, k + 1)
+            if len(kernel) > 1:
                 raise NotAPartialSpread(check_partial_spread(fam)[1])
-            c = next(c for c in range(k + 1) if c not in pivots)
-            a = [0] * (k + 1)
-            a[c] = 1
-            for row, p in zip(rows, pivots):
-                a[p] = neg[row[c]]
-            normals.append(a)
+            normals.append(kernel[0])
         top = best
         for lanes in _hyperplane_lanes(f, k, normals, tables):
             above = lanes.translate(None, bytes(range(top + 1)))
@@ -774,7 +766,8 @@ def compute_L_aad(fam: Family) -> tuple[int, tuple[int, tuple[int, ...]]]:
     Residues of rank below k mean S_i meets S_j: raises
     NotAPartialSpread (distinct lines never meet, so for k = 1 nothing is
     raised).  Every pair is visited, so a return certifies that the
-    family is a partial spread.
+    family is a partial spread.  A one-member family has L = 0 and the
+    witness (0, e_c) of _lex_smallest_outside, c its last free column.
     """
     members = fam.members
     if len(members) <= 1:

@@ -101,10 +101,7 @@ class _Chosen:
             self.tallies.pop()
             rows = cand.row_list()
             for S, (_, project, counts) in zip(self.members, self.tallies):
-                for pt in _quotient_points(S, project, rows):
-                    counts[pt] -= 1
-                    if not counts[pt]:
-                        del counts[pt]
+                counts -= Counter(_quotient_points(S, project, rows))
 
 
 def _feasible(chosen: _Chosen, cand: Subspace) -> bool:

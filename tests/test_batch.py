@@ -310,6 +310,35 @@ def test_plan_validates_every_index(edge_code):
         code.plan_recovery(requests)
 
 
+@pytest.mark.parametrize("requests", [[1.5], [True, 2], [2.0, 2.0]])
+def test_plan_refuses_non_int_index(rs_code, requests):
+    # a float or bool index once reached the plan or a list lookup
+    with pytest.raises(TypeError, match="expected an integer"):
+        rs_code.plan_recovery(requests)
+
+
+@pytest.mark.parametrize("idx", [1.5, True])
+def test_recovery_sets_refuse_non_int_index(rs_code, idx):
+    with pytest.raises(TypeError, match="expected an integer"):
+        rs_code.recovery_sets_for(idx)
+
+
+@pytest.mark.parametrize("symbol", [1.0, "1"])
+def test_encode_refuses_non_int_symbol(rs_code, symbol):
+    x = [0] * rs_code.K
+    x[4] = symbol
+    with pytest.raises(TypeError):
+        rs_code.encode(x)
+
+
+def test_encode_reads_bool_symbols_as_int_bits(rs_code):
+    x = [0] * rs_code.K
+    x[4] = 1
+    y = rs_code.encode([bool(b) for b in x])
+    assert y == rs_code.encode(x)
+    assert {type(b) for b in y} == {int}
+
+
 def test_plan_uses_every_candidate(edge_code):
     code = edge_code
     requests = [1] * (1 + len(code.family))
